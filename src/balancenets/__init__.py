@@ -10,13 +10,13 @@ from .config import (
     BOUND_GRP,
     BOUND_SEMIGROUP,
     BOUND_STATES,
-    ENV_THREADS,
     REFERENCE_STEPS,
     TAU_ALG,
     TAU_DYN,
     TAU_FLD,
     TAU_NUM,
     RunConfig,
+    read_json,
     trajectory_seed,
 )
 from .dynamics import (
@@ -81,6 +81,7 @@ from .network import (
     load_network,
     network_to_json,
     star_marking,
+    two_coloring,
     two_step,
 )
 from .potential import (
@@ -90,6 +91,7 @@ from .potential import (
     PotentialVerdict,
     StarPotentialReport,
     balance_partition,
+    balance_signs,
     balance_witness,
     check_A1,
     check_A2,
@@ -116,6 +118,7 @@ from .semigroup import (
     rho,
     star_product,
     theorem1_expected,
+    theorem1_min_rank,
     word_index_map,
 )
 from .smoothfield import (

@@ -13,20 +13,17 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent import futures
 from pathlib import Path
 
-from .config import ENV_THREADS, REFERENCE_STEPS, RunConfig
+from .config import REFERENCE_STEPS, RunConfig, read_json
 from .dynamics import build_markov, core_set, limit_exists, stationary_count
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
 from .groups import load_group
 from .involution import InvolutionMatrix
-from .network import load_network, network_to_json
+from .network import load_network, network_to_json, two_coloring
 from .potential import (
-    balance_partition,
-    balance_witness,
+    balance_signs,
     check_A1,
     check_A2,
     generate_potential_fields,
@@ -38,6 +35,7 @@ from .semigroup import (
     enumerate_ideals,
     final_states,
     random_product_process,
+    theorem1_min_rank,
 )
 from .smoothfield import (
     InvolutionField,
@@ -81,12 +79,6 @@ def _field_by_name(name: str) -> InvolutionField:
         ) from None
 
 
-def _state_labels(marking_or_group, state):
-    group = getattr(marking_or_group, "group", marking_or_group)
-    labels = group.states.labels
-    return [labels[s] for s in state]
-
-
 def _load_config(args) -> RunConfig:
     config = RunConfig.from_json(args.config) if args.config else RunConfig()
     seed = getattr(args, "seed", None)
@@ -95,35 +87,13 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _worker_cap(jobs: int) -> int:
-    raw = os.environ.get(ENV_THREADS, "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValidationError(
-                f"{ENV_THREADS} must be an integer, got {raw!r}"
-            ) from None
-        if cap < 1:
-            raise ValidationError(f"{ENV_THREADS} must be at least 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(jobs, cap))
-
-
 def _load_curve(spec: str) -> ParameterizedCurve:
     """Curve from an inline JSON object or a path to one.
 
     Shapes: {"type": "line", "from": [x, y], "to": [x, y]} and
     {"type": "polyline", "points": [[x, y], ...]}.
     """
-    text = spec.strip()
-    if not text.startswith("{"):
-        text = Path(spec).read_text()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"curve spec: line {exc.lineno}: {exc.msg}") from exc
+    payload = read_json(spec, "curve spec")
     kind = payload.get("type")
     if kind == "line":
         return ParameterizedCurve.line(
@@ -183,13 +153,13 @@ def _cmd_gen_fields(args, config: RunConfig) -> dict:
 def _cmd_markov(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
     model = build_markov(marking, bound=config.bound_states, exact=args.exact)
-    core = core_set(marking, bound=config.bound_states)
+    core = core_set(model)
     classes = model.recurrent_classes()
     payload = {
         "states": len(model.states),
         "stationary_count": stationary_count(model),
         "limit_exists": limit_exists(model),
-        "W0": sorted(_state_labels(marking, x) for x in core.states),
+        "W0": sorted(marking.group.state_labels(x) for x in core.states),
         "recurrent_class_sizes": [len(cls) for cls in classes],
         "core": {
             "size": len(core.states),
@@ -208,27 +178,22 @@ def _cmd_markov(args, config: RunConfig) -> dict:
 
 def _cmd_balance(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
-    split = balance_partition(marking)
+    signs = balance_signs(marking)
+    parts, cycle = two_coloring(marking.graph, signs)
     nodes = marking.graph.nodes
     payload = {
         "nodes": len(nodes),
-        "balanced": split is not None,
+        "balanced": parts is not None,
         "partition": None,
         "witness": None,
     }
-    if split is not None:
-        payload["partition"] = [
-            sorted(nodes[i] for i in split.part_a),
-            sorted(nodes[i] for i in split.part_b),
-        ]
+    if parts is not None:
+        payload["partition"] = [sorted(nodes[i] for i in part) for part in parts]
     else:
-        cycle = balance_witness(marking)
         payload["witness"] = {
             "cycle": [nodes[i] for i in cycle],
             "hostile_edges": sum(
-                1
-                for a, b in zip(cycle, cycle[1:])
-                if not marking.mark(a, b).is_identity
+                1 for a, b in zip(cycle, cycle[1:]) if signs[(a, b)] < 0
             ),
         }
     return payload
@@ -255,26 +220,26 @@ def _cmd_ideals(args, config: RunConfig) -> dict:
             for ideal in enumeration.ideals
         ],
         "final_state_count": len(reachable),
-        "final_states": sorted(_state_labels(rm, x) for x in reachable),
+        "final_states": sorted(rm.group.state_labels(x) for x in reachable),
     }
 
 
 def _cmd_absorb(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
     rm = ReactionMatrix.from_marking(marking)
-    enumeration = enumerate_ideals(rm, bound=config.bound_semigroup)
+    min_rank = theorem1_min_rank(rm.graph)
     trajectories = [
         random_product_process(
             rm,
             args.steps,
             seed=config.seed,
             index=i,
-            min_rank=enumeration.min_rank,
+            min_rank=min_rank,
         )
         for i in range(args.runs)
     ]
     absorbed = [t for t in trajectories if t.absorbed_at is not None]
-    finals = sorted({tuple(_state_labels(rm, t.final_state)) for t in trajectories})
+    finals = sorted({rm.group.state_labels(t.final_state) for t in trajectories})
     mean_step = (
         round(sum(t.absorbed_at for t in absorbed) / len(absorbed), 6)
         if absorbed
@@ -284,15 +249,15 @@ def _cmd_absorb(args, config: RunConfig) -> dict:
         "runs": args.runs,
         "steps": args.steps,
         "seed": config.seed,
-        "min_rank": enumeration.min_rank,
+        "min_rank": min_rank,
         "absorbed": len(absorbed),
         "mean_absorption_step": mean_step,
         "final_states_seen": [list(s) for s in finals],
         "trajectories": [
             {
-                "start": _state_labels(rm, t.start),
+                "start": rm.group.state_labels(t.start),
                 "absorbed_at": t.absorbed_at,
-                "final_state": _state_labels(rm, t.final_state),
+                "final_state": rm.group.state_labels(t.final_state),
                 "final_rank": t.ranks[-1],
             }
             for t in trajectories
@@ -367,15 +332,7 @@ def _cmd_smooth_discretize(args, config: RunConfig) -> dict:
 
 
 def _cmd_analyze(args, config: RunConfig) -> dict:
-    paths = args.net
-    cap = _worker_cap(len(paths))
-    if cap == 1 or len(paths) == 1:
-        reports = [run_full_analysis(p, config, args.timing) for p in paths]
-    else:
-        with futures.ThreadPoolExecutor(max_workers=cap) as pool:
-            reports = list(
-                pool.map(lambda p: run_full_analysis(p, config, args.timing), paths)
-            )
+    reports = [run_full_analysis(p, config, args.timing) for p in args.net]
     docs = [json.loads(r.to_json()) for r in reports]
     if len(docs) == 1:
         return docs[0]
@@ -500,7 +457,7 @@ def main(argv=None) -> int:
     except BalanceNetsError as exc:
         _emit({"error": {"type": exc.code, "message": str(exc)}}, out_path)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         _emit({"error": {"type": "io", "message": str(exc)}}, out_path)
         return 2
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Run configuration: size bounds, tolerances and the root seed.
+"""Run configuration: size bounds, tolerances, the root seed, JSON input.
 
 All numeric comparisons in the toolkit funnel through the three tolerances
 below.  tau_alg guards exact algebraic identities evaluated in floating
@@ -9,6 +9,7 @@ target for quadrature-based results at the reference resolution (2**10 steps).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +28,24 @@ BOUND_GRP = 720
 
 REFERENCE_STEPS = 2 ** 10
 
-ENV_THREADS = "BALANCE_NETS_THREADS"
+
+def read_json(source, what: str) -> dict:
+    """JSON object from a file path, an inline ``{...}`` string or a dict.
+
+    Malformed JSON and anything but an object raise ValidationError naming
+    ``what``; a file that cannot be read raises OSError.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        inline = isinstance(source, str) and source.lstrip().startswith("{")
+        text = source if inline else Path(source).read_text()
+        try:
+            source = json.loads(text)
+        except json.JSONDecodeError as exc:
+            where = what if inline else f"{what} {source}"
+            raise ValidationError(f"{where}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(source, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return source
 
 
 @dataclass(frozen=True)
@@ -76,12 +94,8 @@ class RunConfig:
         return cls(**data)
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "RunConfig":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
-        return cls.from_dict(payload)
+    def from_json(cls, source) -> "RunConfig":
+        return cls.from_dict(read_json(source, "config"))
 
 
 def trajectory_seed(root_seed: int, index: int) -> int:

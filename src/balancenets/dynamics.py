@@ -24,8 +24,8 @@ from .groups import (
     solve_characteristic,
     solve_characteristic_pair,
 )
-from .network import Marking, star_marking
-from .potential import check_A1, check_A2
+from .network import Marking, bipartition
+from .potential import CharacteristicReactions, check_A1, check_A2
 
 
 def state_space(marking: Marking, bound: int = BOUND_STATES) -> tuple[tuple[int, ...], ...]:
@@ -100,10 +100,6 @@ class MarkovModel:
 
     def index(self, x: tuple[int, ...]) -> int:
         return self._index[x]
-
-    def state_labels(self, x: tuple[int, ...]) -> tuple:
-        labels = self.marking.group.states.labels
-        return tuple(labels[s] for s in x)
 
     def transition_digraph(self) -> nx.DiGraph:
         if self._digraph is None:
@@ -226,7 +222,13 @@ def essential_check(model: MarkovModel, core: frozenset[tuple[int, ...]]) -> boo
 
 @dataclass(frozen=True)
 class CoreSet:
-    """States where the one-step image is a single state."""
+    """States where the one-step image is a single state.
+
+    When the induced marks are potential, ``components`` (the two-step
+    components, each rooted at its smallest node) and ``transport``
+    parameterize the closed form; ``characteristic`` holds the A2
+    reactions, or None when A2 fails.
+    """
 
     states: frozenset[tuple[int, ...]]
     closed: bool
@@ -236,73 +238,65 @@ class CoreSet:
     closed_form: frozenset[tuple[int, ...]] | None
     matches_closed_form: bool | None
     transport: dict[int, GroupElement] | None
+    components: tuple[frozenset[int], ...] | None
+    characteristic: CharacteristicReactions | None
 
 
-def _star_transport(marking: Marking):
-    """Per-node elements carrying the root parameter of each two-step
-    component to the node: x_j = transport[j](t).
-
-    Requires the induced two-step marks to be potential; returns None
-    otherwise.
-    """
-    report = check_A1(marking)
-    if not report.ok:
-        return None, None
-    transport: dict[int, GroupElement] = {}
-    roots = []
-    for pot in report.potentials:
-        roots.append(pot.root)
-        for j, u in pot.values.items():
-            transport[j] = u.inverse()
-    return transport, roots
+def _closed_form_state(
+    transport: dict[int, GroupElement],
+    components: tuple[frozenset[int], ...],
+    params: tuple[int, ...],
+) -> tuple[int, ...]:
+    """Core state whose free state on component c is params[c]."""
+    x = {j: transport[j](t) for comp, t in zip(components, params) for j in comp}
+    return tuple(x[j] for j in range(len(x)))
 
 
-def core_set(marking: Marking, bound: int = BOUND_STATES) -> CoreSet:
-    """Scan for single-image states and reconcile with the closed form.
+def core_set(model: MarkovModel) -> CoreSet:
+    """Read the single-image states off the model and reconcile with the
+    closed form.
 
     The closed form parameterizes the core by one free state per two-step
-    component; it only applies when the induced marks are potential and the
-    round-trip marks are neighbor-independent, so those two verdicts ride
-    along in the result.
+    component; it only applies when the induced marks are potential (A1)
+    and the round-trip marks are neighbor-independent (A2), so those two
+    verdicts ride along in the result.
     """
-    states = state_space(marking, bound)
-    found = frozenset(x for x in states if len(apply_F(marking, x)) == 1)
-    closed = all(next(iter(apply_F(marking, x))) in found for x in found)
+    marking = model.marking
+    single = {row for row, targets in enumerate(model.support) if len(targets) == 1}
+    found = frozenset(model.states[row] for row in single)
+    closed = all(model.support[row][0] in single for row in single)
 
-    star = star_marking(marking).star
+    a1 = check_A1(marking)
     a2 = check_A2(marking)
-    transport, roots = _star_transport(marking)
-    a1_ok = transport is not None
-    bip = len(star.components) == 2
-
+    bip = bipartition(marking.graph) is not None
+    transport = None
+    components = None
     closed_form = None
     matches = None
-    if a1_ok and a2 is not None:
+    if a1.ok:
+        # x_j = transport[j](t) carries the root parameter t to node j.
+        transport = {
+            j: u.inverse() for pot in a1.potentials for j, u in pot.values.items()
+        }
+        components = tuple(frozenset(pot.values) for pot in a1.potentials)
+    if a1.ok and a2 is not None:
         k = len(marking.group.states)
-        n = len(marking.graph)
-        combos = itertools.product(range(k), repeat=len(roots))
-        members = []
-        comp_of = {}
-        for ci, comp in enumerate(star.components):
-            for j in comp:
-                comp_of[j] = ci
-        for params in combos:
-            x = tuple(
-                transport[j](params[comp_of[j]]) for j in range(n)
-            )
-            members.append(x)
-        closed_form = frozenset(members)
+        closed_form = frozenset(
+            _closed_form_state(transport, components, params)
+            for params in itertools.product(range(k), repeat=len(components))
+        )
         matches = closed_form == found
-
     return CoreSet(
         states=found,
         closed=closed,
-        a1_ok=a1_ok,
+        a1_ok=a1.ok,
         a2_ok=a2 is not None,
         bipartite=bip,
         closed_form=closed_form,
         matches_closed_form=matches,
         transport=transport,
+        components=components,
+        characteristic=a2,
     )
 
 
@@ -344,41 +338,39 @@ def _fail_report(bip: bool, a1: bool, a2: bool) -> TheoremBReport:
     )
 
 
-def theoremB_verify(marking: Marking, bound: int = BOUND_STATES) -> TheoremBReport:
+def theoremB_verify(model: MarkovModel) -> TheoremBReport:
     """Check that the one-step map on the core is a characteristic solution.
 
     Non-bipartite: the core is z(t) and one step sends z(t) to z(b t) where
     b solves v*v = a_root.  Bipartite: the core is z(t, r) and one step
     sends it to z(v r, w t) where v*w = a_1 and w*v = a_2 for the two
-    component roots.  The map is recovered by replaying the dynamics, then
-    matched against the solution list.
+    component roots.  The map is recovered by replaying one step of the
+    model from each core state, then matched against the solution list.
     """
-    group = marking.group
-    core = core_set(marking, bound)
-    a2 = check_A2(marking)
+    core = core_set(model)
+    group = model.marking.group
     bip = core.bipartite
-    if not core.a1_ok or a2 is None:
-        return _fail_report(bip, core.a1_ok, a2 is not None)
+    if not core.a1_ok or not core.a2_ok:
+        return _fail_report(bip, core.a1_ok, core.a2_ok)
     if not core.matches_closed_form:
         return _fail_report(bip, True, True)
 
-    star = star_marking(marking).star
-    roots = [min(comp) for comp in star.components]
+    a2 = core.characteristic
+    roots = [min(comp) for comp in core.components]
     k = len(group.states)
-    n = len(marking.graph)
-    comp_of = {}
-    for ci, comp in enumerate(star.components):
-        for j in comp:
-            comp_of[j] = ci
 
     def z(params: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(core.transport[j](params[comp_of[j]]) for j in range(n))
+        return _closed_form_state(core.transport, core.components, params)
+
+    def successor(x: tuple[int, ...]) -> tuple[int, ...]:
+        # Core states have exactly one successor.
+        return model.states[model.support[model.index(x)][0]]
 
     if not bip:
         a_root = a2.values[roots[0]]
         step = []
         for t in range(k):
-            y = next(iter(apply_F(marking, z((t,)))))
+            y = successor(z((t,)))
             if y != z((y[roots[0]],)):
                 return _fail_report(bip, True, True)
             step.append(y[roots[0]])
@@ -413,7 +405,7 @@ def theoremB_verify(marking: Marking, bound: int = BOUND_STATES) -> TheoremBRepo
     w_perm = [None] * k
     for t in range(k):
         for r in range(k):
-            y = next(iter(apply_F(marking, z((t, r)))))
+            y = successor(z((t, r)))
             t2, r2_val = y[r1], y[r2]
             if y != z((t2, r2_val)):
                 return _fail_report(bip, True, True)

@@ -9,12 +9,10 @@ product the right factor is applied first.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import BOUND_GRP
+from .config import BOUND_GRP, read_json
 from .errors import BoundExceededError, GroupMismatchError, ValidationError
 
 
@@ -184,6 +182,11 @@ class ReactionGroup:
             raise ValidationError(f"permutation {tuple(perm)} is not in the group")
         return GroupElement(self, idx)
 
+    def state_labels(self, state: Sequence[int]) -> tuple:
+        """Labels of a joint state given as one state index per node."""
+        labels = self.states.labels
+        return tuple(labels[s] for s in state)
+
     def __len__(self) -> int:
         return len(self.perms)
 
@@ -317,22 +320,7 @@ def load_group(source) -> ReactionGroup:
          "elements": [{"name": "e", "perm": [0, 1]}, ...],
          "identity": "e"}
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        try:
-            data = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"group file {source}: line {exc.lineno}: {exc.msg}"
-            ) from exc
-    elif isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"group JSON: line {exc.lineno}: {exc.msg}") from exc
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise ValidationError("group description must be a JSON object")
+    data = read_json(source, "group")
     for key in ("states", "elements", "identity"):
         if key not in data:
             raise ValidationError(f"group description is missing {key!r}")

@@ -8,12 +8,12 @@ index so iteration order is reproducible.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Iterable, Mapping, Sequence
 
+from .config import read_json
 from .errors import NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup, group_to_json, load_group
 
@@ -320,26 +320,54 @@ def two_step(graph: RelationGraph) -> TwoStepGraph:
     return TwoStepGraph(graph)
 
 
+def two_coloring(
+    graph: RelationGraph, signs: Mapping[tuple[int, int], int]
+) -> tuple[tuple[frozenset[int], frozenset[int]] | None, tuple[int, ...] | None]:
+    """Split the nodes in two: positive edges inside a part, negative across.
+
+    Breadth-first from node index 0, whose part comes first.  Returns
+    ``(parts, None)`` when the split exists, else ``(None, walk)`` with
+    ``walk`` a closed walk crossing an odd number of negative edges.
+    """
+    n = len(graph)
+    color = [-1] * n
+    parent = [-1] * n
+    color[0] = 0
+    queue = deque([0])
+
+    def ancestry(node: int) -> list[int]:
+        chain = [node]
+        while parent[chain[-1]] >= 0:
+            chain.append(parent[chain[-1]])
+        return chain
+
+    while queue:
+        i = queue.popleft()
+        for j in graph.neighbors(i):
+            want = color[i] if signs[(i, j)] > 0 else 1 - color[i]
+            if color[j] < 0:
+                color[j] = want
+                parent[j] = i
+                queue.append(j)
+            elif color[j] != want:
+                up_i = ancestry(i)
+                up_j = ancestry(j)
+                shared = set(up_i) & set(up_j)
+                pivot = next(v for v in up_i if v in shared)
+                head = list(reversed(up_i[: up_i.index(pivot) + 1]))
+                tail = up_j[: up_j.index(pivot)]
+                return None, tuple(head + tail + [pivot])
+    part0 = frozenset(i for i in range(n) if color[i] == 0)
+    part1 = frozenset(i for i in range(n) if color[i] == 1)
+    return (part0, part1), None
+
+
 def bipartition(graph: RelationGraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """Two-coloring of the nodes, or None when an odd cycle exists.
 
     The first part is the one containing node index 0.
     """
-    n = len(graph)
-    color = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in graph.neighbors(i):
-            if color[j] < 0:
-                color[j] = 1 - color[i]
-                queue.append(j)
-            elif color[j] == color[i]:
-                return None
-    part0 = frozenset(i for i in range(n) if color[i] == 0)
-    part1 = frozenset(i for i in range(n) if color[i] == 1)
-    return part0, part1
+    return two_coloring(graph, dict.fromkeys(graph.directed_edges, -1))[0]
 
 
 def star_marking(marking: Marking) -> StarMarking:
@@ -383,33 +411,29 @@ def complete_extension(marking: Marking) -> Marking:
 
 
 def load_network(source) -> Marking:
-    """Load a marked network from a JSON file path or an already-parsed dict.
+    """Load a marked network from a JSON file path, an inline string or a dict.
 
     Shape::
 
         {"group": {...} | "group.json",
          "nodes": [...],
+         "symmetric": false,
          "edges": [{"from": a, "to": b, "reaction": "name"}, ...]}
 
-    Every directed edge must be listed along with its reverse.
+    Every directed edge must be listed along with its reverse, unless
+    ``symmetric`` is true: then an edge listed without its reverse gets the
+    reverse with the same reaction.  A group path is relative to the file.
     """
     base_dir = None
-    if isinstance(source, (str, FsPath)):
-        path = FsPath(source)
-        base_dir = path.parent
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"network file {path}: line {exc.lineno}: {exc.msg}"
-            ) from exc
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise ValidationError("network description must be a JSON object")
+    if isinstance(source, (str, FsPath)) and not str(source).lstrip().startswith("{"):
+        base_dir = FsPath(source).parent
+    data = read_json(source, "network")
     for key in ("group", "nodes", "edges"):
         if key not in data:
             raise ValidationError(f"network description is missing {key!r}")
+    symmetric = data.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise ValidationError("'symmetric' must be true or false")
 
     group_src = data["group"]
     if isinstance(group_src, str) and base_dir is not None:
@@ -437,6 +461,11 @@ def load_network(source) -> Marking:
                 raise ValidationError(f"edge #{pos} references unknown node {label!r}")
         edges.append((a, b))
         reactions[(label_to_index[a], label_to_index[b])] = entry["reaction"]
+    if symmetric:
+        for (i, j), name in list(reactions.items()):
+            if (j, i) not in reactions:
+                edges.append((nodes[j], nodes[i]))
+                reactions[(j, i)] = name
 
     graph = RelationGraph(nodes, edges)
     values = {edge: group.element(name) for edge, name in reactions.items()}

@@ -23,6 +23,7 @@ from .network import (
     StarMarking,
     StarPath,
     star_marking,
+    two_coloring,
     two_step,
 )
 
@@ -325,32 +326,27 @@ def partition_from_signs(
     Returns None when no such split exists.  An all-positive network comes
     back as (all nodes, empty set).
     """
-    n = len(graph)
-    color = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in graph.neighbors(i):
-            want = color[i] if signs[(i, j)] > 0 else 1 - color[i]
-            if color[j] < 0:
-                color[j] = want
-                queue.append(j)
-            elif color[j] != want:
-                return None
-    part_a = frozenset(i for i in range(n) if color[i] == 0)
-    part_b = frozenset(i for i in range(n) if color[i] == 1)
-    return BalancePartition(part_a, part_b, dict(signs))
+    parts, _ = two_coloring(graph, signs)
+    if parts is None:
+        return None
+    return BalancePartition(parts[0], parts[1], dict(signs))
+
+
+def balance_signs(
+    marking: Marking, sign_rule: Callable[[GroupElement], int] = sign_by_identity
+) -> dict[tuple[int, int], int]:
+    """Sign of every directed edge under the rule, checked to be +1 or -1."""
+    signs = {edge: sign_rule(g) for edge, g in marking.items()}
+    bad = [e for e, s in signs.items() if s not in (-1, 1)]
+    if bad:
+        raise ValidationError(f"sign rule must return +1 or -1, got {signs[bad[0]]!r}")
+    return signs
 
 
 def balance_partition(
     marking: Marking, sign_rule: Callable[[GroupElement], int] = sign_by_identity
 ) -> BalancePartition | None:
-    signs = {edge: sign_rule(g) for edge, g in marking.items()}
-    bad = [e for e, s in signs.items() if s not in (-1, 1)]
-    if bad:
-        raise ValidationError(f"sign rule must return +1 or -1, got {signs[bad[0]]!r}")
-    return partition_from_signs(marking.graph, signs)
+    return partition_from_signs(marking.graph, balance_signs(marking, sign_rule))
 
 
 def balance_witness(
@@ -361,34 +357,4 @@ def balance_witness(
     The walk explains why no two-faction split exists; a balanced marking
     returns None.
     """
-    signs = {edge: sign_rule(g) for edge, g in marking.items()}
-    graph = marking.graph
-    n = len(graph)
-    color = [-1] * n
-    parent: list[int] = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in graph.neighbors(i):
-            want = color[i] if signs[(i, j)] > 0 else 1 - color[i]
-            if color[j] < 0:
-                color[j] = want
-                parent[j] = i
-                queue.append(j)
-            elif color[j] != want:
-                up_i = _ancestry(parent, i)
-                up_j = _ancestry(parent, j)
-                shared = set(up_i) & set(up_j)
-                pivot = next(v for v in up_i if v in shared)
-                head = list(reversed(up_i[: up_i.index(pivot) + 1]))
-                tail = up_j[: up_j.index(pivot)]
-                return tuple(head + tail + [pivot])
-    return None
-
-
-def _ancestry(parent: list[int], node: int) -> list[int]:
-    chain = [node]
-    while parent[chain[-1]] >= 0:
-        chain.append(parent[chain[-1]])
-    return chain
+    return two_coloring(marking.graph, balance_signs(marking, sign_rule))[1]

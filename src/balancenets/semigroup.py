@@ -445,10 +445,17 @@ def theorem1_expected(graph: RelationGraph) -> int:
     return len(parts[0]) * len(parts[1])
 
 
-def _classify(elements: tuple[OperatorMatrix, ...], graph: RelationGraph) -> tuple[str, tuple[int, ...]]:
+def theorem1_min_rank(graph: RelationGraph) -> int:
+    """Smallest operator rank in the semigroup: 2 on bipartite graphs, else 1."""
+    return 1 if bipartition(graph) is None else 2
+
+
+def _classify(
+    elements: tuple[OperatorMatrix, ...],
+    parts: tuple[frozenset[int], frozenset[int]] | None,
+) -> tuple[str, tuple[int, ...]]:
     if len(elements) == 1 and elements[0].rank == 1:
         return "column", (elements[0].pattern[0],)
-    parts = bipartition(graph)
     if parts is not None and len(elements) == 2:
         pats = [el.pattern for el in elements]
         images = [set(p) for p in pats]
@@ -493,10 +500,11 @@ def enumerate_ideals(
         cls = _left_closure(op, rg)
         closures[cls] = cls
         assigned.update(cls)
+    parts = bipartition(rg.graph)
     ideals = []
     for cls in closures:
         elements = tuple(sorted(cls, key=OperatorMatrix.sort_key))
-        kind, nodes = _classify(elements, rg.graph)
+        kind, nodes = _classify(elements, parts)
         ideals.append(LeftIdeal(elements, kind, nodes))
     ideals.sort(key=lambda ideal: ideal.elements[0].sort_key())
     expected = theorem1_expected(rg.graph) if rg.is_potential() else None

@@ -9,16 +9,14 @@ by a plane 2*a*C1 + c*C2 + b*C3 = 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import integrate, optimize
 
-from .config import REFERENCE_STEPS, TAU_FLD, TAU_NUM
+from .config import REFERENCE_STEPS, TAU_FLD, TAU_NUM, read_json
 from .errors import (
     DegeneratePlaneError,
     FieldDomainError,
@@ -642,19 +640,9 @@ def load_embedding(
     Edges absent from the list get a straight segment and the default rule.
     Polylines must start and end on the declared node coordinates.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        try:
-            payload = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"embedding {source}: line {exc.lineno}: {exc.msg}"
-            ) from exc
-    elif isinstance(source, str):
-        payload = json.loads(source)
-    else:
-        payload = source
-    if not isinstance(payload, dict) or "nodes" not in payload:
-        raise ValidationError("embedding payload must be an object with 'nodes'")
+    payload = read_json(source, "embedding")
+    if "nodes" not in payload:
+        raise ValidationError("embedding is missing 'nodes'")
 
     by_label = {str(label): i for i, label in enumerate(graph.nodes)}
     raw_nodes = payload["nodes"]

@@ -34,6 +34,7 @@ from balancenets.semigroup import (
     final_states,
     rho,
     star_product,
+    theorem1_min_rank,
     word_index_map,
 )
 from balancenets.smoothfield import (
@@ -82,7 +83,7 @@ def test_criterion_01_two_stationary_measures():
         model = build_markov(marking)
         assert stationary_count(model) == 2
         assert limit_exists(model)
-        core = core_set(marking)
+        core = core_set(model)
         assert {_labels(x) for x in core.states} == {(1, -1, -1), (-1, 1, 1)}
         assert core.matches_closed_form
 
@@ -135,6 +136,7 @@ def test_criterion_04_minimal_ideal_counts_on_small_graphs():
                 Marking.constant(graph, G2.identity)
             )
             enumeration = enumerate_ideals(rm)
+            assert enumeration.min_rank == theorem1_min_rank(graph)
             parts = bipartition(graph)
             if parts is None:
                 assert not nx.is_bipartite(g)

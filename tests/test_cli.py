@@ -237,8 +237,7 @@ def test_analyze_non_potential_network(capsys, fixtures_dir):
     assert payload["cross_check"] is None
 
 
-def test_analyze_many_networks_keeps_input_order(capsys, fixtures_dir, monkeypatch):
-    monkeypatch.setenv("BALANCE_NETS_THREADS", "2")
+def test_analyze_many_networks_keeps_input_order(capsys, fixtures_dir):
     code, payload = run_cli(
         capsys,
         "analyze",
@@ -316,15 +315,48 @@ def test_malformed_network_reports_validation(capsys, tmp_path):
     assert "reverse" in payload["error"]["message"]
 
 
-def test_bad_thread_cap_reports_validation(capsys, fixtures_dir, monkeypatch):
-    monkeypatch.setenv("BALANCE_NETS_THREADS", "many")
+def test_absorb_needs_no_semigroup_enumeration(capsys, tmp_path):
+    nodes = list(range(1, 9))
+    cycle = {
+        "group": {
+            "states": [1, -1],
+            "elements": [{"name": "e", "perm": [0, 1]}, {"name": "g", "perm": [1, 0]}],
+            "identity": "e",
+        },
+        "nodes": nodes,
+        "symmetric": True,
+        "edges": [
+            {"from": a, "to": nodes[(i + 1) % 8], "reaction": "e"}
+            for i, a in enumerate(nodes)
+        ],
+    }
+    net = tmp_path / "c8.json"
+    net.write_text(json.dumps(cycle))
+    code, payload = run_cli(
+        capsys, "absorb", "--net", str(net), "--runs", "4", "--steps", "64"
+    )
+    assert code == 0
+    assert payload["min_rank"] == 2
+    assert all(t["final_rank"] >= 2 for t in payload["trajectories"])
+
+
+def test_curve_that_is_not_an_object_reports_validation(capsys, tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text("[[0.1, 0.2], [0.8, 0.7]]")
+    code, payload = run_cli(capsys, "smooth", "p-integral", "--curve", str(curve))
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+
+
+def test_malformed_inline_embedding_reports_validation(capsys, fixtures_dir):
     code, payload = run_cli(
         capsys,
-        "analyze",
+        "smooth",
+        "discretize",
         "--net",
-        str(fixtures_dir / "gamma3_balanced.json"),
-        "--net",
-        str(fixtures_dir / "gamma3_allg.json"),
+        str(fixtures_dir / "k4_complete.json"),
+        "--embedding",
+        "{bad",
     )
     assert code == 2
     assert payload["error"]["type"] == "validation"

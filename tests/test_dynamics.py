@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balancenets.dynamics import (
     ChoiceDistribution,
@@ -20,7 +22,7 @@ from balancenets.dynamics import (
     theoremB_verify,
 )
 from balancenets.errors import BoundExceededError, ValidationError
-from balancenets.groups import sign_group
+from balancenets.groups import sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph
 
 G2 = sign_group()
@@ -42,6 +44,10 @@ def _square(marks):
 
 
 ALL_E_SQUARE = _square({(0, 1): "e", (1, 2): "e", (2, 3): "e", (3, 0): "e"})
+
+
+def _theoremB(marking):
+    return theoremB_verify(build_markov(marking))
 
 
 def test_state_space_enumeration():
@@ -135,7 +141,7 @@ def test_essential_check():
 
 
 def test_core_set_balanced():
-    core = core_set(BALANCED)
+    core = core_set(build_markov(BALANCED))
     assert core.states == frozenset({(0, 1, 1), (1, 0, 0)})
     assert core.closed
     assert core.a1_ok and core.a2_ok
@@ -149,14 +155,14 @@ def test_core_set_balanced():
 
 
 def test_core_set_oscillating():
-    core = core_set(ONE_HOSTILE)
+    core = core_set(build_markov(ONE_HOSTILE))
     assert core.states == frozenset({(0, 1, 0), (1, 0, 1)})
     assert core.closed
     assert core.matches_closed_form
 
 
 def test_core_set_square_is_bipartite():
-    core = core_set(ALL_E_SQUARE)
+    core = core_set(build_markov(ALL_E_SQUARE))
     assert core.bipartite
     # Two free parameters, one per part: all states constant on each part.
     assert core.states == frozenset(
@@ -165,8 +171,51 @@ def test_core_set_square_is_bipartite():
     assert core.matches_closed_form
 
 
+SMALL_GRAPHS = (
+    RelationGraph.complete([1, 2]),
+    RelationGraph.complete([1, 2, 3]),
+    RelationGraph.cycle([1, 2, 3, 4]),
+    RelationGraph.from_undirected([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]),
+    RelationGraph.from_undirected(
+        [1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]
+    ),
+)
+GROUPS = (G2, symmetric_group(3))
+
+
+@st.composite
+def _markings_with_choice(draw):
+    graph = draw(st.sampled_from(SMALL_GRAPHS))
+    group = draw(st.sampled_from(GROUPS))
+    pick = st.integers(0, len(group) - 1).map(group.element)
+    if draw(st.booleans()):
+        # A gauge marking g(i, j) = s_i^-1 * s_j, which is potential.
+        gauge = [draw(pick) for _ in range(len(graph))]
+        values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
+    else:
+        values = {edge: draw(pick) for edge in graph.directed_edges}
+    choice = None
+    if draw(st.booleans()):
+        weight = st.integers(1, 5)
+        weights = {
+            i: {j: draw(weight) for j in graph.neighbors(i)} for i in range(len(graph))
+        }
+        choice = ChoiceDistribution(graph, weights)
+    return Marking(graph, group, values), choice
+
+
+@settings(max_examples=60, deadline=None)
+@given(_markings_with_choice())
+def test_core_set_matches_the_apply_F_scan(case):
+    marking, choice = case
+    scan = frozenset(x for x in state_space(marking) if len(apply_F(marking, x)) == 1)
+    core = core_set(build_markov(marking, choice))
+    assert core.states == scan
+    assert core.closed == all(next(iter(apply_F(marking, x))) in scan for x in scan)
+
+
 def test_theoremB_non_bipartite():
-    report = theoremB_verify(BALANCED)
+    report = _theoremB(BALANCED)
     assert report.ok
     assert not report.bipartite
     assert report.core_matches
@@ -180,7 +229,7 @@ def test_theoremB_non_bipartite():
 
 
 def test_theoremB_predicts_the_oscillating_count():
-    report = theoremB_verify(ONE_HOSTILE)
+    report = _theoremB(ONE_HOSTILE)
     assert report.ok
     assert report.realized[0].name == "g"
     assert report.predicted_stationary == 1
@@ -188,7 +237,7 @@ def test_theoremB_predicts_the_oscillating_count():
 
 
 def test_theoremB_bipartite_square():
-    report = theoremB_verify(ALL_E_SQUARE)
+    report = _theoremB(ALL_E_SQUARE)
     assert report.ok
     assert report.bipartite
     v, w = report.realized
@@ -203,7 +252,7 @@ def test_theoremB_bipartite_square():
 
 def test_theoremB_reports_failed_criteria():
     bad_square = _square({(0, 1): "g", (1, 2): "e", (2, 3): "e", (3, 0): "e"})
-    report = theoremB_verify(bad_square)
+    report = _theoremB(bad_square)
     assert not report.ok
     assert not report.a1_ok
 

@@ -1,5 +1,7 @@
 """Relation graphs, markings, the two-step multigraph and JSON I/O."""
 
+import json
+
 import pytest
 
 from balancenets.errors import NonPotentialError, ValidationError
@@ -183,3 +185,47 @@ def test_load_network_error_messages():
     unknown["edges"] = base["edges"] + [{"from": 9, "to": 1, "reaction": "e"}]
     with pytest.raises(ValidationError):
         load_network(unknown)
+
+
+# The network example of the README, verbatim.
+README_NETWORK = """
+{
+  "nodes": [1, 2, 3],
+  "group": {
+    "states": [1, -1],
+    "elements": [
+      {"name": "e", "perm": [0, 1]},
+      {"name": "g", "perm": [1, 0]}
+    ],
+    "identity": "e"
+  },
+  "symmetric": true,
+  "edges": [
+    {"from": 1, "to": 2, "reaction": "g"},
+    {"from": 1, "to": 3, "reaction": "g"},
+    {"from": 2, "to": 3, "reaction": "e"}
+  ]
+}
+"""
+
+
+def test_load_network_mirrors_symmetric_edges(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(README_NETWORK)
+    for source in (path, str(path), README_NETWORK, json.loads(README_NETWORK)):
+        marking = load_network(source)
+        assert marking.graph.directed_edges == _triangle(BALANCED).graph.directed_edges
+        assert [g.name for _, g in marking.items()] == ["g", "g", "g", "e", "g", "e"]
+        assert marking.symmetric
+
+
+def test_load_network_symmetric_keeps_listed_reverses():
+    base = json.loads(README_NETWORK)
+    base["edges"].append({"from": 3, "to": 2, "reaction": "g"})
+    marking = load_network(base)
+    assert marking.mark(1, 2).name == "e"
+    assert marking.mark(2, 1).name == "g"
+    with pytest.raises(ValidationError):
+        load_network({**base, "symmetric": "yes"})
+    with pytest.raises(ValidationError):
+        load_network({**base, "symmetric": False})

@@ -1,12 +1,16 @@
 """Analysis reports and run configuration round trips."""
 
+import collections
+import functools
 import json
+import sys
 
 import pytest
 
+from balancenets import dynamics, network, potential
 from balancenets.config import RunConfig, trajectory_seed
 from balancenets.errors import ValidationError
-from balancenets.groups import sign_group
+from balancenets.groups import sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph
 from balancenets.report import AnalysisReport, analyze_marking, run_full_analysis
 
@@ -32,6 +36,59 @@ def test_analyze_marking_cross_checks_both_pipelines():
     assert report.final_state_count == 2
     assert report.cross_check == "pass"
     assert report.timing_seconds is None
+
+
+@pytest.mark.parametrize(
+    "group, graph",
+    [
+        (sign_group(), RelationGraph.cycle([1, 2, 3, 4])),
+        (symmetric_group(3), RelationGraph.cycle([1, 2, 3, 4])),
+        (sign_group(), RelationGraph.from_undirected(
+            [1, 2, 3, 4, 5], [(a, b) for a in (1, 2) for b in (3, 4, 5)]
+        )),
+    ],
+)
+def test_analyze_marking_cross_check_passes_on_bipartite_graphs(group, graph):
+    # A gauge marking g(i, j) = s_i^-1 * s_j is potential.
+    gauge = [group.element(i % len(group)) for i in range(1, len(graph) + 1)]
+    values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
+    report = analyze_marking(Marking(graph, group, values), digest="d" * 64)
+    k = len(group.states)
+    assert report.potential
+    assert report.final_state_count == k * k
+    assert report.stationary_count == k * (k + 1) // 2
+    assert report.cross_check == "pass"
+
+
+def test_analyze_marking_derives_artefacts_once_per_core_set(monkeypatch):
+    calls = collections.Counter()
+    targets = {
+        "star_marking": network.star_marking,
+        "check_A1": potential.check_A1,
+        "check_A2": potential.check_A2,
+        "core_set": dynamics.core_set,
+    }
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # Patch every module that looks the name up, as callers inside the
+    # package resolve it through their own module globals.
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "balancenets":
+            continue
+        for name, fn in targets.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    analyze_marking(_balanced_marking(), digest="d" * 64)
+    # analyze_marking and theoremB_verify each take one CoreSet, and each
+    # core_set builds the star marking, A1 and A2 once.
+    assert calls == {name: 2 for name in targets}
 
 
 def test_analyze_marking_skips_semigroup_when_not_potential():
