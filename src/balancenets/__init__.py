@@ -12,7 +12,6 @@ from .config import (
     BOUND_STATES,
     REFERENCE_STEPS,
     TAU_ALG,
-    TAU_DYN,
     TAU_FLD,
     TAU_NUM,
     RunConfig,

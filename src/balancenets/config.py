@@ -1,9 +1,10 @@
 """Run configuration: size bounds, tolerances, the root seed, JSON input.
 
-All numeric comparisons in the toolkit funnel through the three tolerances
+Floating-point comparisons in the toolkit funnel through the tolerances
 below.  tau_alg guards exact algebraic identities evaluated in floating
-point, tau_dyn guards probability bookkeeping, and tau_num is the accuracy
-target for quadrature-based results at the reference resolution (2**10 steps).
+point, and tau_num is the accuracy target for quadrature-based results at
+the reference resolution (2**10 steps).  Transition probabilities need no
+tolerance: the Markov rows are checked exactly, in integers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 from .errors import ValidationError
 
 TAU_ALG = 1e-9
-TAU_DYN = 1e-12
 TAU_NUM = 1e-6
 # Tolerance for the pointwise field invariant b*c = 1 - a**2; the check is
 # algebraic, so it shares the magnitude of TAU_ALG.
@@ -56,13 +56,12 @@ class RunConfig:
     bound_semigroup: int = BOUND_SEMIGROUP
     bound_grp: int = BOUND_GRP
     tau_alg: float = TAU_ALG
-    tau_dyn: float = TAU_DYN
     tau_num: float = TAU_NUM
     seed: int = 0
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("tau_alg", "tau_dyn", "tau_num"):
+        for name in ("tau_alg", "tau_num"):
             value = getattr(self, name)
             if not (value > 0.0):
                 raise ValidationError(f"{name} must be positive, got {value!r}")

@@ -3,20 +3,23 @@
 Every automaton simultaneously picks a random neighbor and adopts that
 neighbor's state pushed through the mark on the connecting edge.  The
 one-step law is a row-stochastic matrix over the product state space,
-enumerated in lexicographic node-major order.
+enumerated in lexicographic node-major order.  It is held as one
+``scipy.sparse`` CSR matrix, assembled in integers over a common
+denominator; closed classes, periods and the core are read off it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping
 
-import networkx as nx
 import numpy as np
 
-from .config import BOUND_STATES, TAU_DYN
+from .config import BOUND_STATES
 from .errors import BoundExceededError, ValidationError
 from .groups import (
     GroupElement,
@@ -27,9 +30,12 @@ from .groups import (
 from .network import Marking, bipartition
 from .potential import CharacteristicReactions, check_A1, check_A2
 
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
-def state_space(marking: Marking, bound: int = BOUND_STATES) -> tuple[tuple[int, ...], ...]:
-    """All joint states as tuples of state indices, node-major lexicographic."""
+
+def _state_array(marking: Marking, bound: int) -> np.ndarray:
+    """All joint states as rows of a (k**n, n) array, node-major lexicographic."""
     n = len(marking.graph)
     k = len(marking.group.states)
     size = k ** n
@@ -37,7 +43,12 @@ def state_space(marking: Marking, bound: int = BOUND_STATES) -> tuple[tuple[int,
         raise BoundExceededError(
             f"state space has {size} elements, which exceeds the bound {bound}"
         )
-    return tuple(itertools.product(range(k), repeat=n))
+    return np.arange(size)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+
+
+def state_space(marking: Marking, bound: int = BOUND_STATES) -> tuple[tuple[int, ...], ...]:
+    """All joint states as tuples of state indices, node-major lexicographic."""
+    return tuple(map(tuple, _state_array(marking, bound).tolist()))
 
 
 def apply_F(marking: Marking, x: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
@@ -81,44 +92,58 @@ class ChoiceDistribution:
     def prob(self, i: int, j: int) -> Fraction:
         return self._q[i][j]
 
+    def integer_weights(self, i: int) -> tuple[int, dict[int, int]]:
+        """Node i's probabilities as integers over their common denominator."""
+        q = self._q[i]
+        denominator = math.lcm(*(p.denominator for p in q.values()))
+        return denominator, {j: int(p * denominator) for j, p in q.items()}
+
 
 @dataclass
 class MarkovModel:
-    """One-step law of the perception process over the joint state space."""
+    """One-step law of the perception process over the joint state space.
+
+    ``matrix`` lists the columns of each row in increasing order;
+    ``exact_rows`` holds the same rows as Fractions when built with
+    exact=True.
+    """
 
     marking: Marking
     choice: ChoiceDistribution
     states: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
+    matrix: csr_array
     exact_rows: list[dict[int, Fraction]] | None
-    support: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         self._index = {x: i for i, x in enumerate(self.states)}
-        self._digraph: nx.DiGraph | None = None
         self._recurrent: tuple[frozenset[int], ...] | None = None
 
     def index(self, x: tuple[int, ...]) -> int:
         return self._index[x]
 
-    def transition_digraph(self) -> nx.DiGraph:
-        if self._digraph is None:
-            g = nx.DiGraph()
-            g.add_nodes_from(range(len(self.states)))
-            for row, targets in enumerate(self.support):
-                g.add_edges_from((row, t) for t in targets)
-            self._digraph = g
-        return self._digraph
+    @cached_property
+    def support(self) -> list[np.ndarray]:
+        """Sorted target columns of each row."""
+        return np.split(self.matrix.indices, self.matrix.indptr[1:-1])
 
     def recurrent_class_indices(self) -> tuple[frozenset[int], ...]:
-        """Closed communicating classes as row indices, sorted by smallest."""
+        """Closed communicating classes as row indices, sorted by smallest.
+
+        A strong component is closed when none of its members has an edge
+        leaving it.
+        """
         if self._recurrent is None:
-            g = self.transition_digraph()
-            cond = nx.condensation(g)
-            classes = []
-            for scc_id in cond.nodes:
-                if cond.out_degree(scc_id) == 0:
-                    classes.append(frozenset(cond.nodes[scc_id]["members"]))
+            from scipy.sparse.csgraph import connected_components
+
+            m = self.matrix
+            count, labels = connected_components(m, directed=True, connection="strong")
+            sources = labels[np.repeat(np.arange(len(self.states)), np.diff(m.indptr))]
+            leaves = np.zeros(count, dtype=bool)
+            leaves[sources[sources != labels[m.indices]]] = True
+            members = np.flatnonzero(~leaves[labels])
+            members = members[np.argsort(labels[members], kind="stable")]
+            cuts = np.flatnonzero(np.diff(labels[members])) + 1
+            classes = (frozenset(c.tolist()) for c in np.split(members, cuts))
             self._recurrent = tuple(sorted(classes, key=min))
         return self._recurrent
 
@@ -136,50 +161,74 @@ def build_markov(
     bound: int = BOUND_STATES,
     exact: bool = False,
 ) -> MarkovModel:
-    """Assemble the one-step transition matrix.
+    """Assemble the one-step transition matrix as CSR.
 
     Per-node next-state distributions are independent given the current
-    state, so each row is the product of n small distributions.  Row sums
-    are checked against TAU_DYN; with exact=True the fraction-valued rows
-    are kept and sum to exactly one.
+    state, so each row is the Kronecker product of n small distributions.
+    Node i's distribution is held as integer weights over its common
+    denominator d_i, so every entry is an integer numerator over
+    D = prod(d_i), and each row must sum to exactly D.  With exact=True
+    the rows are also kept as Fractions.
     """
+    from scipy.sparse import csr_array
+
     graph = marking.graph
     if choice is None:
         choice = ChoiceDistribution.uniform(graph)
-    states = state_space(marking, bound)
-    size = len(states)
-    index = {x: i for i, x in enumerate(states)}
-    n = len(graph)
+    X = _state_array(marking, bound)
+    size, n = X.shape
+    k = len(marking.group.states)
+    weights = [choice.integer_weights(i) for i in range(n)]
+    D = math.prod(d for d, _ in weights)
+    # Below 2**53 every numerator and D are exact float64 values, so num / D
+    # is the correctly rounded quotient; above it, Python ints take over.
+    dtype = np.int64 if D < 2 ** 53 else object
 
-    matrix = np.zeros((size, size))
-    exact_rows: list[dict[int, Fraction]] | None = [] if exact else None
-    support: list[tuple[int, ...]] = []
-    for row, x in enumerate(states):
-        per_node: list[dict[int, Fraction]] = []
-        for i in range(n):
-            dist: dict[int, Fraction] = {}
-            for j in graph.neighbors(i):
-                s = marking.mark(i, j)(x[j])
-                dist[s] = dist.get(s, Fraction(0)) + choice.prob(i, j)
-            per_node.append(dist)
-        row_probs: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
-        for dist in per_node:
-            row_probs = {
-                prefix + (s,): p * q
-                for prefix, p in row_probs.items()
-                for s, q in dist.items()
-            }
-        entries = {index[y]: p for y, p in row_probs.items()}
-        total = sum(entries.values())
-        if abs(float(total) - 1.0) > TAU_DYN:
-            raise ValidationError(f"row {row} sums to {float(total)!r}")
-        for col, p in entries.items():
-            matrix[row, col] = float(p)
-        if exact_rows is not None:
-            exact_rows.append(entries)
-        support.append(tuple(sorted(entries)))
+    # State indices fit in int32: a state array past 2**31 rows would not
+    # fit in memory, and narrower index arrays cut the peak at the bound.
+    every_row = np.arange(size, dtype=np.int32)
+    # tables[i][r, s]: weight of node i moving to state s from joint state r.
+    tables = []
+    for i, (_, w) in enumerate(weights):
+        table = np.zeros((size, k), dtype=dtype)
+        for j, wij in w.items():
+            perm = np.array(marking.mark(i, j).perm)
+            table[every_row, perm[X[:, j]]] += wij
+        tables.append(table)
 
-    return MarkovModel(marking, choice, states, matrix, exact_rows, tuple(support))
+    # Expand node by node; each entry splits into its successors in state
+    # order, so the columns of every row stay sorted.
+    rows = every_row
+    cols = np.zeros(size, dtype=np.int32)
+    nums = np.ones(size, dtype=dtype)
+    for table in tables:
+        nums = (nums[:, None] * table[rows]).ravel()
+        cols = (cols[:, None] * k + np.arange(k, dtype=np.int32)).ravel()
+        rows = np.repeat(rows, k)
+        keep = nums != 0
+        rows, cols, nums = rows[keep], cols[keep], nums[keep]
+
+    # Every node has a neighbor with positive weight, so no row is empty.
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+    sums = np.add.reduceat(nums, indptr[:-1])
+    bad = np.flatnonzero(sums != D)
+    if bad.size:
+        r = int(bad[0])
+        raise ValidationError(f"row {r} sums to {float(Fraction(int(sums[r]), D))!r}")
+
+    matrix = csr_array(
+        (np.asarray(nums / D, dtype=np.float64), cols, indptr), shape=(size, size)
+    )
+    exact_rows = None
+    if exact:
+        fractions = [Fraction(a, D) for a in nums.tolist()]
+        targets = cols.tolist()
+        bounds = indptr.tolist()
+        exact_rows = [
+            dict(zip(targets[a:b], fractions[a:b])) for a, b in zip(bounds, bounds[1:])
+        ]
+    states = tuple(map(tuple, X.tolist()))
+    return MarkovModel(marking, choice, states, matrix, exact_rows)
 
 
 def stationary_count(model: MarkovModel) -> int:
@@ -188,33 +237,45 @@ def stationary_count(model: MarkovModel) -> int:
 
 
 def limit_exists(model: MarkovModel) -> bool:
-    """True when P**t converges: every closed class must be aperiodic."""
-    g = model.transition_digraph()
-    return all(
-        nx.is_aperiodic(g.subgraph(cls))
-        for cls in model.recurrent_class_indices()
-    )
+    """True when P**t converges: every closed class must be aperiodic.
+
+    The period of a closed class is the gcd of level[u] + 1 - level[v] over
+    its edges (u, v), with level the breadth-first distance from one member.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import shortest_path
+
+    m = model.matrix
+    position = np.zeros(len(model.states), dtype=np.int64)
+    for cls in model.recurrent_class_indices():
+        members = np.array(sorted(cls))
+        position[members] = np.arange(len(members))
+        # A closed class keeps every edge of its members inside it.
+        out = m[members]
+        inner = csr_array(
+            (out.data, position[out.indices], out.indptr), shape=(len(members),) * 2
+        )
+        level = shortest_path(inner, unweighted=True, indices=0).astype(np.int64)
+        u = np.repeat(np.arange(len(members)), np.diff(out.indptr))
+        if np.gcd.reduce(level[u] + 1 - level[inner.indices]) != 1:
+            return False
+    return True
 
 
 def essential_check(model: MarkovModel, core: frozenset[tuple[int, ...]]) -> bool:
-    """Core states must absorb: reachable from everywhere and never left."""
+    """Core states must absorb: reachable from everywhere and never left.
+
+    Every state reaches some closed class, and a closed core holds each
+    closed class it meets, so a closed core is reached from everywhere
+    exactly when it holds every closed class.
+    """
     core_idx = {model.index(x) for x in core}
     if not core_idx:
         return False
-    g = model.transition_digraph()
-    for i in core_idx:
-        if any(t not in core_idx for t in g.successors(i)):
-            return False
-    reached = set(core_idx)
-    stack = list(core_idx)
-    reverse = g.reverse(copy=False)
-    while stack:
-        i = stack.pop()
-        for p in reverse.successors(i):
-            if p not in reached:
-                reached.add(p)
-                stack.append(p)
-    return len(reached) == len(model.states)
+    targets = model.matrix[sorted(core_idx)].indices
+    if not all(t in core_idx for t in targets.tolist()):
+        return False
+    return all(cls <= core_idx for cls in model.recurrent_class_indices())
 
 
 # -- deterministic core and its closed form -----------------------------------
@@ -262,9 +323,10 @@ def core_set(model: MarkovModel) -> CoreSet:
     verdicts ride along in the result.
     """
     marking = model.marking
-    single = {row for row, targets in enumerate(model.support) if len(targets) == 1}
-    found = frozenset(model.states[row] for row in single)
-    closed = all(model.support[row][0] in single for row in single)
+    m = model.matrix
+    single = np.flatnonzero(np.diff(m.indptr) == 1)
+    found = frozenset(model.states[row] for row in single.tolist())
+    closed = bool(np.isin(m.indices[m.indptr[single]], single).all())
 
     a1 = check_A1(marking)
     a2 = check_A2(marking)
@@ -362,9 +424,11 @@ def theoremB_verify(model: MarkovModel) -> TheoremBReport:
     def z(params: tuple[int, ...]) -> tuple[int, ...]:
         return _closed_form_state(core.transport, core.components, params)
 
+    m = model.matrix
+
     def successor(x: tuple[int, ...]) -> tuple[int, ...]:
         # Core states have exactly one successor.
-        return model.states[model.support[model.index(x)][0]]
+        return model.states[m.indices[m.indptr[model.index(x)]]]
 
     if not bip:
         a_root = a2.values[roots[0]]

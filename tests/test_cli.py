@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import balancenets
 from balancenets.cli import main
 
 
@@ -222,6 +227,7 @@ def test_analyze_single_network(capsys, fixtures_dir):
     assert payload["final_state_count"] == 2
     assert payload["cross_check"] == "pass"
     assert payload["timing_seconds"] is None
+    assert "skipped" not in payload
 
 
 def test_analyze_non_potential_network(capsys, fixtures_dir):
@@ -315,7 +321,8 @@ def test_malformed_network_reports_validation(capsys, tmp_path):
     assert "reverse" in payload["error"]["message"]
 
 
-def test_absorb_needs_no_semigroup_enumeration(capsys, tmp_path):
+def _c8_network(tmp_path):
+    """A potential 8-cycle over the sign group, one node past the semigroup bound."""
     nodes = list(range(1, 9))
     cycle = {
         "group": {
@@ -332,12 +339,46 @@ def test_absorb_needs_no_semigroup_enumeration(capsys, tmp_path):
     }
     net = tmp_path / "c8.json"
     net.write_text(json.dumps(cycle))
+    return net
+
+
+def test_absorb_needs_no_semigroup_enumeration(capsys, tmp_path):
+    net = _c8_network(tmp_path)
     code, payload = run_cli(
         capsys, "absorb", "--net", str(net), "--runs", "4", "--steps", "64"
     )
     assert code == 0
     assert payload["min_rank"] == 2
     assert all(t["final_rank"] >= 2 for t in payload["trajectories"])
+
+
+def test_analyze_past_the_semigroup_bound_keeps_the_markov_stages(capsys, tmp_path):
+    code, payload = run_cli(capsys, "analyze", "--net", str(_c8_network(tmp_path)))
+    assert code == 0
+    assert payload["potential"] is True
+    # Voter-model closed form on a bipartite graph: k(k+1)/2 periodic classes.
+    assert payload["stationary_count"] == 3
+    assert payload["limit_exists"] is False
+    assert payload["characteristic_ok"] is True
+    for key in ("ideal_count", "kernel_size", "final_state_count", "cross_check"):
+        assert payload[key] is None
+    assert payload["skipped"] == {
+        "semigroup": "semigroup enumeration limited to 7 nodes, got 8"
+    }
+
+
+def test_importing_the_cli_leaves_networkx_out():
+    src = str(Path(balancenets.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, balancenets.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_curve_that_is_not_an_object_reports_validation(capsys, tmp_path):

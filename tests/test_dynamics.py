@@ -1,14 +1,19 @@
 """Synchronous dynamics, the induced chain, the core and its characteristic."""
 
 import collections
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balancenets.config import BOUND_STATES
 from balancenets.dynamics import (
     ChoiceDistribution,
     apply_F,
@@ -22,7 +27,7 @@ from balancenets.dynamics import (
     theoremB_verify,
 )
 from balancenets.errors import BoundExceededError, ValidationError
-from balancenets.groups import sign_group, symmetric_group
+from balancenets.groups import cyclic_group, sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph
 
 G2 = sign_group()
@@ -179,8 +184,12 @@ SMALL_GRAPHS = (
     RelationGraph.from_undirected(
         [1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]
     ),
+    RelationGraph.cycle([1, 2, 3, 4, 5]),
+    RelationGraph.from_undirected(
+        [1, 2, 3, 4, 5], [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)]
+    ),
 )
-GROUPS = (G2, symmetric_group(3))
+GROUPS = (G2, cyclic_group(4), symmetric_group(3))
 
 
 @st.composite
@@ -212,6 +221,140 @@ def test_core_set_matches_the_apply_F_scan(case):
     core = core_set(build_markov(marking, choice))
     assert core.states == scan
     assert core.closed == all(next(iter(apply_F(marking, x))) in scan for x in scan)
+
+
+def _fraction_rows(marking, choice=None):
+    """The one-step law built state by state in Fractions: the oracle rows."""
+    graph = marking.graph
+    if choice is None:
+        choice = ChoiceDistribution.uniform(graph)
+    k = len(marking.group.states)
+    states = list(itertools.product(range(k), repeat=len(graph)))
+    index = {x: i for i, x in enumerate(states)}
+    rows = []
+    for x in states:
+        row_probs = {(): Fraction(1)}
+        for i in range(len(graph)):
+            dist = {}
+            for j in graph.neighbors(i):
+                s = marking.mark(i, j)(x[j])
+                dist[s] = dist.get(s, Fraction(0)) + choice.prob(i, j)
+            row_probs = {
+                prefix + (s,): p * q
+                for prefix, p in row_probs.items()
+                for s, q in dist.items()
+            }
+        rows.append({index[y]: p for y, p in row_probs.items()})
+    return rows
+
+
+def _support_digraph(rows):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(rows)))
+    g.add_edges_from((r, c) for r, row in enumerate(rows) for c in row)
+    return g
+
+
+def _closed_classes(g):
+    cond = nx.condensation(g)
+    sinks = [frozenset(cond.nodes[c]["members"]) for c in cond if cond.out_degree(c) == 0]
+    return sorted(sinks, key=min)
+
+
+def _essential_walk(g, core_idx):
+    """Closed under successors and reached from every state by a reverse walk."""
+    if not core_idx or any(t not in core_idx for i in core_idx for t in g.successors(i)):
+        return False
+    reached = set(core_idx)
+    stack = list(core_idx)
+    while stack:
+        for p in g.predecessors(stack.pop()):
+            if p not in reached:
+                reached.add(p)
+                stack.append(p)
+    return len(reached) == len(g)
+
+
+def _assert_matches_oracle(model, rows):
+    assert scipy.sparse.issparse(model.matrix)
+    assert model.exact_rows == rows
+    m = model.matrix
+    for r, row in enumerate(rows):
+        cols = sorted(row)
+        lo, hi = m.indptr[r], m.indptr[r + 1]
+        assert m.indices[lo:hi].tolist() == cols
+        assert m.data[lo:hi].tolist() == [float(row[c]) for c in cols]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_markings_with_choice(), st.data())
+def test_sparse_markov_layer_matches_the_fraction_oracle(case, data):
+    marking, choice = case
+    rows = _fraction_rows(marking, choice)
+    model = build_markov(marking, choice, exact=True)
+    k = len(marking.group.states)
+    assert model.states == tuple(itertools.product(range(k), repeat=len(marking.graph)))
+    _assert_matches_oracle(model, rows)
+
+    g = _support_digraph(rows)
+    closed = _closed_classes(g)
+    assert list(model.recurrent_class_indices()) == closed
+    assert limit_exists(model) == all(nx.is_aperiodic(g.subgraph(c)) for c in closed)
+
+    drawn = data.draw(st.sets(st.sampled_from(model.states), max_size=8))
+    candidates = [
+        core_set(model).states,
+        frozenset().union(*model.recurrent_classes()),
+        model.recurrent_classes()[0],
+        frozenset(drawn),
+        frozenset(model.states),
+    ]
+    for core in candidates:
+        core_idx = {model.index(x) for x in core}
+        assert essential_check(model, core) == _essential_walk(g, core_idx)
+
+
+def test_denominators_past_int64_fall_back_to_python_ints():
+    graph = RelationGraph.complete([1, 2, 3])
+    marking = Marking.from_names(
+        graph, symmetric_group(3), {(0, 1): "s102", (0, 2): "s021", (1, 2): "e"},
+        symmetric=True,
+    )
+    # Node i weighs its neighbors 1 : 2**22 + i, so D = prod(2**22 + i + 1).
+    weights = {
+        i: {j: 1 if j == min(graph.neighbors(i)) else 2 ** 22 + i
+            for j in graph.neighbors(i)}
+        for i in range(3)
+    }
+    choice = ChoiceDistribution(graph, weights)
+    assert math.prod(choice.integer_weights(i)[0] for i in range(3)) > 2 ** 63
+    model = build_markov(marking, choice, exact=True)
+    _assert_matches_oracle(model, _fraction_rows(marking, choice))
+    uniform = build_markov(marking)
+    assert model.recurrent_class_indices() == uniform.recurrent_class_indices()
+    assert limit_exists(model) == limit_exists(uniform)
+
+
+def test_build_markov_at_the_state_bound_stays_sparse():
+    graph = RelationGraph.cycle(list(range(12)))
+    marking = Marking.from_names(
+        graph, G2, {(i, (i + 1) % 12): "e" for i in range(12)}, symmetric=True
+    )
+    started = time.perf_counter()
+    model = build_markov(marking)
+    classes = model.recurrent_classes()
+    converges = limit_exists(model)
+    elapsed = time.perf_counter() - started
+    assert len(model.states) == BOUND_STATES
+    assert scipy.sparse.issparse(model.matrix)
+    # Bipartite closed form: two consensus states and the alternating pair.
+    assert classes == (
+        frozenset({(0,) * 12}),
+        frozenset({(0, 1) * 6, (1, 0) * 6}),
+        frozenset({(1,) * 12}),
+    )
+    assert not converges
+    assert elapsed < 1.0
 
 
 def test_theoremB_non_bipartite():

@@ -119,6 +119,24 @@ def test_report_round_trips():
     assert payload["digest"] == "d" * 64
 
 
+def test_report_round_trips_a_skipped_stage():
+    # C8 is one node past the semigroup bound; the Markov stages still run.
+    graph = RelationGraph.cycle(list(range(1, 9)))
+    marking = Marking.from_names(
+        graph, sign_group(), {(i, (i + 1) % 8): "e" for i in range(8)},
+        symmetric=True,
+    )
+    report = analyze_marking(marking, digest="d" * 64)
+    assert report.skipped == {
+        "semigroup": "semigroup enumeration limited to 7 nodes, got 8"
+    }
+    assert report.ideal_count is None and report.stationary_count == 3
+    assert AnalysisReport.from_dict(report.to_dict()) == report
+    assert AnalysisReport.from_json(report.to_json()) == report
+    assert json.loads(report.to_json())["skipped"] == report.skipped
+    assert "skipped" not in analyze_marking(_balanced_marking(), "d" * 64).to_dict()
+
+
 def test_report_from_dict_rejects_bad_payloads():
     report = analyze_marking(_balanced_marking(), digest="d" * 64)
     data = report.to_dict()
@@ -158,6 +176,12 @@ def test_config_validation():
         RunConfig.from_dict({"spice": 1})
     with pytest.raises(ValidationError):
         RunConfig.from_dict([1, 2])
+
+
+def test_config_rejects_the_removed_tau_dyn():
+    # Markov rows are checked exactly in integers, so no tolerance is read.
+    with pytest.raises(ValidationError, match=r"unknown config keys: \['tau_dyn'\]"):
+        RunConfig.from_dict({"tau_dyn": 1e-12})
 
 
 def test_trajectory_seed_splits_the_root():
