@@ -1,10 +1,11 @@
 """Run configuration: size bounds, tolerances, the root seed, JSON input.
 
 Floating-point comparisons in the toolkit funnel through the tolerances
-below.  tau_alg guards exact algebraic identities evaluated in floating
-point, and tau_num is the accuracy target for quadrature-based results at
-the reference resolution (2**10 steps).  Transition probabilities need no
-tolerance: the Markov rows are checked exactly, in integers.
+below.  TAU_ALG guards exact algebraic identities evaluated in floating
+point, and TAU_NUM (a run's tau_num) is the accuracy target for
+quadrature-based results at the reference resolution (2**10 steps).
+Transition probabilities need no tolerance: the Markov rows are checked
+exactly, in integers.
 """
 
 from __future__ import annotations
@@ -54,24 +55,18 @@ class RunConfig:
 
     bound_states: int = BOUND_STATES
     bound_semigroup: int = BOUND_SEMIGROUP
-    bound_grp: int = BOUND_GRP
-    tau_alg: float = TAU_ALG
     tau_num: float = TAU_NUM
     seed: int = 0
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("tau_alg", "tau_num"):
-            value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValidationError(f"{name} must be positive, got {value!r}")
+        if not (self.tau_num > 0.0):
+            raise ValidationError(f"tau_num must be positive, got {self.tau_num!r}")
         # Bounds below the smallest worked fixtures would make the tool useless.
         if self.bound_states < 8:
             raise ValidationError("bound_states must be at least 8")
         if self.bound_semigroup < 3:
             raise ValidationError("bound_semigroup must be at least 3")
-        if self.bound_grp < 2:
-            raise ValidationError("bound_grp must be at least 2")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValidationError("seed must be an integer")
         if not (0 <= self.seed < 2 ** 64):

@@ -230,114 +230,54 @@ def rho(word: Sequence[ControlMatrix], rg: ReactionMatrix, check: bool = True) -
 # -- minimal left ideals -------------------------------------------------------
 
 
-def _achievable_images(graph: RelationGraph):
-    """Breadth-first search over images of control words, as bitmasks.
+def _contracting_word(
+    graph: RelationGraph,
+    parts: tuple[frozenset[int], frozenset[int]] | None,
+) -> list[ControlMatrix]:
+    """A control word whose index map has the smallest image of any word.
 
-    Children of an image T are the sets T' such that some neighbor choice
-    on T covers T' exactly: every member of T needs a neighbor in T', and
-    a matching argument (Hall's condition) must saturate T'.
+    Contract: every node reads its BFS parent from node 0 and node 0 reads
+    its smallest neighbor r; max-depth such steps squeeze the image onto
+    the edge {0, r}, the minimum on a bipartite graph (parts given).
+    Collapse, otherwise: the two image nodes step along neighbors in
+    lockstep until they meet, which they do because an odd cycle gives an
+    even walk between any two nodes of a connected graph.
     """
     n = len(graph)
-    nbr = [0] * n
-    for i in range(n):
-        for j in graph.neighbors(i):
-            nbr[i] |= 1 << j
-    full = (1 << n) - 1
-
-    def children(t_mask: int) -> list[int]:
-        members = [i for i in range(n) if t_mask >> i & 1]
-        reach = 0
-        for i in members:
-            reach |= nbr[i]
-        out = []
-        sub = reach
-        while sub:
-            # Images never grow along a word, so larger candidates are dead.
-            if bin(sub).count("1") <= len(members) and _coverable(
-                members, nbr, sub
-            ):
-                out.append(sub)
-            sub = (sub - 1) & reach
-        return out
-
-    parent: dict[int, int] = {}
-    seen = {full}
-    queue = deque([full])
+    nbrs = [sorted(graph.neighbors(i)) for i in range(n)]
+    parent = [nbrs[0][0]] + [-1] * (n - 1)
+    depth = [0] * n
+    queue = deque([0])
     while queue:
-        t_mask = queue.popleft()
-        for child in children(t_mask):
-            if child not in parent:
-                parent[child] = t_mask
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-    return parent, full
-
-
-def _coverable(members: list[int], nbr: list[int], target: int) -> bool:
-    """Does some choice c(t) in N(t) map the members onto target exactly?"""
-    if any(not nbr[t] & target for t in members):
-        return False
-    # Hall's condition over subsets of the target.
-    sub = target
-    while sub:
-        hits = sum(1 for t in members if nbr[t] & sub)
-        if hits < bin(sub).count("1"):
-            return False
-        sub = (sub - 1) & target
-    return True
-
-
-def _choice_matrix(
-    graph: RelationGraph, source: int, target: int
-) -> ControlMatrix:
-    """Control matrix sending the source image onto the target image."""
-    n = len(graph)
-    nbr = [set(graph.neighbors(i)) for i in range(n)]
-    members = [i for i in range(n) if source >> i & 1]
-    wanted = [j for j in range(n) if target >> j & 1]
-
-    match: dict[int, int] = {}
-
-    def augment(j: int, banned: set[int]) -> bool:
-        for t in members:
-            if t in banned or j not in nbr[t]:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if v and parent[v] < 0:
+                parent[v], depth[v] = u, depth[u] + 1
+                queue.append(v)
+    word = [ControlMatrix(tuple(parent))] * max(depth)
+    if parts is not None:
+        return word
+    # Breadth-first over unordered image pairs; each entry keeps its
+    # predecessor pair and the step that moved the pair there.
+    default = [nb[0] for nb in nbrs]
+    steps: dict[tuple[int, int], tuple | None] = {(0, parent[0]): None}
+    queue = deque(steps)
+    while True:
+        a, b = pair = queue.popleft()
+        for a2, b2 in itertools.product(nbrs[a], nbrs[b]):
+            target = (min(a2, b2), max(a2, b2))
+            if target in steps:
                 continue
-            banned.add(t)
-            if t not in match or augment(match[t], banned):
-                match[t] = j
-                return True
-        return False
-
-    for j in wanted:
-        if not augment(j, set()):
-            raise ValidationError("image step is not coverable")
-
-    rowmap = []
-    for i in range(n):
-        if i in match:
-            rowmap.append(match[i])
-        elif source >> i & 1:
-            rowmap.append(min(j for j in nbr[i] if target >> j & 1))
-        else:
-            rowmap.append(min(nbr[i]))
-    return ControlMatrix(tuple(rowmap))
-
-
-def _min_rank_witness(graph: RelationGraph) -> list[ControlMatrix]:
-    """A control word whose operator has the smallest achievable image."""
-    parent, full = _achievable_images(graph)
-    best = min(parent, key=lambda m: (bin(m).count("1"), m))
-    path = [best]
-    while path[-1] != full:
-        path.append(parent[path[-1]])
-    path.reverse()
-    if len(path) == 1:
-        # Only the full image is achievable; one explicit step realizes it.
-        path = [full, full]
-    return [
-        _choice_matrix(graph, src, dst) for src, dst in zip(path, path[1:])
-    ]
+            rowmap = list(default)
+            rowmap[a], rowmap[b] = a2, b2
+            steps[target] = (pair, ControlMatrix(tuple(rowmap)))
+            if a2 == b2:
+                collapse = []
+                while steps[target] is not None:
+                    target, cm = steps[target]
+                    collapse.append(cm)
+                return word + collapse[::-1]
+            queue.append(target)
 
 
 def _left_children(op: OperatorMatrix, rg: ReactionMatrix) -> Iterator[OperatorMatrix]:
@@ -405,18 +345,19 @@ def _left_closure(seed: OperatorMatrix, rg: ReactionMatrix) -> frozenset:
     return frozenset(out)
 
 
-def _kernel(rg: ReactionMatrix) -> frozenset:
-    """Smallest two-sided ideal, found by shrinking closures to a fixpoint."""
-    witness = _min_rank_witness(rg.graph)
-    current = _two_sided_closure(rho(witness, rg, check=False), rg)
-    while True:
-        for op in sorted(current, key=OperatorMatrix.sort_key):
-            candidate = _two_sided_closure(op, rg)
-            if len(candidate) < len(current):
-                current = candidate
-                break
-        else:
-            return current
+def _kernel(
+    rg: ReactionMatrix,
+    parts: tuple[frozenset[int], frozenset[int]] | None,
+) -> frozenset:
+    """Smallest two-sided ideal, as the two-sided closure of one operator.
+
+    In a finite transformation semigroup the smallest ideal is exactly the
+    set of elements of minimum rank, and an operator whose pattern has
+    image size r has rank k**r on joint states, so any operator of the
+    smallest pattern image generates the whole kernel.
+    """
+    witness = rho(_contracting_word(rg.graph, parts), rg, check=False)
+    return _two_sided_closure(witness, rg)
 
 
 @dataclass(frozen=True)
@@ -484,13 +425,16 @@ def enumerate_ideals(
     Works through the kernel: every minimal left ideal lives inside the
     smallest two-sided ideal and is the left closure of any of its own
     members, so the distinct left closures of kernel elements are exactly
-    the minimal left ideals.
+    the minimal left ideals.  The kernel is exactly the set of minimum-rank
+    operators, so the two-sided closure of one constructed witness is the
+    whole kernel.
     """
     if rg.n > bound:
         raise BoundExceededError(
             f"semigroup enumeration limited to {bound} nodes, got {rg.n}"
         )
-    kernel = _kernel(rg)
+    parts = bipartition(rg.graph)
+    kernel = _kernel(rg, parts)
     min_rank = min(op.rank for op in kernel)
     closures: dict[frozenset, frozenset] = {}
     assigned: set[OperatorMatrix] = set()
@@ -500,7 +444,6 @@ def enumerate_ideals(
         cls = _left_closure(op, rg)
         closures[cls] = cls
         assigned.update(cls)
-    parts = bipartition(rg.graph)
     ideals = []
     for cls in closures:
         elements = tuple(sorted(cls, key=OperatorMatrix.sort_key))

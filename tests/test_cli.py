@@ -424,7 +424,7 @@ def test_config_file_controls_output_path(fixtures_dir, tmp_path, capsys):
 
 def test_bad_config_reports_validation(fixtures_dir, tmp_path, capsys):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"tau_alg": -1.0}))
+    cfg.write_text(json.dumps({"tau_num": -1.0}))
     code, payload = run_cli(
         capsys,
         "analyze",

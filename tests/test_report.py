@@ -163,7 +163,7 @@ def test_config_round_trip(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        RunConfig(tau_alg=0.0)
+        RunConfig(tau_num=0.0)
     with pytest.raises(ValidationError):
         RunConfig(bound_states=4)
     with pytest.raises(ValidationError):
@@ -178,10 +178,12 @@ def test_config_validation():
         RunConfig.from_dict([1, 2])
 
 
-def test_config_rejects_the_removed_tau_dyn():
-    # Markov rows are checked exactly in integers, so no tolerance is read.
-    with pytest.raises(ValidationError, match=r"unknown config keys: \['tau_dyn'\]"):
-        RunConfig.from_dict({"tau_dyn": 1e-12})
+@pytest.mark.parametrize("key", ["tau_dyn", "tau_alg", "bound_grp"])
+def test_config_rejects_removed_keys(key):
+    # Markov rows are checked exactly in integers, so no tau_dyn is read;
+    # involution and load_group use the constants TAU_ALG and BOUND_GRP.
+    with pytest.raises(ValidationError, match=rf"unknown config keys: \['{key}'\]"):
+        RunConfig.from_dict({key: 1})
 
 
 def test_trajectory_seed_splits_the_root():

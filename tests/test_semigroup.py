@@ -2,9 +2,13 @@
 
 import itertools
 import random
+from collections import deque
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balancenets.errors import (
     BoundExceededError,
@@ -12,10 +16,14 @@ from balancenets.errors import (
     ValidationError,
 )
 from balancenets.groups import sign_group
-from balancenets.network import Marking, RelationGraph
+from balancenets.network import Marking, RelationGraph, bipartition
 from balancenets.semigroup import (
     ControlMatrix,
+    OperatorMatrix,
     ReactionMatrix,
+    _contracting_word,
+    _left_closure,
+    _two_sided_closure,
     control_matrices,
     enumerate_ideals,
     final_states,
@@ -23,8 +31,10 @@ from balancenets.semigroup import (
     rho,
     star_product,
     theorem1_expected,
+    theorem1_min_rank,
     word_index_map,
 )
+from test_dynamics import GROUPS, SMALL_GRAPHS
 
 G2 = sign_group()
 
@@ -80,6 +90,142 @@ def _minimal_left_ideals_brute(rg):
         for x, lx in principal.items()
         if all(principal[y] == lx for y in lx)
     }
+
+
+# -- exhaustive witness and fixpoint kernel (oracles) --------------------------
+# A search over every achievable word image, and a kernel that shrinks
+# two-sided closures until nothing smaller exists; neither assumes the
+# minimum rank that the constructed witness relies on.
+
+
+def _achievable_images(graph: RelationGraph):
+    """Breadth-first search over images of control words, as bitmasks.
+
+    Children of an image T are the sets T' such that some neighbor choice
+    on T covers T' exactly: every member of T needs a neighbor in T', and
+    a matching argument (Hall's condition) must saturate T'.
+    """
+    n = len(graph)
+    nbr = [0] * n
+    for i in range(n):
+        for j in graph.neighbors(i):
+            nbr[i] |= 1 << j
+    full = (1 << n) - 1
+
+    def children(t_mask: int) -> list[int]:
+        members = [i for i in range(n) if t_mask >> i & 1]
+        reach = 0
+        for i in members:
+            reach |= nbr[i]
+        out = []
+        sub = reach
+        while sub:
+            # Images never grow along a word, so larger candidates are dead.
+            if bin(sub).count("1") <= len(members) and _coverable(
+                members, nbr, sub
+            ):
+                out.append(sub)
+            sub = (sub - 1) & reach
+        return out
+
+    parent: dict[int, int] = {}
+    seen = {full}
+    queue = deque([full])
+    while queue:
+        t_mask = queue.popleft()
+        for child in children(t_mask):
+            if child not in parent:
+                parent[child] = t_mask
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return parent, full
+
+
+def _coverable(members: list[int], nbr: list[int], target: int) -> bool:
+    """Does some choice c(t) in N(t) map the members onto target exactly?"""
+    if any(not nbr[t] & target for t in members):
+        return False
+    # Hall's condition over subsets of the target.
+    sub = target
+    while sub:
+        hits = sum(1 for t in members if nbr[t] & sub)
+        if hits < bin(sub).count("1"):
+            return False
+        sub = (sub - 1) & target
+    return True
+
+
+def _choice_matrix(
+    graph: RelationGraph, source: int, target: int
+) -> ControlMatrix:
+    """Control matrix sending the source image onto the target image."""
+    n = len(graph)
+    nbr = [set(graph.neighbors(i)) for i in range(n)]
+    members = [i for i in range(n) if source >> i & 1]
+    wanted = [j for j in range(n) if target >> j & 1]
+
+    match: dict[int, int] = {}
+
+    def augment(j: int, banned: set[int]) -> bool:
+        for t in members:
+            if t in banned or j not in nbr[t]:
+                continue
+            banned.add(t)
+            if t not in match or augment(match[t], banned):
+                match[t] = j
+                return True
+        return False
+
+    for j in wanted:
+        if not augment(j, set()):
+            raise ValidationError("image step is not coverable")
+
+    rowmap = []
+    for i in range(n):
+        if i in match:
+            rowmap.append(match[i])
+        elif source >> i & 1:
+            rowmap.append(min(j for j in nbr[i] if target >> j & 1))
+        else:
+            rowmap.append(min(nbr[i]))
+    return ControlMatrix(tuple(rowmap))
+
+
+def _min_rank_witness(graph: RelationGraph) -> list[ControlMatrix]:
+    """A control word whose operator has the smallest achievable image."""
+    parent, full = _achievable_images(graph)
+    best = min(parent, key=lambda m: (bin(m).count("1"), m))
+    path = [best]
+    while path[-1] != full:
+        path.append(parent[path[-1]])
+    path.reverse()
+    if len(path) == 1:
+        # Only the full image is achievable; one explicit step realizes it.
+        path = [full, full]
+    return [
+        _choice_matrix(graph, src, dst) for src, dst in zip(path, path[1:])
+    ]
+
+
+def _fixpoint_kernel(rg: ReactionMatrix) -> frozenset:
+    """Smallest two-sided ideal, found by shrinking closures to a fixpoint."""
+    witness = _min_rank_witness(rg.graph)
+    current = _two_sided_closure(rho(witness, rg, check=False), rg)
+    while True:
+        for op in sorted(current, key=OperatorMatrix.sort_key):
+            candidate = _two_sided_closure(op, rg)
+            if len(candidate) < len(current):
+                current = candidate
+                break
+        else:
+            return current
+
+
+def _fixpoint_ideals(rg):
+    """Kernel size and distinct left closures of the fixpoint kernel."""
+    kernel = _fixpoint_kernel(rg)
+    return len(kernel), {_left_closure(op, rg) for op in kernel}
 
 
 def test_control_matrix_validation():
@@ -232,6 +378,59 @@ def test_ideal_kinds_and_nodes():
     bip = enumerate_ideals(CHAIN_RM)
     assert [ideal.kind for ideal in bip.ideals] == ["pair", "pair"]
     assert sorted(ideal.nodes for ideal in bip.ideals) == [(0, 1), (1, 2)]
+
+
+def _atlas_graphs(lo, hi):
+    for g in nx.graph_atlas_g():
+        if lo <= len(g) <= hi and nx.is_connected(g):
+            yield RelationGraph.from_undirected(
+                [v + 1 for v in sorted(g.nodes)],
+                [(i + 1, j + 1) for i, j in g.edges],
+            )
+
+
+def test_contracting_word_reaches_the_theorem1_rank_on_the_atlas():
+    graphs = list(_atlas_graphs(2, 7))
+    assert len(graphs) == 995
+    for graph in graphs:
+        word = _contracting_word(graph, bipartition(graph))
+        for cm in word:
+            cm.validate_on(graph)
+        rank = len(set(word_index_map(word)))
+        assert rank == theorem1_min_rank(graph)
+        if len(graph) <= 5:
+            assert rank == len(set(word_index_map(_min_rank_witness(graph))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_GRAPHS), st.sampled_from(GROUPS), st.data())
+def test_enumerate_ideals_matches_the_fixpoint_oracle(graph, group, data):
+    # A gauge marking g(i, j) = s_i^-1 * s_j, which is potential.
+    pick = st.integers(0, len(group) - 1).map(group.element)
+    gauge = [data.draw(pick) for _ in range(len(graph))]
+    values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
+    rm = ReactionMatrix.from_marking(Marking(graph, group, values))
+    enumeration = enumerate_ideals(rm)
+    kernel_size, ideals = _fixpoint_ideals(rm)
+    assert enumeration.kernel_size == kernel_size
+    assert {frozenset(ideal.elements) for ideal in enumeration.ideals} == ideals
+    assert enumeration.matches_expected
+
+
+def test_enumerate_ideals_without_potentiality_matches_brute_force():
+    # Theorem 1's count needs a potential matrix; the kernel does not.
+    broken = ReactionMatrix(
+        G2,
+        [["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]],
+        validate=False,
+    )
+    enumeration = enumerate_ideals(broken)
+    assert enumeration.expected_count is None
+    assert enumeration.matches_expected is None
+    assert enumeration.min_rank == 1
+    mine = {frozenset(ideal.elements) for ideal in enumeration.ideals}
+    assert mine == _minimal_left_ideals_brute(broken)
+    assert (enumeration.kernel_size, mine) == _fixpoint_ideals(broken)
 
 
 def test_enumerate_ideals_bound():
