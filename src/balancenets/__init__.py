@@ -8,7 +8,6 @@ potential question over to smooth fields of trace-free involutions.
 
 from .config import (
     BOUND_GRP,
-    BOUND_SEMIGROUP,
     BOUND_STATES,
     REFERENCE_STEPS,
     TAU_ALG,

@@ -44,7 +44,6 @@ from .smoothfield import (
     discretize,
     infinitesimal_residual,
     load_embedding,
-    p_integral,
 )
 
 # Named demonstration fields for the smooth subcommands.  The canonical
@@ -202,8 +201,8 @@ def _cmd_balance(args, config: RunConfig) -> dict:
 def _cmd_ideals(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
     rm = ReactionMatrix.from_marking(marking)
-    enumeration = enumerate_ideals(rm, bound=config.bound_semigroup)
-    reachable = final_states(rm, enumeration, bound=config.bound_states)
+    enumeration = enumerate_ideals(rm)
+    reachable = final_states(rm, enumeration)
     nodes = rm.graph.nodes
     return {
         "ideal_count": len(enumeration.ideals),
@@ -297,8 +296,8 @@ def _cmd_smooth_check_residual(args, config: RunConfig) -> dict:
 def _cmd_smooth_p_integral(args, config: RunConfig) -> dict:
     field = _field_by_name(args.field)
     curve = _load_curve(args.curve)
-    matrix = p_integral(field, curve, args.n, args.parity)
     report = convergence_report(field, curve, args.n, args.parity)
+    matrix = report.value
     det = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
     return {
         "field": args.field,

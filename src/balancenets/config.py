@@ -24,7 +24,6 @@ TAU_NUM = 1e-6
 TAU_FLD = 1e-9
 
 BOUND_STATES = 4096
-BOUND_SEMIGROUP = 7
 BOUND_GRP = 720
 
 REFERENCE_STEPS = 2 ** 10
@@ -54,7 +53,6 @@ class RunConfig:
     """Bounds, tolerances and seed for one analysis run."""
 
     bound_states: int = BOUND_STATES
-    bound_semigroup: int = BOUND_SEMIGROUP
     tau_num: float = TAU_NUM
     seed: int = 0
     out_path: str | None = None
@@ -65,8 +63,6 @@ class RunConfig:
         # Bounds below the smallest worked fixtures would make the tool useless.
         if self.bound_states < 8:
             raise ValidationError("bound_states must be at least 8")
-        if self.bound_semigroup < 3:
-            raise ValidationError("bound_semigroup must be at least 3")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValidationError("seed must be an integer")
         if not (0 <= self.seed < 2 ** 64):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import RunConfig
 from .dynamics import build_markov, core_set, limit_exists, stationary_count, theoremB_verify
-from .errors import BoundExceededError, ValidationError
+from .errors import ValidationError
 from .network import Marking, load_network
 from .potential import is_potential
 from .semigroup import ReactionMatrix, enumerate_ideals, final_states
@@ -23,11 +23,7 @@ from .semigroup import ReactionMatrix, enumerate_ideals, final_states
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Losslessly serializable summary of one network analysis.
-
-    ``skipped`` maps a stage that hit a bound to the reason; its fields are
-    null.  The key is left out of the dictionary when nothing was skipped.
-    """
+    """Losslessly serializable summary of one network analysis."""
 
     digest: str
     seed: int
@@ -50,13 +46,9 @@ class AnalysisReport:
     final_state_count: int | None
     cross_check: str | None
     timing_seconds: float | None
-    skipped: dict[str, str] | None = None
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        if self.skipped is None:
-            del data["skipped"]
-        return data
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(_listify(self.to_dict()), indent=2, sort_keys=False)
@@ -67,7 +59,7 @@ class AnalysisReport:
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown report keys: {sorted(unknown)}")
-        missing = known - set(data) - {"skipped"}
+        missing = known - set(data)
         if missing:
             raise ValidationError(f"missing report keys: {sorted(missing)}")
         data = dict(data)
@@ -121,22 +113,17 @@ def analyze_marking(
     kernel_size = None
     final_count = None
     cross = None
-    skipped = None
     if verdict.ok:
         rm = ReactionMatrix.from_marking(marking)
-        try:
-            enumeration = enumerate_ideals(rm, bound=config.bound_semigroup)
-            finals = final_states(rm, enumeration, bound=config.bound_states)
-        except BoundExceededError as exc:
-            skipped = {"semigroup": str(exc)}
-        else:
-            ideal_count = len(enumeration.ideals)
-            kernel_size = enumeration.kernel_size
-            final_count = len(finals)
-            # The final states must be exactly the states of the closed classes.
-            # Their counts differ on bipartite graphs: k**2 against k(k+1)/2.
-            recurrent = frozenset().union(*model.recurrent_classes())
-            cross = "pass" if finals == recurrent else "fail"
+        enumeration = enumerate_ideals(rm)
+        finals = final_states(rm, enumeration)
+        ideal_count = len(enumeration.ideals)
+        kernel_size = enumeration.kernel_size
+        final_count = len(finals)
+        # The final states must be exactly the states of the closed classes.
+        # Their counts differ on bipartite graphs: k**2 against k(k+1)/2.
+        recurrent = frozenset().union(*model.recurrent_classes())
+        cross = "pass" if finals == recurrent else "fail"
 
     elapsed = round(time.perf_counter() - started, 6) if timing else None
     return AnalysisReport(
@@ -161,7 +148,6 @@ def analyze_marking(
         final_state_count=final_count,
         cross_check=cross,
         timing_seconds=elapsed,
-        skipped=skipped,
     )
 
 

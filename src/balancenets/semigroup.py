@@ -12,11 +12,11 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import BOUND_SEMIGROUP, BOUND_STATES, trajectory_seed
+from .config import trajectory_seed
 from .errors import BoundExceededError, NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup
 from .network import Marking, RelationGraph, bipartition, complete_extension
@@ -311,37 +311,21 @@ def _right_children(op: OperatorMatrix, rg: ReactionMatrix) -> Iterator[Operator
 _CLOSURE_CAP = 200000
 
 
-def _two_sided_closure(seed: OperatorMatrix, rg: ReactionMatrix) -> frozenset:
+def _closure(
+    seed: OperatorMatrix,
+    children: Callable[[OperatorMatrix], Iterable[OperatorMatrix]],
+) -> frozenset:
+    """Every operator reachable from seed by repeatedly taking children."""
     out = {seed}
     queue = [seed]
     while queue:
         op = queue.pop()
-        for child in itertools.chain(
-            _left_children(op, rg), _right_children(op, rg)
-        ):
+        for child in children(op):
             if child not in out:
                 out.add(child)
                 queue.append(child)
                 if len(out) > _CLOSURE_CAP:
-                    raise BoundExceededError(
-                        "two-sided closure exceeded the safety cap"
-                    )
-    return frozenset(out)
-
-
-def _left_closure(seed: OperatorMatrix, rg: ReactionMatrix) -> frozenset:
-    out = {seed}
-    queue = [seed]
-    while queue:
-        op = queue.pop()
-        for child in _left_children(op, rg):
-            if child not in out:
-                out.add(child)
-                queue.append(child)
-                if len(out) > _CLOSURE_CAP:
-                    raise BoundExceededError(
-                        "left closure exceeded the safety cap"
-                    )
+                    raise BoundExceededError("operator closure exceeded the safety cap")
     return frozenset(out)
 
 
@@ -357,7 +341,10 @@ def _kernel(
     smallest pattern image generates the whole kernel.
     """
     witness = rho(_contracting_word(rg.graph, parts), rg, check=False)
-    return _two_sided_closure(witness, rg)
+    return _closure(
+        witness,
+        lambda op: itertools.chain(_left_children(op, rg), _right_children(op, rg)),
+    )
 
 
 @dataclass(frozen=True)
@@ -417,9 +404,7 @@ def _classify(
     return "other", tuple(sorted(set().union(*(el.pattern for el in elements))))
 
 
-def enumerate_ideals(
-    rg: ReactionMatrix, bound: int = BOUND_SEMIGROUP
-) -> IdealEnumeration:
+def enumerate_ideals(rg: ReactionMatrix) -> IdealEnumeration:
     """All minimal left ideals of the semigroup generated by one-step operators.
 
     Works through the kernel: every minimal left ideal lives inside the
@@ -429,10 +414,6 @@ def enumerate_ideals(
     operators, so the two-sided closure of one constructed witness is the
     whole kernel.
     """
-    if rg.n > bound:
-        raise BoundExceededError(
-            f"semigroup enumeration limited to {bound} nodes, got {rg.n}"
-        )
     parts = bipartition(rg.graph)
     kernel = _kernel(rg, parts)
     min_rank = min(op.rank for op in kernel)
@@ -441,7 +422,7 @@ def enumerate_ideals(
     for op in sorted(kernel, key=OperatorMatrix.sort_key):
         if op in assigned:
             continue
-        cls = _left_closure(op, rg)
+        cls = _closure(op, lambda o: _left_children(o, rg))
         closures[cls] = cls
         assigned.update(cls)
     ideals = []
@@ -462,23 +443,24 @@ def enumerate_ideals(
 
 
 def final_states(
-    rg: ReactionMatrix,
-    enumeration: IdealEnumeration | None = None,
-    bound: int = BOUND_STATES,
+    rg: ReactionMatrix, enumeration: IdealEnumeration | None = None
 ) -> frozenset[tuple[int, ...]]:
-    """Joint states reachable under minimal-ideal operators from anywhere."""
+    """Joint states reachable under minimal-ideal operators from anywhere.
+
+    An operator reads only the coordinates on its image nodes, so its image
+    is what it makes of every assignment to those nodes: k**rank states.
+    """
     if enumeration is None:
         enumeration = enumerate_ideals(rg)
     k = len(rg.group.states)
-    size = k ** rg.n
-    if size > bound:
-        raise BoundExceededError(
-            f"state space has {size} elements, which exceeds the bound {bound}"
-        )
     out = set()
     for ideal in enumeration.ideals:
         for op in ideal.elements:
-            for x in itertools.product(range(k), repeat=rg.n):
+            free = sorted(set(op.pattern))
+            x = [0] * rg.n
+            for y in itertools.product(range(k), repeat=len(free)):
+                for node, value in zip(free, y):
+                    x[node] = value
                 out.add(op.apply(x))
     return frozenset(out)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .config import REFERENCE_STEPS, TAU_FLD, TAU_NUM, read_json
 from .errors import (
@@ -542,6 +541,8 @@ def solve_ode_field(
     must keep one sign over the y range; the construction is checked by
     finite differences on a sample grid unless verify=False.
     """
+    from scipy import integrate
+
     (x0, x1), (y0, y1) = domain
     ys = np.linspace(y0, y1, 101)
     prods = [plane.at(float(y))[1] * plane.at(float(y))[2] for y in ys]
@@ -826,6 +827,8 @@ def project_point_to_section(
     family: ConicSectionFamily, point: tuple[float, float, float]
 ) -> tuple[float, float, float]:
     """Nearest point of the section in Euclidean (a, b, c) coordinates."""
+    from scipy import optimize
+
     target = np.array(point, dtype=float)
 
     def gap(t: float, branch: int) -> float:

@@ -322,7 +322,7 @@ def test_malformed_network_reports_validation(capsys, tmp_path):
 
 
 def _c8_network(tmp_path):
-    """A potential 8-cycle over the sign group, one node past the semigroup bound."""
+    """A potential 8-cycle over the sign group."""
     nodes = list(range(1, 9))
     cycle = {
         "group": {
@@ -352,7 +352,7 @@ def test_absorb_needs_no_semigroup_enumeration(capsys, tmp_path):
     assert all(t["final_rank"] >= 2 for t in payload["trajectories"])
 
 
-def test_analyze_past_the_semigroup_bound_keeps_the_markov_stages(capsys, tmp_path):
+def test_analyze_on_c8_meets_the_closed_forms(capsys, tmp_path):
     code, payload = run_cli(capsys, "analyze", "--net", str(_c8_network(tmp_path)))
     assert code == 0
     assert payload["potential"] is True
@@ -360,17 +360,20 @@ def test_analyze_past_the_semigroup_bound_keeps_the_markov_stages(capsys, tmp_pa
     assert payload["stationary_count"] == 3
     assert payload["limit_exists"] is False
     assert payload["characteristic_ok"] is True
-    for key in ("ideal_count", "kernel_size", "final_state_count", "cross_check"):
-        assert payload[key] is None
-    assert payload["skipped"] == {
-        "semigroup": "semigroup enumeration limited to 7 nodes, got 8"
-    }
+    # Theorem 1 on the 4 + 4 bipartition: |A||B| ideals of two operators each,
+    # and k**2 final states, one value per side.
+    assert payload["ideal_count"] == 16
+    assert payload["kernel_size"] == 32
+    assert payload["final_state_count"] == 4
+    assert payload["cross_check"] == "pass"
+    assert "skipped" not in payload
 
 
-def test_importing_the_cli_leaves_networkx_out():
+@pytest.mark.parametrize("module", ["networkx", "scipy.integrate", "scipy.optimize"])
+def test_importing_the_cli_leaves_module_out(module):
     src = str(Path(balancenets.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, balancenets.cli; print('networkx' in sys.modules)"
+    probe = f"import sys, balancenets.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,

@@ -119,22 +119,18 @@ def test_report_round_trips():
     assert payload["digest"] == "d" * 64
 
 
-def test_report_round_trips_a_skipped_stage():
-    # C8 is one node past the semigroup bound; the Markov stages still run.
+def test_report_round_trips_the_c8_ideal_fields():
     graph = RelationGraph.cycle(list(range(1, 9)))
     marking = Marking.from_names(
         graph, sign_group(), {(i, (i + 1) % 8): "e" for i in range(8)},
         symmetric=True,
     )
     report = analyze_marking(marking, digest="d" * 64)
-    assert report.skipped == {
-        "semigroup": "semigroup enumeration limited to 7 nodes, got 8"
-    }
-    assert report.ideal_count is None and report.stationary_count == 3
+    assert report.ideal_count == 16 and report.kernel_size == 32
+    assert report.final_state_count == 4
+    assert report.cross_check == "pass" and report.stationary_count == 3
     assert AnalysisReport.from_dict(report.to_dict()) == report
     assert AnalysisReport.from_json(report.to_json()) == report
-    assert json.loads(report.to_json())["skipped"] == report.skipped
-    assert "skipped" not in analyze_marking(_balanced_marking(), "d" * 64).to_dict()
 
 
 def test_report_from_dict_rejects_bad_payloads():
@@ -178,10 +174,12 @@ def test_config_validation():
         RunConfig.from_dict([1, 2])
 
 
-@pytest.mark.parametrize("key", ["tau_dyn", "tau_alg", "bound_grp"])
+@pytest.mark.parametrize("key", ["tau_dyn", "tau_alg", "bound_grp", "bound_semigroup"])
 def test_config_rejects_removed_keys(key):
     # Markov rows are checked exactly in integers, so no tau_dyn is read;
-    # involution and load_group use the constants TAU_ALG and BOUND_GRP.
+    # involution and load_group use the constants TAU_ALG and BOUND_GRP;
+    # the semigroup stage reads final states off kernel operators' images,
+    # so it needs no node bound.
     with pytest.raises(ValidationError, match=rf"unknown config keys: \['{key}'\]"):
         RunConfig.from_dict({key: 1})
 

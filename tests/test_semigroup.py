@@ -10,20 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancenets.errors import (
-    BoundExceededError,
-    NonPotentialError,
-    ValidationError,
-)
+from balancenets.errors import NonPotentialError, ValidationError
 from balancenets.groups import sign_group
 from balancenets.network import Marking, RelationGraph, bipartition
 from balancenets.semigroup import (
     ControlMatrix,
     OperatorMatrix,
     ReactionMatrix,
+    _closure,
     _contracting_word,
-    _left_closure,
-    _two_sided_closure,
+    _left_children,
+    _right_children,
     control_matrices,
     enumerate_ideals,
     final_states,
@@ -208,6 +205,16 @@ def _min_rank_witness(graph: RelationGraph) -> list[ControlMatrix]:
     ]
 
 
+def _left_closure(op, rg):
+    return _closure(op, lambda o: _left_children(o, rg))
+
+
+def _two_sided_closure(op, rg):
+    return _closure(
+        op, lambda o: itertools.chain(_left_children(o, rg), _right_children(o, rg))
+    )
+
+
 def _fixpoint_kernel(rg: ReactionMatrix) -> frozenset:
     """Smallest two-sided ideal, found by shrinking closures to a fixpoint."""
     witness = _min_rank_witness(rg.graph)
@@ -226,6 +233,27 @@ def _fixpoint_ideals(rg):
     """Kernel size and distinct left closures of the fixpoint kernel."""
     kernel = _fixpoint_kernel(rg)
     return len(kernel), {_left_closure(op, rg) for op in kernel}
+
+
+def _final_states_scan(rg, enumeration):
+    """Every kernel operator applied to every one of the k**n joint states."""
+    k = len(rg.group.states)
+    return frozenset(
+        op.apply(x)
+        for ideal in enumeration.ideals
+        for op in ideal.elements
+        for x in itertools.product(range(k), repeat=rg.n)
+    )
+
+
+def _gauge_matrix(graph, group, choose):
+    """Matrix of a gauge marking g(i, j) = s_i^-1 * s_j, which is potential.
+
+    choose(m) picks each s_i by its index below m.
+    """
+    gauge = [group.element(choose(len(group))) for _ in range(len(graph))]
+    values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
+    return ReactionMatrix.from_marking(Marking(graph, group, values))
 
 
 def test_control_matrix_validation():
@@ -405,11 +433,7 @@ def test_contracting_word_reaches_the_theorem1_rank_on_the_atlas():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SMALL_GRAPHS), st.sampled_from(GROUPS), st.data())
 def test_enumerate_ideals_matches_the_fixpoint_oracle(graph, group, data):
-    # A gauge marking g(i, j) = s_i^-1 * s_j, which is potential.
-    pick = st.integers(0, len(group) - 1).map(group.element)
-    gauge = [data.draw(pick) for _ in range(len(graph))]
-    values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
-    rm = ReactionMatrix.from_marking(Marking(graph, group, values))
+    rm = _gauge_matrix(graph, group, lambda m: data.draw(st.integers(0, m - 1)))
     enumeration = enumerate_ideals(rm)
     kernel_size, ideals = _fixpoint_ideals(rm)
     assert enumeration.kernel_size == kernel_size
@@ -431,11 +455,36 @@ def test_enumerate_ideals_without_potentiality_matches_brute_force():
     mine = {frozenset(ideal.elements) for ideal in enumeration.ideals}
     assert mine == _minimal_left_ideals_brute(broken)
     assert (enumeration.kernel_size, mine) == _fixpoint_ideals(broken)
+    assert final_states(broken, enumeration) == _final_states_scan(broken, enumeration)
 
 
-def test_enumerate_ideals_bound():
-    with pytest.raises(BoundExceededError):
-        enumerate_ideals(BALANCED_RM, bound=2)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_GRAPHS), st.sampled_from(GROUPS), st.data())
+def test_final_states_match_the_scan_oracle(graph, group, data):
+    rm = _gauge_matrix(graph, group, lambda m: data.draw(st.integers(0, m - 1)))
+    enumeration = enumerate_ideals(rm)
+    assert final_states(rm, enumeration) == _final_states_scan(rm, enumeration)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [RelationGraph.cycle(range(1, 13)), RelationGraph.complete(range(1, 13))],
+    ids=["C12", "K12"],
+)
+def test_ideals_on_twelve_nodes_meet_theorem1(graph):
+    # Closed forms over the sign group: |A||B| ideals and 4 final states on a
+    # bipartite graph, n ideals and 2 final states otherwise.
+    rm = _gauge_matrix(graph, G2, random.Random(12).randrange)
+    enumeration = enumerate_ideals(rm)
+    parts = bipartition(graph)
+    if parts is None:
+        ideals, finals = 12, 2
+    else:
+        ideals, finals = len(parts[0]) * len(parts[1]), 4
+    assert len(enumeration.ideals) == ideals
+    assert enumeration.matches_expected
+    assert enumeration.min_rank == theorem1_min_rank(graph)
+    assert len(final_states(rm, enumeration)) == finals
 
 
 def test_final_states_balanced():
