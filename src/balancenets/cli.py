@@ -95,13 +95,9 @@ def _load_curve(spec: str) -> ParameterizedCurve:
     payload = read_json(spec, "curve spec")
     kind = payload.get("type")
     if kind == "line":
-        return ParameterizedCurve.line(
-            tuple(payload["from"]), tuple(payload["to"])
-        )
+        return ParameterizedCurve.line(payload["from"], payload["to"])
     if kind == "polyline":
-        return ParameterizedCurve.polyline(
-            [tuple(p) for p in payload["points"]]
-        )
+        return ParameterizedCurve.polyline(payload["points"])
     raise ValidationError(f"curve type must be 'line' or 'polyline', got {kind!r}")
 
 
@@ -224,6 +220,8 @@ def _cmd_ideals(args, config: RunConfig) -> dict:
 
 
 def _cmd_absorb(args, config: RunConfig) -> dict:
+    if args.runs < 1:
+        raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     marking = load_network(args.net)
     rm = ReactionMatrix.from_marking(marking)
     min_rank = theorem1_min_rank(rm.graph)
@@ -265,6 +263,8 @@ def _cmd_absorb(args, config: RunConfig) -> dict:
 
 
 def _cmd_smooth_check_residual(args, config: RunConfig) -> dict:
+    if args.grid < 1:
+        raise ValidationError(f"--grid must be at least 1, got {args.grid}")
     field = _field_by_name(args.field)
     (x0, x1), (y0, y1) = field.domain
     h = args.h

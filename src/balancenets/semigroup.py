@@ -91,8 +91,8 @@ class ReactionMatrix:
 
     Entry (i, j) carries the element a state travels through when node i
     reads node j.  A full matrix is potential when entry(i,j)*entry(j,k)
-    == entry(i,k) for all triples; construction checks this unless
-    validate=False, which exists for deliberately broken fixtures.
+    == entry(i,k) for all triples; construction decides this once and
+    raises unless validate=False, which exists for broken fixtures.
     """
 
     def __init__(
@@ -122,15 +122,18 @@ class ReactionMatrix:
         for i in range(n):
             if not self.entries[i][i].is_identity:
                 raise ValidationError(f"diagonal entry ({i}, {i}) is not the identity")
-        if validate:
-            self._check_potential()
+        self._defect = self._potential_defect()
+        if validate and self._defect:
+            raise NonPotentialError(self._defect)
 
-    def _check_potential(self) -> None:
-        for i, j, k in itertools.product(range(self.n), repeat=3):
-            if self.entries[i][j] * self.entries[j][k] != self.entries[i][k]:
-                raise NonPotentialError(
-                    f"entries ({i},{j})*({j},{k}) do not match entry ({i},{k})"
-                )
+    def _potential_defect(self) -> str | None:
+        """First failing triple, or None: with an identity diagonal, all triples
+        hold exactly when those through row 0 do, and those come first."""
+        row = self.entries[0]
+        for j, k in itertools.product(range(self.n), repeat=2):
+            if row[j] * self.entries[j][k] != row[k]:
+                return f"entries (0,{j})*({j},{k}) do not match entry (0,{k})"
+        return None
 
     @classmethod
     def from_marking(cls, marking: Marking, validate: bool = True) -> "ReactionMatrix":
@@ -152,11 +155,7 @@ class ReactionMatrix:
         return self.entries[i][j]
 
     def is_potential(self) -> bool:
-        try:
-            self._check_potential()
-        except NonPotentialError:
-            return False
-        return True
+        return self._defect is None
 
 
 @dataclass(frozen=True)
@@ -492,11 +491,14 @@ def random_product_process(
 
     Each trajectory draws from its own stream, derived from the root seed
     and the trajectory index, so batches are reproducible and independent
-    of evaluation order.  Absorption is the first step where the
-    accumulated operator reaches the given minimal rank.
+    of evaluation order.  On a potential matrix the operator product is the
+    one-step operator of the composed index map, which is all that is
+    carried.  Absorption is the first step whose rank reaches min_rank.
     """
     if steps < 1:
         raise ValidationError("need at least one step")
+    if not rg.is_potential():
+        raise NonPotentialError(f"random products need a potential matrix: {rg._defect}")
     rng = random.Random(trajectory_seed(seed, index))
     k = len(rg.group.states)
     if start is None:
@@ -505,25 +507,22 @@ def random_product_process(
         raise ValidationError("start state length does not match the matrix")
     pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
 
-    acc: OperatorMatrix | None = None
-    x = start
+    pattern = tuple(range(rg.n))
     states = [start]
     ranks = []
     absorbed = None
     for t in range(1, steps + 1):
-        rowmap = tuple(rng.choice(pool) for pool in pools)
-        step_op = star_product(ControlMatrix(rowmap), rg)
-        acc = step_op if acc is None else step_op * acc
-        x = step_op.apply(x)
-        states.append(x)
-        ranks.append(acc.rank)
-        if absorbed is None and min_rank is not None and acc.rank <= min_rank:
+        pattern = tuple(pattern[rng.choice(pool)] for pool in pools)
+        op = star_product(pattern, rg)
+        states.append(op.apply(start))
+        ranks.append(op.rank)
+        if absorbed is None and min_rank is not None and op.rank <= min_rank:
             absorbed = t
     return ProductTrajectory(
         start=start,
         states=tuple(states),
         ranks=tuple(ranks),
         absorbed_at=absorbed,
-        final_state=x,
-        final_operator=acc,
+        final_state=states[-1],
+        final_operator=op,
     )

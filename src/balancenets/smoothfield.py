@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -31,6 +32,17 @@ Point = tuple[float, float]
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 _DOMAIN_SLACK = 1e-9
+
+
+def _point(value, what: str) -> Point:
+    """An [x, y] pair of real numbers as floats; anything else is rejected."""
+    if not (
+        isinstance(value, (list, tuple, np.ndarray))
+        and len(value) == 2
+        and all(isinstance(v, Real) and not isinstance(v, bool) for v in value)
+    ):
+        raise ValidationError(f"{what} must be an [x, y] pair of numbers, got {value!r}")
+    return (float(value[0]), float(value[1]))
 
 
 class InvolutionField:
@@ -176,6 +188,7 @@ class ParameterizedCurve:
 
     @classmethod
     def line(cls, p: Point, q: Point) -> "ParameterizedCurve":
+        p, q = _point(p, "line start"), _point(q, "line end")
         return cls(
             lambda s: (p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])),
             0.0,
@@ -184,7 +197,7 @@ class ParameterizedCurve:
 
     @classmethod
     def polyline(cls, points: Sequence[Point]) -> "ParameterizedCurve":
-        pts = [tuple(map(float, p)) for p in points]
+        pts = [_point(p, "polyline point") for p in points]
         if len(pts) < 2:
             raise ValidationError("polyline needs at least two points")
         count = len(pts) - 1
@@ -532,14 +545,13 @@ def solve_ode_field(
     plane: PlaneCoefficients,
     r_func: Callable[[float], float],
     domain=UNIT_SQUARE,
-    verify: bool = True,
 ) -> InvolutionField:
     """Field A(t(x, y)) with t = sign(C2) * integral of sqrt|C2*C3| dy + R(x).
 
     The canonical family matching the sign of C2*C3 makes A*A_y equal the
     plane matrix C(y) with A anti-commuting with C.  The product C2*C3
     must keep one sign over the y range; the construction is checked by
-    finite differences on a sample grid unless verify=False.
+    finite differences on a sample grid.
     """
     from scipy import integrate
 
@@ -576,22 +588,21 @@ def solve_ode_field(
     field.t_function = t_func
     field.rhs = lambda y: plane_rhs(plane, y)
 
-    if verify:
-        h = 1e-5
-        for x in np.linspace(x0 + 0.1 * (x1 - x0), x1 - 0.1 * (x1 - x0), 3):
-            for y in np.linspace(y0 + 0.1 * (y1 - y0), y1 - 0.1 * (y1 - y0), 3):
-                a = field.matrix_at(float(x), float(y))
-                a_y = (
-                    field.matrix_at(float(x), float(y) + h)
-                    - field.matrix_at(float(x), float(y) - h)
-                ) / (2.0 * h)
-                lhs = a @ a_y
-                rhs = plane_rhs(plane, float(y))
-                if np.abs(lhs - rhs).max() > 1e-4 * max(1.0, np.abs(rhs).max()):
-                    raise ValidationError(
-                        "A*A_y deviates from C(y); the coefficient ratio "
-                        "C2/C3 must not vary over y"
-                    )
+    h = 1e-5
+    for x in np.linspace(x0 + 0.1 * (x1 - x0), x1 - 0.1 * (x1 - x0), 3):
+        for y in np.linspace(y0 + 0.1 * (y1 - y0), y1 - 0.1 * (y1 - y0), 3):
+            a = field.matrix_at(float(x), float(y))
+            a_y = (
+                field.matrix_at(float(x), float(y) + h)
+                - field.matrix_at(float(x), float(y) - h)
+            ) / (2.0 * h)
+            lhs = a @ a_y
+            rhs = plane_rhs(plane, float(y))
+            if np.abs(lhs - rhs).max() > 1e-4 * max(1.0, np.abs(rhs).max()):
+                raise ValidationError(
+                    "A*A_y deviates from C(y); the coefficient ratio "
+                    "C2/C3 must not vary over y"
+                )
     return field
 
 
@@ -651,7 +662,7 @@ def load_embedding(
     for key, xy in raw_nodes.items():
         if key not in by_label:
             raise ValidationError(f"embedding names unknown node {key!r}")
-        coords[by_label[key]] = (float(xy[0]), float(xy[1]))
+        coords[by_label[key]] = _point(xy, f"embedding node {key!r}")
     missing = [graph.nodes[i] for i, c in enumerate(coords) if c is None]
     if missing:
         raise ValidationError(f"embedding misses coordinates for {missing}")
@@ -670,14 +681,14 @@ def load_embedding(
                 "is not in the graph"
             )
         if "polyline" in entry:
-            points = [(float(x), float(y)) for x, y in entry["polyline"]]
+            points = entry["polyline"]
+            curve = ParameterizedCurve.polyline(points)
             for end, coord in ((points[0], coords[i]), (points[-1], coords[j])):
                 if max(abs(end[0] - coord[0]), abs(end[1] - coord[1])) > 1e-9:
                     raise ValidationError(
                         f"polyline for ({entry['from']!r}, {entry['to']!r}) "
                         "does not join its node coordinates"
                     )
-            curve = ParameterizedCurve.polyline(points)
         else:
             curve = ParameterizedCurve.line(coords[i], coords[j])
         curves[(i, j)] = curve
@@ -750,13 +761,12 @@ def discretize(
     embedding: GraphEmbedding,
     rules: Mapping[tuple[int, int], EdgeQuadratureRule] | EdgeQuadratureRule | None = None,
     tol: float = TAU_NUM,
-    residual_check: bool = True,
 ) -> MatrixMarking:
     """Per-edge path-ordered products as matrix marks on the graph.
 
     Odd-tagged edges must form a cut (every cycle sees an even number of
-    them) and the field must pass a residual spot check, otherwise the
-    cycle products could not come back to the identity.
+    them) and the field must pass a residual spot check on a 4 x 4 grid,
+    otherwise the cycle products could not come back to the identity.
     """
     graph = embedding.graph
     if rules is None:
@@ -777,20 +787,19 @@ def discretize(
             "number of them"
         )
 
-    if residual_check:
-        (x0, x1), (y0, y1) = field.domain
-        h = 1e-3
-        worst = 0.0
-        for x in np.linspace(x0 + 2 * h, x1 - 2 * h, 4):
-            for y in np.linspace(y0 + 2 * h, y1 - 2 * h, 4):
-                worst = max(
-                    worst, infinitesimal_residual(field, (float(x), float(y)), h).norm
-                )
-        if worst > 1e-4:
-            raise NonPotentialError(
-                f"field residual {worst:.3e} exceeds 1e-4; cycle products "
-                "would not close up"
+    (x0, x1), (y0, y1) = field.domain
+    h = 1e-3
+    worst = 0.0
+    for x in np.linspace(x0 + 2 * h, x1 - 2 * h, 4):
+        for y in np.linspace(y0 + 2 * h, y1 - 2 * h, 4):
+            worst = max(
+                worst, infinitesimal_residual(field, (float(x), float(y)), h).norm
             )
+    if worst > 1e-4:
+        raise NonPotentialError(
+            f"field residual {worst:.3e} exceeds 1e-4; cycle products "
+            "would not close up"
+        )
 
     marks: dict[tuple[int, int], np.ndarray] = {}
     signs: dict[tuple[int, int], int] = {}

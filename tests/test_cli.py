@@ -438,3 +438,63 @@ def test_bad_config_reports_validation(fixtures_dir, tmp_path, capsys):
     )
     assert code == 2
     assert payload["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "curve,message",
+    [
+        ('{"type":"line","from":[0.1],"to":[0.5,0.5]}', "line start must be"),
+        ('{"type":"polyline","points":[[0.1,0.1],[0.3]]}', "polyline point must be"),
+    ],
+    ids=["line-start", "polyline-point"],
+)
+def test_malformed_curve_points_report_validation(capsys, curve, message):
+    code, payload = run_cli(capsys, "smooth", "p-integral", "--curve", curve)
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert message in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "node,edge,message",
+    [
+        ([0.1], {}, "embedding node '1' must be"),
+        ([0.05, 0.05], {"polyline": []}, "polyline needs at least two points"),
+    ],
+    ids=["node", "empty-polyline"],
+)
+def test_malformed_embedding_points_report_validation(
+    capsys, fixtures_dir, node, edge, message
+):
+    embedding = json.loads((fixtures_dir / "k4_embedding.json").read_text())
+    embedding["nodes"]["1"] = node
+    embedding["edges"][0].update(edge)
+    code, payload = run_cli(
+        capsys,
+        "smooth",
+        "discretize",
+        "--net",
+        str(fixtures_dir / "k4_complete.json"),
+        "--embedding",
+        json.dumps(embedding),
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert message in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_absorb_rejects_runs_below_one(capsys, fixtures_dir, runs):
+    code, payload = run_cli(
+        capsys, "absorb", "--net", str(fixtures_dir / "gamma3_balanced.json"), "--runs", runs
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert "--runs" in payload["error"]["message"]
+
+
+def test_check_residual_rejects_grid_below_one(capsys):
+    code, payload = run_cli(capsys, "smooth", "check-residual", "--grid", "0")
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert "--grid" in payload["error"]["message"]

@@ -1,5 +1,6 @@
 """Operator semigroup: words, the homomorphism law and minimal left ideals."""
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balancenets.config import trajectory_seed
 from balancenets.errors import NonPotentialError, ValidationError
-from balancenets.groups import sign_group
+from balancenets.groups import ReactionGroup, sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph, bipartition
 from balancenets.semigroup import (
     ControlMatrix,
     OperatorMatrix,
+    ProductTrajectory,
     ReactionMatrix,
     _closure,
     _contracting_word,
@@ -62,6 +65,15 @@ SQUARE_RM = ReactionMatrix.from_marking(
         symmetric=True,
     )
 )
+
+
+def _broken_triangle():
+    """The all-g triangle, which is not potential, built without the check."""
+    return ReactionMatrix(
+        G2,
+        [["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]],
+        validate=False,
+    )
 
 
 def _semigroup_closure(rg):
@@ -246,6 +258,43 @@ def _final_states_scan(rg, enumeration):
     )
 
 
+def _random_product_oracle(rg, steps, seed=0, index=0, start=None, min_rank=None):
+    """Random products by multiplying operators: one control matrix, one
+    operator product and one state update per step."""
+    rng = random.Random(trajectory_seed(seed, index))
+    k = len(rg.group.states)
+    if start is None:
+        start = tuple(rng.randrange(k) for _ in range(rg.n))
+    pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
+    acc = None
+    x = start
+    states = [start]
+    ranks = []
+    absorbed = None
+    for t in range(1, steps + 1):
+        rowmap = tuple(rng.choice(pool) for pool in pools)
+        step_op = star_product(ControlMatrix(rowmap), rg)
+        acc = step_op if acc is None else step_op * acc
+        x = step_op.apply(x)
+        states.append(x)
+        ranks.append(acc.rank)
+        if absorbed is None and min_rank is not None and acc.rank <= min_rank:
+            absorbed = t
+    return ProductTrajectory(start, tuple(states), tuple(ranks), absorbed, x, acc)
+
+
+def _cubic_potential_defect(rg):
+    """First failing triple of the full lexicographic scan, or None."""
+    for i, j, k in itertools.product(range(rg.n), repeat=3):
+        if rg.entry(i, j) * rg.entry(j, k) != rg.entry(i, k):
+            return f"entries ({i},{j})*({j},{k}) do not match entry ({i},{k})"
+    return None
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called a routine that must not run here")
+
+
 def _gauge_matrix(graph, group, choose):
     """Matrix of a gauge marking g(i, j) = s_i^-1 * s_j, which is potential.
 
@@ -301,11 +350,35 @@ def test_reaction_matrix_construction():
         ReactionMatrix(
             G2, [["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]]
         )
-    broken = ReactionMatrix(
-        G2,
-        [["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]],
-        validate=False,
-    )
+    assert not _broken_triangle().is_potential()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([G2, symmetric_group(3)]), st.integers(2, 5), st.data())
+def test_potentiality_matches_the_cubic_scan(group, n, data):
+    # A gauge matrix s_i^-1 * s_j is potential; overwriting a few
+    # off-diagonal entries usually breaks it.
+    pick = st.integers(0, len(group) - 1).map(group.element)
+    gauge = [data.draw(pick) for _ in range(n)]
+    entries = [[gauge[i].inverse() * gauge[j] for j in range(n)] for i in range(n)]
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for i, j in data.draw(st.lists(st.sampled_from(off_diagonal), max_size=3)):
+        entries[i][j] = data.draw(pick)
+    unchecked = ReactionMatrix(group, entries, validate=False)
+    defect = _cubic_potential_defect(unchecked)
+    assert unchecked.is_potential() == (defect is None)
+    if defect is None:
+        assert ReactionMatrix(group, entries).is_potential()
+    else:
+        with pytest.raises(NonPotentialError) as err:
+            ReactionMatrix(group, entries)
+        assert str(err.value) == defect
+
+
+def test_is_potential_multiplies_no_group_elements(monkeypatch):
+    broken = _broken_triangle()
+    monkeypatch.setattr(ReactionGroup, "compose", _refuse)
+    assert BALANCED_RM.is_potential()
     assert not broken.is_potential()
 
 
@@ -347,11 +420,7 @@ def test_rho_homomorphism_on_random_words():
 
 
 def test_rho_check_catches_non_potential_matrices():
-    broken = ReactionMatrix(
-        G2,
-        [["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]],
-        validate=False,
-    )
+    broken = _broken_triangle()
     word = [ControlMatrix((1, 2, 0)), ControlMatrix((1, 2, 0))]
     with pytest.raises(NonPotentialError):
         rho(word, broken)
@@ -443,11 +512,7 @@ def test_enumerate_ideals_matches_the_fixpoint_oracle(graph, group, data):
 
 def test_enumerate_ideals_without_potentiality_matches_brute_force():
     # Theorem 1's count needs a potential matrix; the kernel does not.
-    broken = ReactionMatrix(
-        G2,
-        [["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]],
-        validate=False,
-    )
+    broken = _broken_triangle()
     enumeration = enumerate_ideals(broken)
     assert enumeration.expected_count is None
     assert enumeration.matches_expected is None
@@ -531,3 +596,47 @@ def test_random_product_process_validation():
         random_product_process(BALANCED_RM, steps=5, start=(0, 0))
     fixed = random_product_process(BALANCED_RM, steps=5, start=(1, 0, 1))
     assert fixed.start == (1, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SMALL_GRAPHS),
+    st.sampled_from(GROUPS),
+    st.data(),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 1000),
+    st.integers(1, 48),
+    st.booleans(),
+    st.booleans(),
+)
+def test_random_product_process_matches_the_operator_oracle(
+    graph, group, data, seed, index, steps, drawn_start, absorbing
+):
+    rm = _gauge_matrix(graph, group, lambda m: data.draw(st.integers(0, m - 1)))
+    start = None
+    if drawn_start:
+        state = st.integers(0, len(group.states) - 1)
+        start = tuple(data.draw(state) for _ in range(len(graph)))
+    kwargs = dict(
+        seed=seed,
+        index=index,
+        start=start,
+        min_rank=theorem1_min_rank(graph) if absorbing else None,
+    )
+    run = random_product_process(rm, steps, **kwargs)
+    oracle = _random_product_oracle(rm, steps, **kwargs)
+    for field in dataclasses.fields(ProductTrajectory):
+        assert getattr(run, field.name) == getattr(oracle, field.name), field.name
+
+
+def test_random_product_process_multiplies_nothing(monkeypatch):
+    oracle = _random_product_oracle(SQUARE_RM, 32, seed=3, min_rank=2)
+    monkeypatch.setattr(ReactionGroup, "compose", _refuse)
+    monkeypatch.setattr(OperatorMatrix, "__mul__", _refuse)
+    monkeypatch.setattr(ControlMatrix, "__init__", _refuse)
+    assert random_product_process(SQUARE_RM, 32, seed=3, min_rank=2) == oracle
+
+
+def test_random_product_process_needs_a_potential_matrix():
+    with pytest.raises(NonPotentialError):
+        random_product_process(_broken_triangle(), steps=5)
