@@ -222,6 +222,8 @@ def _cmd_ideals(args, config: RunConfig) -> dict:
 def _cmd_absorb(args, config: RunConfig) -> dict:
     if args.runs < 1:
         raise ValidationError(f"--runs must be at least 1, got {args.runs}")
+    if args.steps < 1:
+        raise ValidationError(f"--steps must be at least 1, got {args.steps}")
     marking = load_network(args.net)
     rm = ReactionMatrix.from_marking(marking)
     min_rank = theorem1_min_rank(rm.graph)

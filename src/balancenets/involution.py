@@ -21,6 +21,22 @@ E2 = np.eye(2)
 Z_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def check_quadric(a, b, c, tol: float) -> None:
+    """Raise ValidationError unless bc = 1 - a**2 holds within tol.
+
+    a, b and c may be equal-length arrays; the first violating entry is
+    reported, as a check of the entries one by one would report it.
+    """
+    gap = abs(b * c - (1.0 - a * a))
+    if np.ndim(gap):
+        bad = np.flatnonzero(~(gap <= tol))
+        gap = gap[bad[0]] if bad.size else 0.0
+    if not gap <= tol:
+        raise ValidationError(
+            f"entries violate bc = 1 - a^2 by {gap:.3e} (tol {tol:.1e})"
+        )
+
+
 @dataclass(frozen=True)
 class InvolutionMatrix:
     """Entries of [[a, b], [c, -a]] constrained by bc = 1 - a**2."""
@@ -31,11 +47,7 @@ class InvolutionMatrix:
     tol: float = TAU_ALG
 
     def __post_init__(self) -> None:
-        gap = abs(self.b * self.c - (1.0 - self.a * self.a))
-        if not gap <= self.tol:
-            raise ValidationError(
-                f"entries violate bc = 1 - a^2 by {gap:.3e} (tol {self.tol:.1e})"
-            )
+        check_quadric(self.a, self.b, self.c, self.tol)
 
     @property
     def matrix(self) -> np.ndarray:

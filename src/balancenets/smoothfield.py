@@ -24,7 +24,7 @@ from .errors import (
     ParityError,
     ValidationError,
 )
-from .involution import InvolutionMatrix
+from .involution import InvolutionMatrix, check_quadric
 from .network import RelationGraph
 from .potential import _tree_consistency, partition_from_signs
 
@@ -72,11 +72,14 @@ class InvolutionField:
         pad = margin - _DOMAIN_SLACK
         return x0 + pad <= x <= x1 - pad and y0 + pad <= y <= y1 - pad
 
+    def domain_error(self, x: float, y: float) -> FieldDomainError:
+        return FieldDomainError(
+            f"point ({x!r}, {y!r}) is outside the field domain {self.domain}"
+        )
+
     def __call__(self, x: float, y: float) -> InvolutionMatrix:
         if not self.contains(x, y):
-            raise FieldDomainError(
-                f"point ({x!r}, {y!r}) is outside the field domain {self.domain}"
-            )
+            raise self.domain_error(x, y)
         a, b, c = self.evaluator(x, y)
         return InvolutionMatrix(a, b, c, tol=self.tol)
 
@@ -142,11 +145,13 @@ class InvolutionField:
         if kind == "elliptic":
             def components(x, y):
                 t = t_func(x, y)
-                return (math.cos(t), math.sin(t), math.sin(t))
+                s = math.sin(t)
+                return (math.cos(t), s, s)
         elif kind == "hyperbolic":
             def components(x, y):
                 t = t_func(x, y)
-                return (math.cosh(t), math.sinh(t), -math.sinh(t))
+                s = math.sinh(t)
+                return (math.cosh(t), s, -s)
         else:
             raise ValidationError(f"unknown canonical kind {kind!r}")
         return cls(components, domain, name=name or kind)
@@ -253,6 +258,22 @@ class EdgeQuadratureRule:
         return EdgeQuadratureRule(self.parity, steps)
 
 
+# Steps sampled, checked and folded together in p_integral. A block is
+# large enough to spread the cost of its numpy calls and small enough that
+# the samples of a long product never sit in memory all at once.
+_BLOCK = 1024
+
+
+def _involution_stack(rows: list, tol: float) -> np.ndarray:
+    """The matrices [[a, b], [c, -a]] of rows, checked for bc = 1 - a**2."""
+    arr = np.array(rows).reshape(-1, 3)
+    a, b, c = arr.T
+    check_quadric(a, b, c, tol)
+    stack = np.empty((len(arr), 2, 2), arr.dtype)
+    stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1] = a, b, c, -a
+    return stack
+
+
 def p_integral(
     field: InvolutionField,
     curve: ParameterizedCurve,
@@ -262,14 +283,30 @@ def p_integral(
     """Ordered product of field samples at midpoints of n equal steps.
 
     The factors multiply left to right in the direction the curve runs,
-    so reversing the curve yields the inverse product exactly.
+    so reversing the curve yields the inverse product exactly. Samples are
+    taken and checked a block at a time; the fold stays one ``acc @ m`` per
+    step, which keeps every product bit for bit the same as a step-by-step
+    loop. The first failing step raises, as in that loop.
     """
     rule = EdgeQuadratureRule(parity, n)
     h = (curve.s1 - curve.s0) / rule.steps
+    point, inside, evaluate = curve.point, field.contains, field.evaluator
     acc = np.eye(2)
-    for i in range(rule.steps):
-        x, y = curve.point(curve.s0 + (i + 0.5) * h)
-        acc = acc @ field.matrix_at(x, y)
+    for lo in range(0, rule.steps, _BLOCK):
+        rows = []
+        try:
+            for i in range(lo, min(lo + _BLOCK, rule.steps)):
+                x, y = point(curve.s0 + (i + 0.5) * h)
+                if not inside(x, y):
+                    raise field.domain_error(x, y)
+                a, b, c = evaluate(x, y)
+                rows.append((a, b, c))
+        except Exception:
+            # A bc violation at an earlier step of the block fails first.
+            _involution_stack(rows, field.tol)
+            raise
+        for m in _involution_stack(rows, field.tol):
+            acc = acc @ m
     return acc
 
 
@@ -647,7 +684,7 @@ def load_embedding(
          "edges": [{"from": "1", "to": "2",
                     "polyline": [[x, y], ...],      # optional, default straight
                     "parity": "even",                # optional
-                    "steps": 1024}, ...]}            # optional
+                    "steps": 1024}, ...]}            # optional integer
 
     Edges absent from the list get a straight segment and the default rule.
     Polylines must start and end on the declared node coordinates.
@@ -692,9 +729,14 @@ def load_embedding(
         else:
             curve = ParameterizedCurve.line(coords[i], coords[j])
         curves[(i, j)] = curve
+        steps = entry.get("steps", REFERENCE_STEPS)
+        if not isinstance(steps, int) or isinstance(steps, bool):
+            raise ValidationError(
+                f"embedding edge ({entry['from']!r}, {entry['to']!r}) steps "
+                f"must be an integer, got {steps!r}"
+            )
         rules[(i, j)] = EdgeQuadratureRule(
-            parity=entry.get("parity", "even"),
-            steps=int(entry.get("steps", REFERENCE_STEPS)),
+            parity=entry.get("parity", "even"), steps=steps
         )
 
     for i, j in graph.undirected_edges:

@@ -493,6 +493,36 @@ def test_absorb_rejects_runs_below_one(capsys, fixtures_dir, runs):
     assert "--runs" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_absorb_rejects_steps_below_one(capsys, fixtures_dir, steps):
+    code, payload = run_cli(
+        capsys, "absorb", "--net", str(fixtures_dir / "gamma3_balanced.json"), "--steps", steps
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert payload["error"]["message"] == f"--steps must be at least 1, got {steps}"
+
+
+@pytest.mark.parametrize("steps", [1024.9, "1025", True], ids=["fraction", "string", "bool"])
+def test_embedding_steps_must_be_an_integer(capsys, fixtures_dir, steps):
+    embedding = json.loads((fixtures_dir / "k4_embedding.json").read_text())
+    embedding["edges"][0]["steps"] = steps
+    code, payload = run_cli(
+        capsys,
+        "smooth",
+        "discretize",
+        "--net",
+        str(fixtures_dir / "k4_complete.json"),
+        "--embedding",
+        json.dumps(embedding),
+    )
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert payload["error"]["message"] == (
+        f"embedding edge ('1', '2') steps must be an integer, got {steps!r}"
+    )
+
+
 def test_check_residual_rejects_grid_below_one(capsys):
     code, payload = run_cli(capsys, "smooth", "check-residual", "--grid", "0")
     assert code == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from balancenets.errors import (
     ParityError,
     ValidationError,
 )
+from balancenets.cli import _FIELD_BUILDERS
 from balancenets.involution import InvolutionMatrix
 from balancenets.network import RelationGraph
 from balancenets.smoothfield import (
+    _BLOCK,
     EdgeQuadratureRule,
     GraphEmbedding,
     InvolutionField,
@@ -69,6 +72,15 @@ def test_canonical_parameter_fields():
     assert inv.c == pytest.approx(-math.sinh(0.6))
     with pytest.raises(ValidationError):
         InvolutionField.from_parameter(lambda x, y: x, "parabolic")
+
+    # Each sample computes sin (sinh) once; the entries keep their bits.
+    t_func = lambda x, y: math.sin(x) + y * y  # noqa: E731
+    ell = InvolutionField.from_parameter(t_func, "elliptic")
+    hyp = InvolutionField.from_parameter(t_func, "hyperbolic")
+    for x, y in ((0.0, 0.0), (0.13, 0.71), (0.5, 0.5), (0.97, 0.02)):
+        t = t_func(x, y)
+        assert ell.evaluator(x, y) == (math.cos(t), math.sin(t), math.sin(t))
+        assert hyp.evaluator(x, y) == (math.cosh(t), math.sinh(t), -math.sinh(t))
 
 
 def test_complex_potential_field():
@@ -133,6 +145,109 @@ def test_ordered_product_parity_law_and_reversal():
     const = InvolutionField.constant(inv)
     assert np.array_equal(p_integral(const, curve, 64, "even"), np.eye(2))
     assert np.abs(p_integral(const, curve, 63, "odd") - inv.matrix).max() < 1e-12
+
+
+def _p_integral_oracle(field, curve, n, parity):
+    """The step-by-step fold: one checked InvolutionMatrix per step."""
+    rule = EdgeQuadratureRule(parity, n)
+    h = (curve.s1 - curve.s0) / rule.steps
+    acc = np.eye(2)
+    for i in range(rule.steps):
+        x, y = curve.point(curve.s0 + (i + 0.5) * h)
+        acc = acc @ field.matrix_at(x, y)
+    return acc
+
+
+# Real samples where y <= 0.5 and complex ones above, so a block can hold
+# both and the product turns complex part way along the curve.
+HALF_COMPLEX = InvolutionField.from_complex_potential(
+    lambda x, y: complex(0.4 * x, 0.3 * (y - 0.5)) if y > 0.5 else 0.5 * x,
+    name="half-complex",
+)
+
+_LINE = ParameterizedCurve.line((0.1, 0.2), (0.8, 0.7))
+_TWO_LEG = ParameterizedCurve.polyline([(0.1, 0.1), (0.9, 0.3), (0.4, 0.9)])
+ORACLE_CURVES = [
+    _LINE,
+    _TWO_LEG,
+    ParameterizedCurve.polyline(
+        [(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8), (0.2, 0.2)]
+    ),
+    _TWO_LEG.reversed(),
+    ParameterizedCurve.concat([_LINE, ParameterizedCurve.line((0.8, 0.7), (0.3, 0.9))]),
+]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [_FIELD_BUILDERS[name]() for name in ("elliptic", "elliptic-wave", "hyperbolic")]
+    + [HALF_COMPLEX],
+    ids=["elliptic", "elliptic-wave", "hyperbolic", "half-complex"],
+)
+def test_p_integral_matches_step_by_step_oracle_bit_for_bit(field):
+    for curve in ORACLE_CURVES:
+        for n in (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+            parity = "even" if n % 2 == 0 else "odd"
+            got = p_integral(field, curve, n, parity)
+            want = _p_integral_oracle(field, curve, n, parity)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    assert p_integral(field, _LINE, 64, "even").dtype == (
+        complex if field is HALF_COMPLEX else float
+    )
+
+
+def _failure(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def _valid_up_to(x_max):
+    """Valid samples (a = 1, bc = 0) up to x_max; beyond, bc is off by x."""
+    return InvolutionField(lambda x, y: (1.0, 0.0, 0.0) if x <= x_max else (1.0, x, 1.0))
+
+
+# At 3 * _BLOCK steps the first failure and the exit fall in the second block.
+@pytest.mark.parametrize("n,x_max", [(64, 0.3), (3 * _BLOCK, 0.7)])
+def test_p_integral_reports_a_bc_violation_before_a_later_domain_exit(n, x_max):
+    # Violations from x = x_max on; the curve leaves the domain at x = 1.
+    curve = ParameterizedCurve.line((0.1, 0.5), (1.5, 0.5))
+    failure = _failure(p_integral, _valid_up_to(x_max), curve, n, "even")
+    assert failure == _failure(_p_integral_oracle, _valid_up_to(x_max), curve, n, "even")
+    assert failure[0] is ValidationError
+    assert failure[1].startswith(f"entries violate bc = 1 - a^2 by {10 * x_max:.0f}.")
+
+
+@pytest.mark.parametrize("n", [64, 3 * _BLOCK])
+def test_p_integral_reports_a_domain_exit_before_later_violations(n):
+    # The first leg leaves the domain through y = 1; the violations lie on
+    # the second leg, after it comes back in.
+    curve = ParameterizedCurve.polyline([(0.1, 0.5), (0.2, 1.2), (0.8, 0.5)])
+    failure = _failure(p_integral, _valid_up_to(0.5), curve, n, "even")
+    assert failure == _failure(_p_integral_oracle, _valid_up_to(0.5), curve, n, "even")
+    assert failure[0] is FieldDomainError
+    assert "is outside the field domain" in failure[1]
+
+
+def test_p_integral_builds_no_involution_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("p_integral built an InvolutionMatrix")
+
+    monkeypatch.setattr(InvolutionMatrix, "__post_init__", refuse)
+    p_integral(WAVE, _TWO_LEG, 2 * _BLOCK + 1, "odd")
+    p_integral(HALF_COMPLEX, _LINE, 64, "even")
+
+
+def test_p_integral_memory_does_not_grow_with_steps():
+    # Sampling all 2**17 steps before folding peaks at about 23 MiB.
+    tracemalloc.start()
+    try:
+        p_integral(WAVE, _TWO_LEG, 2 ** 17, "even")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_ordered_product_second_order_convergence():
