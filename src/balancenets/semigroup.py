@@ -12,6 +12,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -493,7 +494,10 @@ def random_product_process(
     and the trajectory index, so batches are reproducible and independent
     of evaluation order.  On a potential matrix the operator product is the
     one-step operator of the composed index map, which is all that is
-    carried.  Absorption is the first step whose rank reaches min_rank.
+    carried: node i's state is what it reads off start through that map,
+    looked up in a table built once per trajectory, and the product's rank
+    is the map's image size.  Absorption is the first step whose rank
+    reaches min_rank.
     """
     if steps < 1:
         raise ValidationError("need at least one step")
@@ -505,7 +509,12 @@ def random_product_process(
         start = tuple(rng.randrange(k) for _ in range(rg.n))
     elif len(start) != rg.n:
         raise ValidationError("start state length does not match the matrix")
+    for x in start:
+        if type(x) is not int or not 0 <= x < k:
+            raise ValidationError(f"start entry {x!r} is not a state index in range({k})")
     pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
+    # reads[i][j]: the state node i holds after reading node j of start.
+    reads = [[rg.entry(i, j)(x) for j, x in enumerate(start)] for i in range(rg.n)]
 
     pattern = tuple(range(rg.n))
     states = [start]
@@ -513,10 +522,9 @@ def random_product_process(
     absorbed = None
     for t in range(1, steps + 1):
         pattern = tuple(pattern[rng.choice(pool)] for pool in pools)
-        op = star_product(pattern, rg)
-        states.append(op.apply(start))
-        ranks.append(op.rank)
-        if absorbed is None and min_rank is not None and op.rank <= min_rank:
+        states.append(tuple(map(getitem, reads, pattern)))
+        ranks.append(len(set(pattern)))
+        if absorbed is None and min_rank is not None and ranks[-1] <= min_rank:
             absorbed = t
     return ProductTrajectory(
         start=start,
@@ -524,5 +532,5 @@ def random_product_process(
         ranks=tuple(ranks),
         absorbed_at=absorbed,
         final_state=states[-1],
-        final_operator=op,
+        final_operator=star_product(pattern, rg),
     )

@@ -146,6 +146,58 @@ def test_absorb_runs_are_reproducible(capsys, fixtures_dir):
     assert first == second
 
 
+# stdout of `absorb --runs 8 --steps 64 --seed 7`: its sha256 and its parse.
+ABSORB_GOLDEN = {
+    "gamma3_balanced.json": (
+        "e9aa7f62a6b5a7164b1576ed33036ad8f57e681f651a54088087c8bc629e3de2",
+        {
+            "runs": 8, "steps": 64, "seed": 7, "min_rank": 1, "absorbed": 8,
+            "mean_absorption_step": 5.625,
+            "final_states_seen": [[-1, 1, 1], [1, -1, -1]],
+            "trajectories": [
+                {"start": [-1, 1, -1], "absorbed_at": 4, "final_state": [-1, 1, 1], "final_rank": 1},
+                {"start": [1, -1, -1], "absorbed_at": 17, "final_state": [1, -1, -1], "final_rank": 1},
+                {"start": [-1, -1, -1], "absorbed_at": 4, "final_state": [-1, 1, 1], "final_rank": 1},
+                {"start": [1, -1, -1], "absorbed_at": 2, "final_state": [1, -1, -1], "final_rank": 1},
+                {"start": [-1, -1, -1], "absorbed_at": 3, "final_state": [-1, 1, 1], "final_rank": 1},
+                {"start": [-1, -1, -1], "absorbed_at": 4, "final_state": [-1, 1, 1], "final_rank": 1},
+                {"start": [-1, -1, 1], "absorbed_at": 6, "final_state": [-1, 1, 1], "final_rank": 1},
+                {"start": [1, 1, -1], "absorbed_at": 5, "final_state": [1, -1, -1], "final_rank": 1},
+            ],
+        },
+    ),
+    "k4_complete.json": (
+        "735ecbc4190efd32db075f1793ee0198afadecd344f8e6153f3981e74f5e50a7",
+        {
+            "runs": 8, "steps": 64, "seed": 7, "min_rank": 1, "absorbed": 8,
+            "mean_absorption_step": 5.125,
+            "final_states_seen": [[-1, -1, -1, -1], [1, 1, 1, 1]],
+            "trajectories": [
+                {"start": [-1, 1, -1, 1], "absorbed_at": 2, "final_state": [1, 1, 1, 1], "final_rank": 1},
+                {"start": [1, -1, -1, 1], "absorbed_at": 8, "final_state": [-1, -1, -1, -1], "final_rank": 1},
+                {"start": [-1, -1, -1, 1], "absorbed_at": 3, "final_state": [-1, -1, -1, -1], "final_rank": 1},
+                {"start": [1, -1, -1, 1], "absorbed_at": 2, "final_state": [-1, -1, -1, -1], "final_rank": 1},
+                {"start": [-1, -1, -1, 1], "absorbed_at": 9, "final_state": [-1, -1, -1, -1], "final_rank": 1},
+                {"start": [-1, -1, -1, 1], "absorbed_at": 3, "final_state": [-1, -1, -1, -1], "final_rank": 1},
+                {"start": [-1, -1, 1, 1], "absorbed_at": 9, "final_state": [1, 1, 1, 1], "final_rank": 1},
+                {"start": [1, 1, -1, -1], "absorbed_at": 5, "final_state": [-1, -1, -1, -1], "final_rank": 1},
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABSORB_GOLDEN))
+def test_absorb_output_is_pinned(capsys, fixtures_dir, name):
+    digest, expected = ABSORB_GOLDEN[name]
+    net = str(fixtures_dir / name)
+    code = main(["absorb", "--net", net, "--runs", "8", "--steps", "64", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out) == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_smooth_check_residual(capsys):
     code, payload = run_cli(
         capsys, "smooth", "check-residual", "--field", "elliptic-wave", "--grid", "3"

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balancenets import semigroup
 from balancenets.config import trajectory_seed
 from balancenets.errors import NonPotentialError, ValidationError
 from balancenets.groups import ReactionGroup, sign_group, symmetric_group
-from balancenets.network import Marking, RelationGraph, bipartition
+from balancenets.network import Marking, RelationGraph, bipartition, load_network
 from balancenets.semigroup import (
     ControlMatrix,
     OperatorMatrix,
@@ -598,6 +599,15 @@ def test_random_product_process_validation():
     assert fixed.start == (1, 0, 1)
 
 
+@pytest.mark.parametrize("entry", [-1, 2, 5, 0.0, True])
+def test_random_product_process_rejects_start_entries_outside_the_states(
+    fixtures_dir, entry
+):
+    rm = ReactionMatrix.from_marking(load_network(fixtures_dir / "gamma3_balanced.json"))
+    with pytest.raises(ValidationError, match=rf"start entry {entry!r} is not a state index"):
+        random_product_process(rm, steps=5, start=(entry, 0, 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(SMALL_GRAPHS),
@@ -630,11 +640,47 @@ def test_random_product_process_matches_the_operator_oracle(
 
 
 def test_random_product_process_multiplies_nothing(monkeypatch):
-    oracle = _random_product_oracle(SQUARE_RM, 32, seed=3, min_rank=2)
+    """No control matrix, operator product or per-step operator: the one
+    star_product of a trajectory builds its final operator."""
+    kwargs = dict(seed=3, min_rank=2)
+    oracles = [_random_product_oracle(SQUARE_RM, 32, index=i, **kwargs) for i in range(4)]
+    built = []
+
+    def counted_star_product(control, rg):
+        built.append(control)
+        return star_product(control, rg)
+
     monkeypatch.setattr(ReactionGroup, "compose", _refuse)
     monkeypatch.setattr(OperatorMatrix, "__mul__", _refuse)
+    monkeypatch.setattr(OperatorMatrix, "apply", _refuse)
     monkeypatch.setattr(ControlMatrix, "__init__", _refuse)
-    assert random_product_process(SQUARE_RM, 32, seed=3, min_rank=2) == oracle
+    monkeypatch.setattr(semigroup, "star_product", counted_star_product)
+    runs = [random_product_process(SQUARE_RM, 32, index=i, **kwargs) for i in range(4)]
+    assert runs == oracles
+    assert len(built) == len(runs)
+
+
+def test_random_product_process_matches_the_oracle_at_benchmark_scale():
+    """The size of an ideals-small absorb: 32 runs of 64 steps on 7 nodes,
+    a bipartite graph over S3 (min rank 2) and K7 over the sign group."""
+    bipartite = RelationGraph.from_undirected(
+        range(1, 8), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (7, 1), (7, 3)]
+    )
+    choose = random.Random(7).randrange
+    for graph, group in [
+        (bipartite, symmetric_group(3)),
+        (RelationGraph.complete(range(1, 8)), G2),
+    ]:
+        rm = _gauge_matrix(graph, group, choose)
+        min_rank = theorem1_min_rank(graph)
+        for index in range(32):
+            kwargs = dict(seed=101, index=index, min_rank=min_rank)
+            run = random_product_process(rm, 64, **kwargs)
+            oracle = _random_product_oracle(rm, 64, **kwargs)
+            for field in dataclasses.fields(ProductTrajectory):
+                assert getattr(run, field.name) == getattr(oracle, field.name), (
+                    len(group), index, field.name
+                )
 
 
 def test_random_product_process_needs_a_potential_matrix():
