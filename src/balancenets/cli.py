@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -343,6 +344,8 @@ def _cmd_analyze(args, config: RunConfig) -> dict:
 # -- argument parsing -------------------------------------------------------------
 
 
+# Built once per process: parsing leaves no state in the parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="balancenets",

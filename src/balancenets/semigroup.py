@@ -512,6 +512,7 @@ def random_product_process(
     for x in start:
         if type(x) is not int or not 0 <= x < k:
             raise ValidationError(f"start entry {x!r} is not a state index in range({k})")
+    start = tuple(start)
     pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
     # reads[i][j]: the state node i holds after reading node j of start.
     reads = [[rg.entry(i, j)(x) for j, x in enumerate(start)] for i in range(rg.n)]

@@ -159,19 +159,39 @@ class InvolutionField:
 
 @dataclass(frozen=True)
 class ParameterizedCurve:
-    """Piecewise-smooth map s -> (x(s), y(s)) on [s0, s1]."""
+    """Piecewise-smooth map s -> (x(s), y(s)) on [s0, s1].
+
+    Lines, polylines, ``concat`` and ``reversed`` are defined in array form
+    (``points``); their ``fn`` evaluates it on a one-element array.
+    """
 
     fn: Callable[[float], Point]
     s0: float
     s1: float
+    _points: Callable[[np.ndarray], tuple] | None = None
 
     def __post_init__(self) -> None:
         if not self.s0 < self.s1:
             raise ValidationError("curve parameter interval is empty")
 
+    @classmethod
+    def _of_points(cls, points, s0: float, s1: float) -> "ParameterizedCurve":
+        def fn(s: float) -> Point:
+            x, y = points(np.array([s], dtype=float))
+            return (x[0], y[0])
+
+        return cls(fn, s0, s1, points)
+
     def point(self, s: float) -> Point:
         x, y = self.fn(s)
         return (float(x), float(y))
+
+    def points(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y arrays at a float array s, bit for bit ``point``'s."""
+        if self._points is not None:
+            return self._points(s)
+        xy = np.array([self.point(v) for v in s.tolist()]).reshape(-1, 2)
+        return xy[:, 0], xy[:, 1]
 
     @property
     def start(self) -> Point:
@@ -187,18 +207,13 @@ class ParameterizedCurve:
 
     def reversed(self) -> "ParameterizedCurve":
         s0, s1 = self.s0, self.s1
-        return ParameterizedCurve(
-            lambda s: self.fn(s0 + s1 - s), s0, s1
-        )
+        return self._of_points(lambda s: self.points(s0 + s1 - s), s0, s1)
 
     @classmethod
     def line(cls, p: Point, q: Point) -> "ParameterizedCurve":
         p, q = _point(p, "line start"), _point(q, "line end")
-        return cls(
-            lambda s: (p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])),
-            0.0,
-            1.0,
-        )
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        return cls._of_points(lambda s: (p[0] + s * dx, p[1] + s * dy), 0.0, 1.0)
 
     @classmethod
     def polyline(cls, points: Sequence[Point]) -> "ParameterizedCurve":
@@ -206,15 +221,16 @@ class ParameterizedCurve:
         if len(pts) < 2:
             raise ValidationError("polyline needs at least two points")
         count = len(pts) - 1
+        cx, cy = np.array(pts).T
 
-        def fn(s: float) -> Point:
-            u = min(max(s, 0.0), 1.0) * count
-            k = min(int(u), count - 1)
-            frac = u - k
-            p, q = pts[k], pts[k + 1]
-            return (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
+        def on_legs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # np.clip keeps -0.0 and nan, as min(max(s, 0.0), 1.0) does.
+            u = np.clip(s, 0.0, 1.0) * count
+            k = np.minimum(u.astype(int), count - 1)
+            frac, x, y = u - k, cx[k], cy[k]
+            return x + frac * (cx[k + 1] - x), y + frac * (cy[k + 1] - y)
 
-        return cls(fn, 0.0, 1.0)
+        return cls._of_points(on_legs, 0.0, 1.0)
 
     @classmethod
     def concat(cls, curves: Sequence["ParameterizedCurve"]) -> "ParameterizedCurve":
@@ -226,13 +242,16 @@ class ParameterizedCurve:
             if abs(p[0] - q[0]) > 1e-9 or abs(p[1] - q[1]) > 1e-9:
                 raise ValidationError("curves do not chain end to start")
 
-        def fn(s: float) -> Point:
-            k = min(int(s), len(curves) - 1)
-            seg = curves[k]
+        def on_pieces(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            k = np.clip(s.astype(int), 0, len(curves) - 1)
             frac = s - k
-            return seg.fn(seg.s0 + frac * (seg.s1 - seg.s0))
+            x, y = np.empty_like(s), np.empty_like(s)
+            for j, seg in enumerate(curves):
+                on = k == j
+                x[on], y[on] = seg.points(seg.s0 + frac[on] * (seg.s1 - seg.s0))
+            return x, y
 
-        return cls(fn, 0.0, float(len(curves)))
+        return cls._of_points(on_pieces, 0.0, float(len(curves)))
 
 
 @dataclass(frozen=True)
@@ -274,6 +293,20 @@ def _involution_stack(rows: list, tol: float) -> np.ndarray:
     return stack
 
 
+def _sample(curve: ParameterizedCurve, s: np.ndarray):
+    """(x, y, None) at s; where a scalar fn fails, the x and y before the first
+    failing s and the exception it raised."""
+    try:
+        return (*curve.points(s), None)
+    except Exception:
+        for i in range(len(s)):
+            try:
+                curve.points(s[i : i + 1])
+            except Exception as exc:
+                return (*curve.points(s[:i]), exc)
+        raise
+
+
 def p_integral(
     field: InvolutionField,
     curve: ParameterizedCurve,
@@ -283,30 +316,40 @@ def p_integral(
     """Ordered product of field samples at midpoints of n equal steps.
 
     The factors multiply left to right in the direction the curve runs,
-    so reversing the curve yields the inverse product exactly. Samples are
-    taken and checked a block at a time; the fold stays one ``acc @ m`` per
-    step, which keeps every product bit for bit the same as a step-by-step
-    loop. The first failing step raises, as in that loop.
+    so reversing the curve yields the inverse product exactly. A block of
+    midpoints is sampled and tested against the domain as arrays, then
+    evaluated point by point; the fold stays one 2x2 product per step,
+    which keeps every product bit for bit the same as a step-by-step loop.
+    The first failing step raises, as in that loop.
     """
     rule = EdgeQuadratureRule(parity, n)
     h = (curve.s1 - curve.s0) / rule.steps
-    point, inside, evaluate = curve.point, field.contains, field.evaluator
+    (x0, x1), (y0, y1) = field.domain
+    pad = 0.0 - _DOMAIN_SLACK  # the comparisons of InvolutionField.contains
+    evaluate = field.evaluator
     acc = np.eye(2)
     for lo in range(0, rule.steps, _BLOCK):
+        s = curve.s0 + (np.arange(lo, min(lo + _BLOCK, rule.steps)) + 0.5) * h
+        xs, ys, failure = _sample(curve, s)
+        inside = (x0 + pad <= xs) & (xs <= x1 - pad)
+        inside &= (y0 + pad <= ys) & (ys <= y1 - pad)
+        stop = len(xs) if inside.all() else int(inside.argmin())
+        xs, ys = xs.tolist(), ys.tolist()
         rows = []
         try:
-            for i in range(lo, min(lo + _BLOCK, rule.steps)):
-                x, y = point(curve.s0 + (i + 0.5) * h)
-                if not inside(x, y):
-                    raise field.domain_error(x, y)
+            for x, y in zip(xs[:stop], ys[:stop]):
                 a, b, c = evaluate(x, y)
                 rows.append((a, b, c))
+            if stop < len(xs):
+                raise field.domain_error(xs[stop], ys[stop])
+            if failure is not None:
+                raise failure
         except Exception:
             # A bc violation at an earlier step of the block fails first.
             _involution_stack(rows, field.tol)
             raise
         for m in _involution_stack(rows, field.tol):
-            acc = acc @ m
+            acc = np.dot(acc, m)  # the gemm of acc @ m, with less dispatch
     return acc
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import balancenets
-from balancenets.cli import main
+from balancenets.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -310,6 +310,25 @@ def test_analyze_many_networks_keeps_input_order(capsys, fixtures_dir):
     reports = payload["reports"]
     assert [r["stationary_count"] for r in reports] == [2, 1, 1]
     assert [r["potential"] for r in reports] == [True, False, False]
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys, fixtures_dir):
+    assert _build_parser() is _build_parser()
+    net = str(fixtures_dir / "gamma3_balanced.json")
+    for _ in range(2):
+        # A second parse must not append to the first one's --net list.
+        code, payload = run_cli(capsys, "analyze", "--net", net, "--seed", "9")
+        assert code == 0 and "reports" not in payload
+        assert payload["seed"] == 9
+    code, payload = run_cli(capsys, "analyze", "--net", net)
+    assert payload["seed"] == 0  # the config default, not the last --seed
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["absorb", "--net", net, "--runs", "many"])
+        assert info.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+    code, payload = run_cli(capsys, "absorb", "--net", net, "--runs", "2", "--seed", "1")
+    assert code == 0 and len(payload["trajectories"]) == 2
 
 
 def test_analyze_output_is_deterministic(fixtures_dir, tmp_path, capsys):

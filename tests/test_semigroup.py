@@ -608,6 +608,16 @@ def test_random_product_process_rejects_start_entries_outside_the_states(
         random_product_process(rm, steps=5, start=(entry, 0, 1))
 
 
+def test_random_product_process_stores_a_list_start_as_a_tuple(fixtures_dir):
+    rm = ReactionMatrix.from_marking(load_network(fixtures_dir / "gamma3_balanced.json"))
+    from_list = random_product_process(rm, steps=8, seed=3, start=[1, 0, 1])
+    from_tuple = random_product_process(rm, steps=8, seed=3, start=(1, 0, 1))
+    assert from_list.start == (1, 0, 1) and type(from_list.start) is tuple
+    assert type(from_list.states[0]) is tuple
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(SMALL_GRAPHS),

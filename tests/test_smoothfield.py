@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balancenets.errors import (
     DegeneratePlaneError,
@@ -115,6 +117,109 @@ def test_parameterized_curves():
     with pytest.raises(ValidationError):
         ParameterizedCurve(lambda s: (s, s), 1.0, 1.0)
 
+    # -0.0 keeps its sign through the clamp, as min(max(s, 0.0), 1.0) keeps it.
+    corner = ParameterizedCurve.polyline([(-0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
+    assert math.copysign(1.0, corner.point(-0.0)[0]) == -1.0
+
+
+# Scalar closures for each curve kind: an oracle for ParameterizedCurve.points
+# that shares no code with it.
+def _line_fn(p, q):
+    return lambda s: (p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1]))
+
+
+def _polyline_fn(pts):
+    count = len(pts) - 1
+
+    def fn(s):
+        u = min(max(s, 0.0), 1.0) * count
+        k = min(int(u), count - 1)
+        frac = u - k
+        p, q = pts[k], pts[k + 1]
+        return (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
+
+    return fn
+
+
+def _concat_fn(pieces):
+    def fn(s):
+        k = min(int(s), len(pieces) - 1)
+        seg_fn, s0, s1 = pieces[k]
+        frac = s - k
+        return seg_fn(s0 + frac * (s1 - s0))
+
+    return fn
+
+
+def _reversed_fn(fn, s0, s1):
+    return lambda s: fn(s0 + s1 - s)
+
+
+_coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+_xy = st.tuples(_coord, _coord)
+
+
+@st.composite
+def _piece(draw, start):
+    """A line, a polyline of up to 5 legs or a scalar-fn line on [0.1, 0.7]
+    from start, maybe reversed: (curve, oracle, s0, s1, end, corners)."""
+    pts = [start] + draw(st.lists(_xy, min_size=1, max_size=5))
+    kind = draw(st.sampled_from(["line", "scalar", "polyline"])) if len(pts) == 2 else ""
+
+    def build(ps):
+        if kind == "line":
+            return ParameterizedCurve.line(*ps), _line_fn(*ps), 0.0, 1.0
+        if kind == "scalar":
+            fn = lambda s, g=_line_fn(*ps): g((s - 0.1) / 0.6)  # noqa: E731
+            return ParameterizedCurve(fn, 0.1, 0.7), fn, 0.1, 0.7
+        return ParameterizedCurve.polyline(ps), _polyline_fn(ps), 0.0, 1.0
+
+    curve, fn, s0, s1 = build(pts)
+    corners = [s0 + (s1 - s0) * k / (len(pts) - 1) for k in range(len(pts))]
+    if draw(st.booleans()):
+        # Reversing the curve through the reversed points runs it from start.
+        curve, fn, s0, s1 = build(pts[::-1])
+        curve, fn = curve.reversed(), _reversed_fn(fn, s0, s1)
+        corners = [s0 + s1 - c for c in corners]
+    return curve, fn, s0, s1, pts[-1], corners
+
+
+@st.composite
+def _curves(draw):
+    """A piece, or a concat of 2 or 3 chained pieces, maybe reversed:
+    (curve, oracle, s0, s1, parameters to probe)."""
+    pieces = [draw(_piece(draw(_xy)))]
+    for _ in range(draw(st.integers(0, 2))):
+        pieces.append(draw(_piece(pieces[-1][4])))
+    if len(pieces) == 1:
+        curve, fn, s0, s1, _, corners = pieces[0]
+    else:
+        curve = ParameterizedCurve.concat([piece[0] for piece in pieces])
+        fn = _concat_fn([piece[1:4] for piece in pieces])
+        s0, s1 = 0.0, float(len(pieces))
+        corners = [
+            j + (c - a) / (b - a)
+            for j, (_, _, a, b, _, cs) in enumerate(pieces)
+            for c in cs
+        ]
+    if draw(st.booleans()):
+        curve, fn = curve.reversed(), _reversed_fn(fn, s0, s1)
+        corners = [s0 + s1 - c for c in corners]
+    return curve, fn, s0, s1, [s0, s1, -0.0, *corners]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curves(), st.data())
+def test_curve_points_match_the_scalar_closures_bit_for_bit(spec, data):
+    curve, fn, s0, s1, probes = spec
+    assert (curve.s0, curve.s1) == (s0, s1)
+    s = probes + data.draw(st.lists(st.floats(s0, s1), max_size=20))
+    want = np.array([tuple(map(float, fn(v))) for v in s])
+    xs, ys = curve.points(np.array(s))
+    assert xs.dtype == ys.dtype == np.float64
+    assert np.stack([xs, ys], axis=1).tobytes() == want.tobytes()
+    assert np.array([curve.point(v) for v in s]).tobytes() == want.tobytes()
+
 
 def test_quadrature_rule_parity():
     assert EdgeQuadratureRule("even", 64).refined().steps == 128
@@ -175,6 +280,10 @@ ORACLE_CURVES = [
     ),
     _TWO_LEG.reversed(),
     ParameterizedCurve.concat([_LINE, ParameterizedCurve.line((0.8, 0.7), (0.3, 0.9))]),
+    # A scalar-only fn, sampled point by point; it crosses y = 0.5.
+    ParameterizedCurve(
+        lambda s: (0.5 + 0.35 * math.cos(s), 0.5 + 0.35 * math.sin(s)), 0.0, 5.0
+    ),
 ]
 
 
@@ -228,6 +337,73 @@ def test_p_integral_reports_a_domain_exit_before_later_violations(n):
     assert failure == _failure(_p_integral_oracle, _valid_up_to(0.5), curve, n, "even")
     assert failure[0] is FieldDomainError
     assert "is outside the field domain" in failure[1]
+
+
+def _curve_failing_after(slope, s_max):
+    """Runs along y = 0.5 at x = 0.1 + slope * s; no point past s_max."""
+
+    def fn(s):
+        if s > s_max:
+            raise ArithmeticError(f"no point at s = {s!r}")
+        return (0.1 + slope * s, 0.5)
+
+    return ParameterizedCurve(fn, 0.0, 1.0)
+
+
+# The curve fails at s = 0.6; a bc violation from x = x_max, or a domain
+# exit at x = 1, comes first when it is met before that.
+@pytest.mark.parametrize("n", [64, 3 * _BLOCK])
+@pytest.mark.parametrize(
+    "slope,x_max,kind",
+    [
+        (0.8, 0.5, ValidationError),
+        (2.0, 2.0, FieldDomainError),
+        (0.8, 2.0, ArithmeticError),
+    ],
+)
+def test_p_integral_reports_the_first_failing_step_of_a_scalar_curve(
+    n, slope, x_max, kind
+):
+    curve = _curve_failing_after(slope, 0.6)
+    field = _valid_up_to(x_max)
+    failure = _failure(p_integral, field, curve, n, "even")
+    assert failure == _failure(_p_integral_oracle, field, curve, n, "even")
+    assert failure[0] is kind
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(1.0 + 1e-9, 0.5), (0.5, 1.0 + 1e-9), (0.0 - 1e-9, 0.5), (0.5, 0.0 - 1e-9)],
+)
+def test_p_integral_domain_test_matches_contains_at_the_edge(point):
+    # Exactly on the slack edge is inside; one ulp further is not.
+    out = tuple(np.nextafter(v, 2 * v - 0.5) for v in point)
+    for p in (point, out):
+        curve = ParameterizedCurve.line(p, p)
+        assert WAVE.contains(*p) == (p == point)
+        if p == point:
+            got = p_integral(WAVE, curve, 4, "even")
+            assert got.tobytes() == _p_integral_oracle(WAVE, curve, 4, "even").tobytes()
+        else:
+            failure = _failure(p_integral, WAVE, curve, 4, "even")
+            assert failure == _failure(_p_integral_oracle, WAVE, curve, 4, "even")
+            assert failure[1].startswith(f"point ({float(p[0])!r}, {float(p[1])!r})")
+
+
+def test_p_integral_makes_no_scalar_call_per_step(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("p_integral made a per-step scalar call")
+
+    built_in = ORACLE_CURVES[:-1]
+    want = [p_integral(WAVE, curve, 2 * _BLOCK + 1, "odd") for curve in built_in]
+    monkeypatch.setattr(ParameterizedCurve, "point", refuse)
+    monkeypatch.setattr(InvolutionField, "contains", refuse)
+    for curve, expected in zip(built_in, want):
+        got = p_integral(WAVE, curve, 2 * _BLOCK + 1, "odd")
+        assert got.tobytes() == expected.tobytes()
+    # The scalar-only curve has no array form: it goes through point.
+    with pytest.raises(AssertionError, match="per-step scalar call"):
+        p_integral(WAVE, ORACLE_CURVES[-1], 2 * _BLOCK + 1, "odd")
 
 
 def test_p_integral_builds_no_involution_matrix(monkeypatch):
