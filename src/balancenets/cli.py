@@ -45,20 +45,25 @@ from .smoothfield import (
     discretize,
     infinitesimal_residual,
     load_embedding,
+    pointwise,
 )
 
 # Named demonstration fields for the smooth subcommands.  The canonical
-# families compose a scalar parameter map with the standard one-parameter
-# solutions; "nonpotential" deliberately fails the residual test.
+# families compose a parameter map, in array form, with the standard
+# one-parameter solutions; "nonpotential" deliberately fails the residual
+# test.
 _FIELD_BUILDERS = {
     "elliptic": lambda: InvolutionField.from_parameter(
-        lambda x, y: x + y, "elliptic", name="elliptic"
+        lambda x, y: x + y, "elliptic", name="elliptic", arrays=True
     ),
     "elliptic-wave": lambda: InvolutionField.from_parameter(
-        lambda x, y: math.sin(x) + y * y, "elliptic", name="elliptic-wave"
+        lambda x, y: pointwise(math.sin, x) + y * y,
+        "elliptic",
+        name="elliptic-wave",
+        arrays=True,
     ),
     "hyperbolic": lambda: InvolutionField.from_parameter(
-        lambda x, y: x + y, "hyperbolic", name="hyperbolic"
+        lambda x, y: x + y, "hyperbolic", name="hyperbolic", arrays=True
     ),
     "constant": lambda: InvolutionField.constant(InvolutionMatrix(0.0, 1.0, 1.0)),
     "nonpotential": lambda: InvolutionField.from_components(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,11 +45,24 @@ def _point(value, what: str) -> Point:
     return (float(value[0]), float(value[1]))
 
 
+def pointwise(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """fn applied to each entry of a float array, in order.
+
+    For sin, cos, sinh and cosh these are the libm calls of the ``math``
+    module, so the entries keep the bits of a point-by-point evaluation on
+    every machine; numpy's own ufuncs do not promise that (``np.cosh`` and
+    ``math.cosh`` differ in the last bit on many inputs).
+    """
+    return np.fromiter(map(fn, values.tolist()), float, len(values))
+
+
 class InvolutionField:
     """Pointwise involution matrices over a rectangular domain.
 
     The evaluator must return entries satisfying b*c = 1 - a**2 at every
-    sampled point; violations raise when the point is evaluated.
+    sampled point; violations raise when the point is evaluated. The
+    built-in parameter fields are defined in array form (``components``);
+    their evaluator applies it to one-element arrays.
     """
 
     def __init__(
@@ -66,6 +79,26 @@ class InvolutionField:
         self.domain = ((float(x0), float(x1)), (float(y0), float(y1)))
         self.tol = tol
         self.name = name
+        self._components: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+
+    @classmethod
+    def _of_components(cls, components, domain, name: str) -> "InvolutionField":
+        def evaluator(x: float, y: float) -> tuple:
+            abc = components(np.array([x], dtype=float), np.array([y], dtype=float))
+            return tuple(v.item(0) for v in abc)
+
+        field = cls(evaluator, domain, name=name)
+        field._components = components
+        return field
+
+    def components(self, xs: np.ndarray, ys: np.ndarray) -> tuple:
+        """The a, b and c arrays at float arrays xs and ys, bit for bit the
+        evaluator's; a field given only by its evaluator is mapped point by
+        point."""
+        if self._components is not None:
+            return self._components(xs, ys)
+        rows = [(a, b, c) for a, b, c in map(self.evaluator, xs.tolist(), ys.tolist())]
+        return np.array(rows).reshape(-1, 3).T
 
     def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
         (x0, x1), (y0, y1) = self.domain
@@ -136,25 +169,38 @@ class InvolutionField:
     @classmethod
     def from_parameter(
         cls,
-        t_func: Callable[[float, float], float],
+        t_func: Callable,
         kind: str = "elliptic",
         domain=UNIT_SQUARE,
         name: str = "",
+        arrays: bool = False,
     ) -> "InvolutionField":
-        """Canonical one-parameter field composed with a scalar map t(x, y)."""
+        """Canonical one-parameter field composed with a map t(x, y).
+
+        t_func maps floats x and y to t; with ``arrays`` it maps float
+        arrays to a t array instead, with numpy arithmetic and
+        ``pointwise`` for libm functions, so that each entry is the float
+        the scalar map would give.
+        """
         if kind == "elliptic":
-            def components(x, y):
-                t = t_func(x, y)
-                s = math.sin(t)
-                return (math.cos(t), s, s)
+            def family(t):
+                s = pointwise(math.sin, t)
+                return (pointwise(math.cos, t), s, s)
         elif kind == "hyperbolic":
-            def components(x, y):
-                t = t_func(x, y)
-                s = math.sinh(t)
-                return (math.cosh(t), s, -s)
+            def family(t):
+                s = pointwise(math.sinh, t)
+                return (pointwise(math.cosh, t), s, -s)
         else:
             raise ValidationError(f"unknown canonical kind {kind!r}")
-        return cls(components, domain, name=name or kind)
+        if arrays:
+            t_of = t_func
+        else:
+            def t_of(xs, ys):
+                t = map(t_func, xs.tolist(), ys.tolist())
+                return np.fromiter(t, float, len(xs))
+        return cls._of_components(
+            lambda xs, ys: family(t_of(xs, ys)), domain, name or kind
+        )
 
 
 @dataclass(frozen=True)
@@ -277,18 +323,15 @@ class EdgeQuadratureRule:
         return EdgeQuadratureRule(self.parity, steps)
 
 
-# Steps sampled, checked and folded together in p_integral. A block is
-# large enough to spread the cost of its numpy calls and small enough that
-# the samples of a long product never sit in memory all at once.
+# Steps sampled, checked and folded together. A block is large enough to
+# spread the cost of its numpy calls and small enough that the samples of a
+# long product never sit in memory all at once.
 _BLOCK = 1024
 
 
-def _involution_stack(rows: list, tol: float) -> np.ndarray:
-    """The matrices [[a, b], [c, -a]] of rows, checked for bc = 1 - a**2."""
-    arr = np.array(rows).reshape(-1, 3)
-    a, b, c = arr.T
-    check_quadric(a, b, c, tol)
-    stack = np.empty((len(arr), 2, 2), arr.dtype)
+def _involution_stack(a, b, c) -> np.ndarray:
+    """The matrices [[a, b], [c, -a]] of the columns a, b and c."""
+    stack = np.empty((len(a), 2, 2), np.result_type(a, b, c))
     stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1] = a, b, c, -a
     return stack
 
@@ -307,6 +350,102 @@ def _sample(curve: ParameterizedCurve, s: np.ndarray):
         raise
 
 
+def _samples(
+    field: InvolutionField, xs: np.ndarray, ys: np.ndarray, failure=None
+) -> np.ndarray:
+    """The checked field matrices at the points (xs, ys), as a stack.
+
+    Fails as taking the points one by one would: at the first point that
+    leaves the domain, makes the evaluator raise or breaks bc = 1 - a**2.
+    ``failure``, an error met after the last point, is raised last.
+    """
+    (x0, x1), (y0, y1) = field.domain
+    pad = 0.0 - _DOMAIN_SLACK  # the comparisons of InvolutionField.contains
+    inside = (x0 + pad <= xs) & (xs <= x1 - pad)
+    inside &= (y0 + pad <= ys) & (ys <= y1 - pad)
+    stop = len(xs) if inside.all() else int(inside.argmin())
+    try:
+        a, b, c = field.components(xs[:stop], ys[:stop])
+    except Exception:
+        # Find the failing point; a bc violation before it fails first.
+        for i in range(stop):
+            try:
+                field.components(xs[i : i + 1], ys[i : i + 1])
+            except Exception:
+                check_quadric(*field.components(xs[:i], ys[:i]), field.tol)
+                raise
+        raise
+    check_quadric(a, b, c, field.tol)
+    if stop < len(xs):
+        raise field.domain_error(float(xs[stop]), float(ys[stop]))
+    if failure is not None:
+        raise failure
+    return _involution_stack(a, b, c)
+
+
+def _fold(field: InvolutionField, jobs: Sequence[tuple]) -> list[np.ndarray]:
+    """The products of _p_integrals, all at once; any failure raises."""
+    from functools import reduce
+
+    rules = [EdgeQuadratureRule(parity, n) for _, n, parity in jobs]
+    # Longest first, so the products still running are always a prefix.
+    order = sorted(range(len(jobs)), key=lambda j: -rules[j].steps)
+    runs = [(jobs[j][0], rules[j].steps) for j in order]
+    longest = runs[0][1] if runs else 0
+    buf = np.empty((min(_BLOCK, longest), len(runs), 2, 2))
+    acc = np.array([np.eye(2)] * len(runs))
+    done = [None] * len(runs)
+    for lo in range(0, longest, _BLOCK):
+        hi = min(lo + _BLOCK, longest)
+        for j, (curve, n) in enumerate(runs[: sum(n > lo for _, n in runs)]):
+            h = (curve.s1 - curve.s0) / n
+            s = curve.s0 + (np.arange(lo, min(hi, n)) + 0.5) * h
+            stack = _samples(field, *_sample(curve, s))
+            if np.result_type(buf, stack) != buf.dtype:
+                if len(runs) > 1:
+                    raise TypeError("the lockstep fold takes real samples only")
+                buf = buf.astype(np.result_type(buf, stack))
+            buf[: len(s), j] = stack
+        k = lo
+        while k < hi:
+            live = sum(n > k for _, n in runs)
+            # Products that ended at step k leave the stack.
+            done[live : len(acc)], acc = acc[live:], acc[:live]
+            block = buf[k - lo : min(hi, runs[live - 1][1]) - lo, :live]
+            if live == 1:
+                # np.dot is the gemm of acc @ m, with less dispatch.
+                acc = reduce(np.dot, block[:, 0], acc[0])[np.newaxis]
+            else:
+                acc = reduce(np.matmul, block, acc)
+            k += len(block)
+    done[: len(acc)] = acc
+    by_job = dict(zip(order, done))
+    return [by_job[j] for j in range(len(jobs))]
+
+
+def _p_integrals(field: InvolutionField, jobs: Sequence[tuple]) -> Iterator[np.ndarray]:
+    """The p-integrals of (curve, n, parity) jobs, in job order.
+
+    Each block of _BLOCK steps samples every running product into one
+    reused (_BLOCK, m, 2, 2) buffer. The running products fold in lockstep,
+    one np.matmul per step on the stack, and a lone product with np.dot.
+    Each product gets the same acc @ m calls in the same order as on its
+    own, and none is padded with the identity: acc @ I can turn -0.0 into
+    +0.0.
+
+    If anything fails, or a block of several products is not real, the
+    jobs run again one at a time as the iterator is read, so the first
+    failing job raises its own error where a loop of p_integral calls
+    would raise it.
+    """
+    try:
+        return iter(_fold(field, jobs))
+    except Exception:
+        if len(jobs) == 1:
+            raise
+    return (next(_p_integrals(field, [job])) for job in jobs)
+
+
 def p_integral(
     field: InvolutionField,
     curve: ParameterizedCurve,
@@ -316,41 +455,13 @@ def p_integral(
     """Ordered product of field samples at midpoints of n equal steps.
 
     The factors multiply left to right in the direction the curve runs,
-    so reversing the curve yields the inverse product exactly. A block of
-    midpoints is sampled and tested against the domain as arrays, then
-    evaluated point by point; the fold stays one 2x2 product per step,
-    which keeps every product bit for bit the same as a step-by-step loop.
-    The first failing step raises, as in that loop.
+    so reversing the curve yields the inverse product exactly. Each block
+    of midpoints is sampled, tested against the domain, evaluated and
+    checked as arrays; the fold stays one 2x2 product per step, which keeps
+    every product bit for bit the same as a step-by-step loop. The first
+    failing step raises, as in that loop.
     """
-    rule = EdgeQuadratureRule(parity, n)
-    h = (curve.s1 - curve.s0) / rule.steps
-    (x0, x1), (y0, y1) = field.domain
-    pad = 0.0 - _DOMAIN_SLACK  # the comparisons of InvolutionField.contains
-    evaluate = field.evaluator
-    acc = np.eye(2)
-    for lo in range(0, rule.steps, _BLOCK):
-        s = curve.s0 + (np.arange(lo, min(lo + _BLOCK, rule.steps)) + 0.5) * h
-        xs, ys, failure = _sample(curve, s)
-        inside = (x0 + pad <= xs) & (xs <= x1 - pad)
-        inside &= (y0 + pad <= ys) & (ys <= y1 - pad)
-        stop = len(xs) if inside.all() else int(inside.argmin())
-        xs, ys = xs.tolist(), ys.tolist()
-        rows = []
-        try:
-            for x, y in zip(xs[:stop], ys[:stop]):
-                a, b, c = evaluate(x, y)
-                rows.append((a, b, c))
-            if stop < len(xs):
-                raise field.domain_error(xs[stop], ys[stop])
-            if failure is not None:
-                raise failure
-        except Exception:
-            # A bc violation at an earlier step of the block fails first.
-            _involution_stack(rows, field.tol)
-            raise
-        for m in _involution_stack(rows, field.tol):
-            acc = np.dot(acc, m)  # the gemm of acc @ m, with less dispatch
-    return acc
+    return next(_p_integrals(field, [(curve, n, parity)]))
 
 
 @dataclass(frozen=True)
@@ -372,8 +483,9 @@ def convergence_report(
 ) -> ConvergenceReport:
     rule = EdgeQuadratureRule(parity, n)
     fine = rule.refined()
-    coarse = p_integral(field, curve, rule.steps, parity)
-    refined = p_integral(field, curve, fine.steps, parity)
+    coarse, refined = _p_integrals(
+        field, [(curve, rule.steps, parity), (curve, fine.steps, parity)]
+    )
     return ConvergenceReport(
         value=coarse,
         refined=refined,
@@ -406,13 +518,16 @@ def infinitesimal_residual(
         raise FieldDomainError(
             f"point ({x!r}, {y!r}) does not keep margin {h!r} inside the domain"
         )
-    m = field.matrix_at
-    a_x = (m(x + h, y) - m(x - h, y)) / (2.0 * h)
-    a_y = (m(x, y + h) - m(x, y - h)) / (2.0 * h)
-    a_xy = (
-        m(x + h, y + h) - m(x + h, y - h) - m(x - h, y + h) + m(x - h, y - h)
-    ) / (4.0 * h * h)
-    res = m(x, y) @ a_xy + a_y @ a_x
+    # The nine stencil points in one call, in the order of the formulas.
+    m = _samples(
+        field,
+        np.array([x + h, x - h, x, x, x + h, x + h, x - h, x - h, x]),
+        np.array([y, y, y + h, y - h, y + h, y - h, y + h, y - h, y]),
+    )
+    a_x = (m[0] - m[1]) / (2.0 * h)
+    a_y = (m[2] - m[3]) / (2.0 * h)
+    a_xy = (m[4] - m[5] - m[6] + m[7]) / (4.0 * h * h)
+    res = m[8] @ a_xy + a_y @ a_x
     return ResidualReport(point=(x, y), h=h, matrix=res, norm=float(np.abs(res).max()))
 
 
@@ -760,6 +875,10 @@ def load_embedding(
                 f"embedding edge ({entry['from']!r}, {entry['to']!r}) "
                 "is not in the graph"
             )
+        if (i, j) in curves or (j, i) in curves:
+            raise ValidationError(
+                f"embedding edge ({entry['from']!r}, {entry['to']!r}) is listed twice"
+            )
         if "polyline" in entry:
             points = entry["polyline"]
             curve = ParameterizedCurve.polyline(points)
@@ -886,13 +1005,16 @@ def discretize(
             "would not close up"
         )
 
+    jobs = []
+    for i, j in graph.undirected_edges:
+        rule, curve = rule_of[(i, j)], embedding.curve(i, j)
+        jobs += [(c, rule.steps, rule.parity) for c in (curve, curve.reversed())]
+    products = _p_integrals(field, jobs)
     marks: dict[tuple[int, int], np.ndarray] = {}
     signs: dict[tuple[int, int], int] = {}
-    for i, j in embedding.graph.undirected_edges:
+    for i, j in graph.undirected_edges:
         rule = rule_of[(i, j)]
-        curve = embedding.curve(i, j)
-        forward = p_integral(field, curve, rule.steps, rule.parity)
-        backward = p_integral(field, curve.reversed(), rule.steps, rule.parity)
+        forward, backward = next(products), next(products)
         marks[(i, j)] = forward
         marks[(j, i)] = backward
         for key, mat in (((i, j), forward), ((j, i), backward)):

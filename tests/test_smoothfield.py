@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balancenets import cli, smoothfield
+from balancenets.config import TAU_NUM
 from balancenets.errors import (
     DegeneratePlaneError,
     FieldDomainError,
@@ -18,7 +21,7 @@ from balancenets.errors import (
 )
 from balancenets.cli import _FIELD_BUILDERS
 from balancenets.involution import InvolutionMatrix
-from balancenets.network import RelationGraph
+from balancenets.network import RelationGraph, load_network
 from balancenets.smoothfield import (
     _BLOCK,
     EdgeQuadratureRule,
@@ -26,6 +29,7 @@ from balancenets.smoothfield import (
     InvolutionField,
     ParameterizedCurve,
     PlaneCoefficients,
+    ResidualReport,
     convergence_report,
     discretize,
     infinitesimal_residual,
@@ -83,6 +87,51 @@ def test_canonical_parameter_fields():
         t = t_func(x, y)
         assert ell.evaluator(x, y) == (math.cos(t), math.sin(t), math.sin(t))
         assert hyp.evaluator(x, y) == (math.cosh(t), math.sinh(t), -math.sinh(t))
+
+
+# The scalar math closures the built-in fields had before they were defined
+# in array form: the oracle for their components and evaluator.
+def _elliptic(t):
+    s = math.sin(t)
+    return (math.cos(t), s, s)
+
+
+def _hyperbolic(t):
+    s = math.sinh(t)
+    return (math.cosh(t), s, -s)
+
+
+SCALAR_FIELDS = {
+    "elliptic": lambda x, y: _elliptic(x + y),
+    "elliptic-wave": lambda x, y: _elliptic(math.sin(x) + y * y),
+    "hyperbolic": lambda x, y: _hyperbolic(x + y),
+}
+BUILT_IN = tuple(SCALAR_FIELDS)
+
+_unit = st.floats(0.0, 1.0)
+_wide = st.floats(-2.0, 2.0)
+_points = st.lists(
+    st.tuples(_unit, _unit)
+    | st.tuples(_wide, _wide)
+    | st.floats(-4.0, 4.0).map(lambda t: (t, 0.0)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BUILT_IN), _points)
+def test_built_in_fields_match_the_scalar_closures_bit_for_bit(name, points):
+    # Points of the domain, and t = x + y over [-4, 4] off it.
+    field = _FIELD_BUILDERS[name]()
+    want = np.array([SCALAR_FIELDS[name](x, y) for x, y in points])
+    xs, ys = np.array(points).T
+    got = field.components(xs, ys)
+    assert all(v.dtype == np.float64 for v in got)
+    assert np.stack(got, axis=1).tobytes() == want.tobytes()
+    scalar = [field.evaluator(x, y) for x, y in points]
+    assert all(type(v) is float for row in scalar for v in row)
+    assert np.array(scalar).tobytes() == want.tobytes()
 
 
 def test_complex_potential_field():
@@ -395,15 +444,27 @@ def test_p_integral_makes_no_scalar_call_per_step(monkeypatch):
         raise AssertionError("p_integral made a per-step scalar call")
 
     built_in = ORACLE_CURVES[:-1]
-    want = [p_integral(WAVE, curve, 2 * _BLOCK + 1, "odd") for curve in built_in]
+    fields = [WAVE] + [_FIELD_BUILDERS[name]() for name in BUILT_IN]
+    want = [
+        [p_integral(field, curve, 2 * _BLOCK + 1, "odd") for curve in built_in]
+        for field in fields
+    ]
     monkeypatch.setattr(ParameterizedCurve, "point", refuse)
     monkeypatch.setattr(InvolutionField, "contains", refuse)
-    for curve, expected in zip(built_in, want):
-        got = p_integral(WAVE, curve, 2 * _BLOCK + 1, "odd")
-        assert got.tobytes() == expected.tobytes()
+    # The built-in fields have an array form: no evaluator call either.
+    for field in fields[1:]:
+        monkeypatch.setattr(field, "evaluator", refuse)
+    for field, expected in zip(fields, want):
+        for curve, product in zip(built_in, expected):
+            got = p_integral(field, curve, 2 * _BLOCK + 1, "odd")
+            assert got.tobytes() == product.tobytes()
     # The scalar-only curve has no array form: it goes through point.
     with pytest.raises(AssertionError, match="per-step scalar call"):
         p_integral(WAVE, ORACLE_CURVES[-1], 2 * _BLOCK + 1, "odd")
+    # A field given only by its evaluator is mapped point by point.
+    monkeypatch.setattr(TWISTED, "evaluator", refuse)
+    with pytest.raises(AssertionError, match="per-step scalar call"):
+        p_integral(TWISTED, _LINE, 64, "even")
 
 
 def test_p_integral_builds_no_involution_matrix(monkeypatch):
@@ -415,15 +476,195 @@ def test_p_integral_builds_no_involution_matrix(monkeypatch):
     p_integral(HALF_COMPLEX, _LINE, 64, "even")
 
 
+def _k7_embedding():
+    angles = [2 * math.pi * k / 7 for k in range(7)]
+    coords = [(0.5 + 0.4 * math.cos(a), 0.5 + 0.4 * math.sin(a)) for a in angles]
+    return GraphEmbedding.straight(RelationGraph.complete(list(range(7))), coords)
+
+
 def test_p_integral_memory_does_not_grow_with_steps():
-    # Sampling all 2**17 steps before folding peaks at about 23 MiB.
-    tracemalloc.start()
-    try:
-        p_integral(WAVE, _TWO_LEG, 2 ** 17, "even")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+    # Sampling all 2**17 steps before folding peaks at about 23 MiB; the
+    # lockstep runs share one block buffer, 1.3 MiB for K7's 42 products.
+    wave = _FIELD_BUILDERS["elliptic-wave"]()
+    k7 = _k7_embedding()
+    runs = [
+        (lambda: p_integral(WAVE, _TWO_LEG, 2 ** 17, "even"), 2 ** 20),
+        (lambda: convergence_report(wave, _TWO_LEG, 2 ** 17, "even"), 2 * 2 ** 20),
+        (lambda: discretize(wave, k7, EdgeQuadratureRule("even", 4096)), 2 * 2 ** 20),
+    ]
+    for run, bound in runs:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The job count of each _fold call; a fallback shows as one-job folds."""
+    counts = []
+    fold = smoothfield._fold
+
+    def counted(field, jobs):
+        counts.append(len(jobs))
+        return fold(field, jobs)
+
+    monkeypatch.setattr(smoothfield, "_fold", counted)
+    return counts
+
+
+def test_convergence_report_equals_two_p_integrals(folds):
+    fields = [_FIELD_BUILDERS[name]() for name in BUILT_IN] + [HALF_COMPLEX]
+    for field in fields:
+        for curve in ORACLE_CURVES:
+            for n in (2, 3, _BLOCK - 1, _BLOCK + 1):
+                parity = "even" if n % 2 == 0 else "odd"
+                folds.clear()
+                report = convergence_report(field, curve, n, parity)
+                # Both grids in one fold; the complex field falls back.
+                assert folds == ([2, 1, 1] if field is HALF_COMPLEX else [2])
+                coarse = p_integral(field, curve, report.steps, parity)
+                refined = p_integral(field, curve, report.refined_steps, parity)
+                for got, want in ((report.value, coarse), (report.refined, refined)):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                assert report.difference == float(np.abs(coarse - refined).max())
+        # HALF_COMPLEX turns complex part way along; the others stay real.
+        assert convergence_report(field, _LINE, 64, "even").value.dtype == (
+            complex if field is HALF_COMPLEX else float
+        )
+
+
+def test_lockstep_products_keep_their_own_dtype():
+    # One product stays below y = 0.5, where HALF_COMPLEX is real; the other
+    # crosses it. Folded together, neither takes the other's dtype.
+    low = ParameterizedCurve.line((0.1, 0.1), (0.9, 0.4))
+    jobs = [(low, _BLOCK + 1, "odd"), (_LINE, 2 * _BLOCK, "even"), (low, 64, "even")]
+    got = list(smoothfield._p_integrals(HALF_COMPLEX, jobs))
+    for product, job in zip(got, jobs):
+        want = p_integral(HALF_COMPLEX, *job)
+        assert product.dtype == want.dtype
+        assert product.tobytes() == want.tobytes()
+    assert [product.dtype for product in got] == [float, complex, float]
+
+
+def _k5_embedding():
+    """K5 with odd edges across {1, 2} | {3, 4, 5}, mixed step counts around
+    _BLOCK and two polyline edges."""
+    graph = RelationGraph.complete([1, 2, 3, 4, 5])
+    coords = [(0.1, 0.15), (0.85, 0.1), (0.9, 0.8), (0.45, 0.92), (0.12, 0.7)]
+    curves = {
+        (i, j): ParameterizedCurve.line(coords[i], coords[j])
+        for i, j in graph.undirected_edges
+    }
+    curves[(0, 2)] = ParameterizedCurve.polyline([coords[0], (0.6, 0.5), coords[2]])
+    curves[(3, 4)] = ParameterizedCurve.polyline(
+        [coords[3], (0.3, 0.88), (0.2, 0.8), coords[4]]
+    )
+    odd = iter([3, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1, 65, 5])
+    even = iter([2, _BLOCK, 64, 2 * _BLOCK])
+    rules = {
+        (i, j): EdgeQuadratureRule("odd", next(odd))
+        if (i < 2) != (j < 2)
+        else EdgeQuadratureRule("even", next(even))
+        for i, j in graph.undirected_edges
+    }
+    return GraphEmbedding(graph, tuple(coords), curves), rules
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_discretize_marks_equal_per_edge_p_integrals_bit_for_bit(
+    name, fixtures_dir, folds
+):
+    field = _FIELD_BUILDERS[name]()
+    k4 = load_network(fixtures_dir / "k4_complete.json").graph
+    for embedding, rules in (
+        load_embedding(fixtures_dir / "k4_embedding.json", k4),
+        _k5_embedding(),
+    ):
+        folds.clear()
+        marking = discretize(field, embedding, rules)
+        edges = embedding.graph.undirected_edges
+        # One lockstep fold of every product, and no fallback.
+        assert folds == [2 * len(edges)]
+        for i, j in edges:
+            rule, curve = rules[(i, j)], embedding.curve(i, j)
+            forward = p_integral(field, curve, rule.steps, rule.parity)
+            backward = p_integral(field, curve.reversed(), rule.steps, rule.parity)
+            assert marking.mark(i, j).tobytes() == forward.tobytes()
+            assert marking.mark(j, i).tobytes() == backward.tobytes()
+            sign = 1 if rule.parity == "even" else -1
+            assert marking.signs[(i, j)] == marking.signs[(j, i)] == sign
+
+
+def _discretize_oracle(field, embedding, rules, tol=TAU_NUM):
+    """The per-edge loop: forward and backward products, then their checks."""
+    marks = {}
+    for i, j in embedding.graph.undirected_edges:
+        rule, curve = rules[(i, j)], embedding.curve(i, j)
+        forward = p_integral(field, curve, rule.steps, rule.parity)
+        backward = p_integral(field, curve.reversed(), rule.steps, rule.parity)
+        for key, mat in (((i, j), forward), ((j, i), backward)):
+            det = float(np.linalg.det(mat))
+            expected = 1.0 if rule.parity == "even" else -1.0
+            if abs(det - expected) > tol:
+                raise ValidationError(
+                    f"edge {key} determinant {det:.9f} violates the parity law"
+                )
+            marks[key] = mat
+    return marks
+
+
+def _leaves_when_reversed(p, q):
+    """A line from p to q whose reversed run leaves the domain: asked for a
+    decreasing s, its points jump past x = 1."""
+    line = ParameterizedCurve.line(p, q)
+
+    def points(s):
+        x, y = line.points(s)
+        return (x + 2.0 if len(s) > 1 and s[0] > s[-1] else x), y
+
+    return ParameterizedCurve(line.fn, 0.0, 1.0, points)
+
+
+# Off the quadric by 5e-10 (within TAU_FLD) left of x = 0.3: even products
+# of 4096 such steps miss det 1 by about 2e-6, more than TAU_NUM.
+_DRIFTING = InvolutionField(
+    lambda x, y: (0.0, 1.0 + (5e-10 if x < 0.3 else 0.0), 1.0)
+)
+
+
+@pytest.mark.parametrize(
+    "field,trap,kind",
+    [
+        (_DRIFTING, False, ValidationError),
+        (_FIELD_BUILDERS["elliptic-wave"](), True, FieldDomainError),
+        (_DRIFTING, True, ValidationError),
+    ],
+    ids=["determinant", "backward-exit", "determinant-before-exit"],
+)
+def test_discretize_fails_as_the_per_edge_loop(field, trap, kind):
+    # Edge (0, 1) lies left of x = 0.3; edge (1, 2), the last, may carry a
+    # curve that only its backward run takes out of the domain.
+    graph = RelationGraph.complete([1, 2, 3])
+    coords = ((0.1, 0.2), (0.2, 0.8), (0.8, 0.5))
+    curves = {
+        (i, j): ParameterizedCurve.line(coords[i], coords[j])
+        for i, j in graph.undirected_edges
+    }
+    if trap:
+        curves[(1, 2)] = _leaves_when_reversed(coords[1], coords[2])
+    embedding = GraphEmbedding(graph, coords, curves)
+    rules = {edge: EdgeQuadratureRule("even", 4096) for edge in graph.undirected_edges}
+    assert list(graph.undirected_edges)[-1] == (1, 2)
+    failure = _failure(discretize, field, embedding, rules)
+    assert failure == _failure(_discretize_oracle, field, embedding, rules)
+    assert failure[0] is kind
+    if kind is ValidationError:
+        assert failure[1].startswith("edge (0, 1) determinant")
 
 
 def test_ordered_product_second_order_convergence():
@@ -433,6 +674,49 @@ def test_ordered_product_second_order_convergence():
     assert coarse.steps == 64 and coarse.refined_steps == 128
     assert np.array_equal(coarse.refined, fine.value)
     assert fine.difference == pytest.approx(coarse.difference / 4.0, rel=0.05)
+
+
+def _residual_oracle(evaluate, point, h):
+    """Nine scalar calls, in the order of the formulas."""
+
+    def m(x, y):
+        a, b, c = evaluate(x, y)
+        return np.array([[a, b], [c, -a]])
+
+    x, y = point
+    a_x = (m(x + h, y) - m(x - h, y)) / (2.0 * h)
+    a_y = (m(x, y + h) - m(x, y - h)) / (2.0 * h)
+    a_xy = (
+        m(x + h, y + h) - m(x + h, y - h) - m(x - h, y + h) + m(x - h, y - h)
+    ) / (4.0 * h * h)
+    res = m(x, y) @ a_xy + a_y @ a_x
+    return ResidualReport(point=(x, y), h=h, matrix=res, norm=float(np.abs(res).max()))
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_residual_matches_the_nine_call_oracle_byte_for_byte(name, capsys, monkeypatch):
+    field, scalar = _FIELD_BUILDERS[name](), SCALAR_FIELDS[name]
+    for h in (1e-3, 1e-2):
+        for point in ((0.4, 0.35), (0.02, 0.97), (0.5, 0.5)):
+            got = infinitesimal_residual(field, point, h)
+            want = _residual_oracle(scalar, point, h)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert (got.point, got.h, got.norm) == (want.point, want.h, want.norm)
+
+    def check_residual(grid):
+        argv = ["smooth", "check-residual", "--field", name, "--grid", str(grid)]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    for grid in (3, 17):
+        got = check_residual(grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cli,
+                "infinitesimal_residual",
+                lambda field, point, h: _residual_oracle(scalar, point, h),
+            )
+            assert check_residual(grid) == got
 
 
 def test_residual_validation():
@@ -616,6 +900,16 @@ def test_load_embedding_rejects_bad_payloads():
     assert bent.curve(0, 1).point(0.25) == (0.25, 0.15)
     assert rules[(0, 1)].parity == "odd" and rules[(0, 1)].steps == 33
     assert rules[(1, 2)].parity == "even"
+
+
+def test_load_embedding_rejects_an_edge_listed_twice(fixtures_dir):
+    graph = load_network(fixtures_dir / "k4_complete.json").graph
+    payload = json.loads((fixtures_dir / "k4_embedding.json").read_text())
+    for again in ({"from": "2", "to": "1", "steps": 6}, {"from": "1", "to": "2"}):
+        doubled = {**payload, "edges": payload["edges"] + [again]}
+        edge = re.escape(f"({again['from']!r}, {again['to']!r})")
+        with pytest.raises(ValidationError, match=rf"edge {edge} is listed twice"):
+            load_embedding(doubled, graph)
 
 
 def test_valid_parity_assignment_on_triangle():
