@@ -60,6 +60,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (self.tau_num > 0.0):
             raise ValidationError(f"tau_num must be positive, got {self.tau_num!r}")
+        if not isinstance(self.bound_states, int) or isinstance(self.bound_states, bool):
+            raise ValidationError("bound_states must be an integer")
         # Bounds below the smallest worked fixtures would make the tool useless.
         if self.bound_states < 8:
             raise ValidationError("bound_states must be at least 8")

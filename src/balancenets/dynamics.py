@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
@@ -103,23 +103,23 @@ class ChoiceDistribution:
 class MarkovModel:
     """One-step law of the perception process over the joint state space.
 
-    ``matrix`` lists the columns of each row in increasing order;
-    ``exact_rows`` holds the same rows as Fractions when built with
-    exact=True.
+    ``states`` is the (k**n, n) array of joint states, so row r is r
+    written in base k; ``matrix`` lists the columns of each row in
+    increasing order; ``exact_rows`` holds the same rows as Fractions when
+    built with exact=True.
     """
 
     marking: Marking
     choice: ChoiceDistribution
-    states: tuple[tuple[int, ...], ...]
+    states: np.ndarray
     matrix: csr_array
     exact_rows: list[dict[int, Fraction]] | None
-
-    def __post_init__(self) -> None:
-        self._index = {x: i for i, x in enumerate(self.states)}
-        self._recurrent: tuple[frozenset[int], ...] | None = None
+    _recurrent: tuple[frozenset[int], ...] | None = field(default=None, init=False, repr=False)
 
     def index(self, x: tuple[int, ...]) -> int:
-        return self._index[x]
+        """Row of joint state x, its base-k number; ValueError for a non-state."""
+        k = len(self.marking.group.states)
+        return int(np.ravel_multi_index(tuple(x), (k,) * self.states.shape[1]))
 
     @cached_property
     def support(self) -> list[np.ndarray]:
@@ -150,7 +150,7 @@ class MarkovModel:
     def recurrent_classes(self) -> tuple[frozenset[tuple[int, ...]], ...]:
         """Closed communicating classes as joint states."""
         return tuple(
-            frozenset(self.states[i] for i in cls)
+            frozenset(map(tuple, self.states[list(cls)].tolist()))
             for cls in self.recurrent_class_indices()
         )
 
@@ -227,8 +227,7 @@ def build_markov(
         exact_rows = [
             dict(zip(targets[a:b], fractions[a:b])) for a, b in zip(bounds, bounds[1:])
         ]
-    states = tuple(map(tuple, X.tolist()))
-    return MarkovModel(marking, choice, states, matrix, exact_rows)
+    return MarkovModel(marking, choice, X, matrix, exact_rows)
 
 
 def stationary_count(model: MarkovModel) -> int:
@@ -325,7 +324,7 @@ def core_set(model: MarkovModel) -> CoreSet:
     marking = model.marking
     m = model.matrix
     single = np.flatnonzero(np.diff(m.indptr) == 1)
-    found = frozenset(model.states[row] for row in single.tolist())
+    found = frozenset(map(tuple, model.states[single].tolist()))
     closed = bool(np.isin(m.indices[m.indptr[single]], single).all())
 
     a1 = check_A1(marking)
@@ -428,7 +427,7 @@ def theoremB_verify(model: MarkovModel) -> TheoremBReport:
 
     def successor(x: tuple[int, ...]) -> tuple[int, ...]:
         # Core states have exactly one successor.
-        return model.states[m.indices[m.indptr[model.index(x)]]]
+        return tuple(model.states[m.indices[m.indptr[model.index(x)]]].tolist())
 
     if not bip:
         a_root = a2.values[roots[0]]

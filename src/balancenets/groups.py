@@ -212,18 +212,22 @@ class ReactionGroup:
     def orbit_count(self, g: GroupElement) -> int:
         """Number of cycles of g on the state set, fixed points included."""
         self._check(g)
-        perm = g.perm
-        seen = [False] * len(perm)
-        count = 0
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            count += 1
-            s = start
-            while not seen[s]:
-                seen[s] = True
-                s = perm[s]
-        return count
+        return _cycle_count(g.perm)
+
+
+def _cycle_count(perm: Sequence[int]) -> int:
+    """Number of cycles of a permutation of range(len(perm))."""
+    seen = [False] * len(perm)
+    count = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        count += 1
+        s = start
+        while not seen[s]:
+            seen[s] = True
+            s = perm[s]
+    return count
 
 
 def orbit_count(g: GroupElement) -> int:
@@ -235,18 +239,8 @@ def pair_orbit_count(v: GroupElement, w: GroupElement) -> int:
     if v.group is not w.group:
         raise GroupMismatchError("elements belong to different groups")
     k = len(v.group.states)
-    pv, pw = v.perm, w.perm
-    seen = set()
-    count = 0
-    for start in itertools.product(range(k), repeat=2):
-        if start in seen:
-            continue
-        count += 1
-        x, y = start
-        while (x, y) not in seen:
-            seen.add((x, y))
-            x, y = pv[y], pw[x]
-    return count
+    # The pair (x, y) is stored as x * k + y.
+    return _cycle_count([v.perm[p % k] * k + w.perm[p // k] for p in range(k * k)])
 
 
 def solve_characteristic(group: ReactionGroup, a: GroupElement) -> list[GroupElement]:

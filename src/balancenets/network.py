@@ -242,27 +242,11 @@ class TwoStepGraph:
         self.star_edges: tuple[tuple[int, int, int], ...] = tuple(sorted(edges))
         self._edge_set = set(self.star_edges)
 
-        # Components of the reachability the two-step walks induce; loop
-        # edges (i, i, k) never join anything.
-        n = len(base)
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j, _ in self.star_edges:
-            if i != j:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        groups: dict[int, set[int]] = {}
-        for v in range(n):
-            groups.setdefault(find(v), set()).add(v)
-        self.components: tuple[frozenset[int], ...] = tuple(
-            sorted((frozenset(c) for c in groups.values()), key=min)
+        # Two-step walks join exactly the nodes an even walk joins: the two
+        # sides of a bipartite graph, or every node otherwise.
+        parts = bipartition(base)
+        self.components: tuple[frozenset[int], ...] = parts or (
+            frozenset(range(len(base))),
         )
 
     def has_edge(self, i: int, j: int, k: int) -> bool:
@@ -378,13 +362,10 @@ def star_marking(marking: Marking) -> StarMarking:
     return StarMarking(star, marking.group, values)
 
 
-def complete_extension(marking: Marking) -> Marking:
-    """Extend a potential marking to the complete graph on the same nodes.
+def _pair_marks(marking: Marking) -> list[list[GroupElement]]:
+    """Mark u(i)^-1 * u(j) of every node pair, u the marking's potential.
 
-    New marks come from path products along a breadth-first tree; by
-    potentiality any path gives the same answer, so the defining formula is
-    u(i)^-1 * u(j) with u the potential function.  Existing marks are kept
-    verbatim.
+    On an edge this is the mark itself; a non-potential marking raises.
     """
     from . import potential as _potential
 
@@ -396,14 +377,18 @@ def complete_extension(marking: Marking) -> Marking:
             f"{verdict.witness_product.name}"
         )
     u = verdict.potential.values
-    graph = marking.graph
-    full = RelationGraph.complete(graph.nodes)
-    values: dict[tuple[int, int], GroupElement] = {}
-    for i, j in full.directed_edges:
-        if graph.has_edge(i, j):
-            values[(i, j)] = marking.mark(i, j)
-        else:
-            values[(i, j)] = u[i].inverse() * u[j]
+    return [[u[i].inverse() * u[j] for j in range(len(u))] for i in range(len(u))]
+
+
+def complete_extension(marking: Marking) -> Marking:
+    """Extend a potential marking to the complete graph on the same nodes.
+
+    Every pair (i, j) gets u(i)^-1 * u(j) with u the potential function, so
+    existing marks are kept.
+    """
+    marks = _pair_marks(marking)
+    full = RelationGraph.complete(marking.graph.nodes)
+    values = {(i, j): marks[i][j] for i, j in full.directed_edges}
     return Marking(full, marking.group, values)
 
 

@@ -51,7 +51,7 @@ class AnalysisReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(_listify(self.to_dict()), indent=2, sort_keys=False)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
@@ -71,16 +71,6 @@ class AnalysisReport:
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         return cls.from_dict(json.loads(text))
-
-
-def _listify(value):
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    if isinstance(value, list):
-        return [_listify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _listify(v) for k, v in value.items()}
-    return value
 
 
 def analyze_marking(

@@ -20,7 +20,7 @@ import numpy as np
 from .config import trajectory_seed
 from .errors import BoundExceededError, NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup
-from .network import Marking, RelationGraph, bipartition, complete_extension
+from .network import Marking, RelationGraph, _pair_marks, bipartition
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,7 @@ class ReactionMatrix:
         The extension exists exactly when the marking is potential, so a
         non-potential marking raises before any matrix is built.
         """
-        full = complete_extension(marking)
-        n = len(marking.graph)
-        identity = marking.group.identity
-        entries = [
-            [identity if i == j else full.mark(i, j) for j in range(n)]
-            for i in range(n)
-        ]
+        entries = _pair_marks(marking)
         return cls(marking.group, entries, graph=marking.graph, validate=validate)
 
     def entry(self, i: int, j: int) -> GroupElement:

@@ -853,6 +853,11 @@ def load_embedding(
 
     by_label = {str(label): i for i, label in enumerate(graph.nodes)}
     raw_nodes = payload["nodes"]
+    if not isinstance(raw_nodes, dict):
+        raise ValidationError("embedding 'nodes' must be an object of node coordinates")
+    edge_entries = payload.get("edges", [])
+    if not isinstance(edge_entries, list) or not all(isinstance(e, dict) for e in edge_entries):
+        raise ValidationError("embedding 'edges' must be a list of objects")
     coords: list[Point | None] = [None] * len(graph)
     for key, xy in raw_nodes.items():
         if key not in by_label:
@@ -864,7 +869,7 @@ def load_embedding(
 
     curves: dict[tuple[int, int], ParameterizedCurve] = {}
     rules: dict[tuple[int, int], EdgeQuadratureRule] = {}
-    for entry in payload.get("edges", []):
+    for entry in edge_entries:
         try:
             i = by_label[str(entry["from"])]
             j = by_label[str(entry["to"])]

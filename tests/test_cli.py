@@ -599,3 +599,45 @@ def test_check_residual_rejects_grid_below_one(capsys):
     assert code == 2
     assert payload["error"]["type"] == "validation"
     assert "--grid" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("nodes", [[0.1, 0.1]], "embedding 'nodes' must be an object of node coordinates"),
+        ("edges", {"a": 1}, "embedding 'edges' must be a list of objects"),
+        ("edges", [["1", "2"]], "embedding 'edges' must be a list of objects"),
+    ],
+    ids=["nodes-list", "edges-object", "edges-of-lists"],
+)
+def test_embedding_shapes_report_validation(capsys, fixtures_dir, key, value, message):
+    embedding = json.loads((fixtures_dir / "k4_embedding.json").read_text())
+    embedding[key] = value
+    code, payload = run_cli(
+        capsys,
+        "smooth",
+        "discretize",
+        "--net",
+        str(fixtures_dir / "k4_complete.json"),
+        "--embedding",
+        json.dumps(embedding),
+    )
+    assert code == 2
+    assert payload["error"] == {"type": "validation", "message": message}
+
+
+@pytest.mark.parametrize("bound", [15.5, "4096", True], ids=["fraction", "string", "bool"])
+def test_config_bound_states_must_be_an_integer(capsys, fixtures_dir, bound):
+    code, payload = run_cli(
+        capsys,
+        "markov",
+        "--net",
+        str(fixtures_dir / "gamma3_balanced.json"),
+        "--config",
+        json.dumps({"bound_states": bound}),
+    )
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": "bound_states must be an integer",
+    }

@@ -293,7 +293,8 @@ def test_sparse_markov_layer_matches_the_fraction_oracle(case, data):
     rows = _fraction_rows(marking, choice)
     model = build_markov(marking, choice, exact=True)
     k = len(marking.group.states)
-    assert model.states == tuple(itertools.product(range(k), repeat=len(marking.graph)))
+    states = list(map(tuple, model.states.tolist()))
+    assert states == list(itertools.product(range(k), repeat=len(marking.graph)))
     _assert_matches_oracle(model, rows)
 
     g = _support_digraph(rows)
@@ -301,17 +302,38 @@ def test_sparse_markov_layer_matches_the_fraction_oracle(case, data):
     assert list(model.recurrent_class_indices()) == closed
     assert limit_exists(model) == all(nx.is_aperiodic(g.subgraph(c)) for c in closed)
 
-    drawn = data.draw(st.sets(st.sampled_from(model.states), max_size=8))
+    drawn = data.draw(st.sets(st.sampled_from(states), max_size=8))
     candidates = [
         core_set(model).states,
         frozenset().union(*model.recurrent_classes()),
         model.recurrent_classes()[0],
         frozenset(drawn),
-        frozenset(model.states),
+        frozenset(states),
     ]
     for core in candidates:
         core_idx = {model.index(x) for x in core}
         assert essential_check(model, core) == _essential_walk(g, core_idx)
+
+
+@pytest.mark.parametrize(
+    "marking",
+    [
+        BALANCED,
+        ALL_E_SQUARE,
+        Marking.constant(RelationGraph.cycle([1, 2, 3, 4]), symmetric_group(3).identity),
+    ],
+    ids=["triangle", "square", "square-s3"],
+)
+def test_index_is_the_row_of_a_state_and_rejects_non_states(marking):
+    model = build_markov(marking)
+    n = len(marking.graph)
+    k = len(marking.group.states)
+    assert model.states.shape == (k ** n, n)
+    for r, row in enumerate(model.states.tolist()):
+        assert model.index(tuple(row)) == r
+    for bad in [(k,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,), (0,) * (n - 1), (0,) * (n + 1)]:
+        with pytest.raises(ValueError):
+            model.index(bad)
 
 
 def test_denominators_past_int64_fall_back_to_python_ints():

@@ -2,10 +2,13 @@
 
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balancenets.errors import NonPotentialError, ValidationError
-from balancenets.groups import sign_group
+from balancenets.groups import sign_group, symmetric_group
 from balancenets.network import (
     Marking,
     Path,
@@ -18,8 +21,20 @@ from balancenets.network import (
     star_marking,
     two_step,
 )
+from balancenets.potential import is_potential
+from balancenets.semigroup import ReactionMatrix
 
 G2 = sign_group()
+S3 = symmetric_group(3)
+
+
+def _atlas_graphs(lo, hi):
+    for g in nx.graph_atlas_g():
+        if lo <= len(g) <= hi and nx.is_connected(g):
+            yield RelationGraph.from_undirected(
+                [v + 1 for v in sorted(g.nodes)],
+                [(i + 1, j + 1) for i, j in g.edges],
+            )
 
 
 def _triangle(marks):
@@ -120,6 +135,35 @@ def test_two_step_graph_of_square():
     assert star.edges_between(0, 1) == ()
 
 
+def _two_step_components_union_find(graph):
+    """Components joined by the walks i - k - j, found by union-find."""
+    parent = list(range(len(graph)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for k in range(len(graph)):
+        for i in graph.neighbors(k):
+            for j in graph.neighbors(k):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for v in range(len(graph)):
+        groups.setdefault(find(v), set()).add(v)
+    return tuple(sorted((frozenset(c) for c in groups.values()), key=min))
+
+
+def test_two_step_components_match_union_find_on_the_atlas():
+    graphs = list(_atlas_graphs(2, 7))
+    assert len(graphs) == 995
+    for graph in graphs:
+        assert two_step(graph).components == _two_step_components_union_find(graph)
+
+
 def test_star_path_contiguity():
     star = two_step(RelationGraph.complete([1, 2, 3]))
     StarPath(star, ((0, 1, 2), (1, 0, 2)))
@@ -163,6 +207,40 @@ def test_complete_extension_fills_tree_products():
 def test_complete_extension_rejects_non_potential():
     with pytest.raises(NonPotentialError):
         complete_extension(_triangle(ALL_G))
+
+
+def _complete_extension_verbatim(marking):
+    """Edge marks kept verbatim, every other pair filled with u(i)^-1 * u(j)."""
+    u = is_potential(marking).potential.values
+    graph = marking.graph
+    full = RelationGraph.complete(graph.nodes)
+    values = {
+        (i, j): marking.mark(i, j) if graph.has_edge(i, j) else u[i].inverse() * u[j]
+        for i, j in full.directed_edges
+    }
+    return Marking(full, marking.group, values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(_atlas_graphs(2, 5))), st.sampled_from([G2, S3]), st.data())
+def test_pair_marks_from_the_potential_match_the_verbatim_extension(graph, group, data):
+    # A gauge marking g(i, j) = s_i^-1 * s_j is a potential marking.
+    gauge = data.draw(st.lists(st.sampled_from(list(group)), min_size=len(graph),
+                               max_size=len(graph)))
+    marking = Marking(
+        graph, group,
+        {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges},
+    )
+    oracle = _complete_extension_verbatim(marking)
+    extended = complete_extension(marking)
+    assert extended.graph.directed_edges == oracle.graph.directed_edges
+    assert list(extended.items()) == list(oracle.items())
+    rm = ReactionMatrix.from_marking(marking)
+    n = len(graph)
+    assert rm.entries == tuple(
+        tuple(group.identity if i == j else oracle.mark(i, j) for j in range(n))
+        for i in range(n)
+    )
 
 
 def test_network_json_round_trip():
