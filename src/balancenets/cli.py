@@ -54,16 +54,13 @@ from .smoothfield import (
 # test.
 _FIELD_BUILDERS = {
     "elliptic": lambda: InvolutionField.from_parameter(
-        lambda x, y: x + y, "elliptic", name="elliptic", arrays=True
+        lambda x, y: x + y, "elliptic", name="elliptic"
     ),
     "elliptic-wave": lambda: InvolutionField.from_parameter(
-        lambda x, y: pointwise(math.sin, x) + y * y,
-        "elliptic",
-        name="elliptic-wave",
-        arrays=True,
+        lambda x, y: pointwise(math.sin, x) + y * y, "elliptic", name="elliptic-wave"
     ),
     "hyperbolic": lambda: InvolutionField.from_parameter(
-        lambda x, y: x + y, "hyperbolic", name="hyperbolic", arrays=True
+        lambda x, y: x + y, "hyperbolic", name="hyperbolic"
     ),
     "constant": lambda: InvolutionField.constant(InvolutionMatrix(0.0, 1.0, 1.0)),
     "nonpotential": lambda: InvolutionField.from_components(
@@ -273,9 +270,11 @@ def _cmd_absorb(args, config: RunConfig) -> dict:
 def _cmd_smooth_check_residual(args, config: RunConfig) -> dict:
     if args.grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {args.grid}")
+    h = args.h
+    if not (0.0 < h < math.inf):
+        raise ValidationError(f"--h must be a positive finite number, got {h!r}")
     field = _field_by_name(args.field)
     (x0, x1), (y0, y1) = field.domain
-    h = args.h
     pad = 2 * h + 1e-9
     if x0 + pad >= x1 - pad or y0 + pad >= y1 - pad:
         raise ValidationError(f"step {h} leaves no interior sample points")

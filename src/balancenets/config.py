@@ -11,8 +11,10 @@ exactly, in integers.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
+from numbers import Real
 from pathlib import Path
 
 from .errors import ValidationError
@@ -48,6 +50,11 @@ def read_json(source, what: str) -> dict:
     return source
 
 
+def json_scalar(value) -> bool:
+    """Whether a JSON value is a string, a number, a boolean or null."""
+    return value is None or isinstance(value, (str, int, float))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Bounds, tolerances and seed for one analysis run."""
@@ -58,8 +65,9 @@ class RunConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.tau_num > 0.0):
-            raise ValidationError(f"tau_num must be positive, got {self.tau_num!r}")
+        tau = self.tau_num
+        if not isinstance(tau, Real) or isinstance(tau, bool) or not 0.0 < tau < math.inf:
+            raise ValidationError(f"tau_num must be a finite positive number, got {tau!r}")
         if not isinstance(self.bound_states, int) or isinstance(self.bound_states, bool):
             raise ValidationError("bound_states must be an integer")
         # Bounds below the smallest worked fixtures would make the tool useless.

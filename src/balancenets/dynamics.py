@@ -402,105 +402,64 @@ def _fail_report(bip: bool, a1: bool, a2: bool) -> TheoremBReport:
 def theoremB_verify(model: MarkovModel) -> TheoremBReport:
     """Check that the one-step map on the core is a characteristic solution.
 
-    Non-bipartite: the core is z(t) and one step sends z(t) to z(b t) where
-    b solves v*v = a_root.  Bipartite: the core is z(t, r) and one step
-    sends it to z(v r, w t) where v*w = a_1 and w*v = a_2 for the two
-    component roots.  The map is recovered by replaying one step of the
-    model from each core state, then matched against the solution list.
+    The core is z(params), one free state per two-step component. One step
+    sends component c's parameter to e_c applied to the parameter of the
+    component c reads: itself on a non-bipartite graph, where e solves
+    v*v = a_root, and the other side on a bipartite one, where (v, w)
+    solves v*w = a_1, w*v = a_2 for the two component roots. The maps e_c
+    are recovered by replaying one step of the model from each core state,
+    then matched against the solution list.
     """
     core = core_set(model)
     group = model.marking.group
     bip = core.bipartite
-    if not core.a1_ok or not core.a2_ok:
-        return _fail_report(bip, core.a1_ok, core.a2_ok)
+    # None unless both A1 and A2 hold.
     if not core.matches_closed_form:
-        return _fail_report(bip, True, True)
+        return _fail_report(bip, core.a1_ok, core.a2_ok)
 
-    a2 = core.characteristic
     roots = [min(comp) for comp in core.components]
+    reads = (1, 0) if bip else (0,)
     k = len(group.states)
-
-    def z(params: tuple[int, ...]) -> tuple[int, ...]:
-        return _closed_form_state(core.transport, core.components, params)
-
     m = model.matrix
-
-    def successor(x: tuple[int, ...]) -> tuple[int, ...]:
+    perms: list[dict[int, int]] = [{} for _ in roots]
+    for params in itertools.product(range(k), repeat=len(roots)):
+        x = _closed_form_state(core.transport, core.components, params)
         # Core states have exactly one successor.
-        return tuple(model.states[m.indices[m.indptr[model.index(x)]]].tolist())
-
-    if not bip:
-        a_root = a2.values[roots[0]]
-        step = []
-        for t in range(k):
-            y = successor(z((t,)))
-            if y != z((y[roots[0]],)):
-                return _fail_report(bip, True, True)
-            step.append(y[roots[0]])
-        if sorted(step) != list(range(k)):
+        y = tuple(model.states[m.indices[m.indptr[model.index(x)]]].tolist())
+        new = tuple(y[r] for r in roots)
+        if y != _closed_form_state(core.transport, core.components, new):
             return _fail_report(bip, True, True)
-        try:
-            realized = group.element_by_perm(tuple(step))
-        except ValidationError:
-            return _fail_report(bip, True, True)
-        solutions = tuple(solve_characteristic(group, a_root))
-        second = all(step[step[t]] == a_root(t) for t in range(k))
-        report_ok = realized in solutions and second
-        return TheoremBReport(
-            ok=report_ok,
-            bipartite=False,
-            a1_ok=True,
-            a2_ok=True,
-            core_matches=True,
-            characteristic=a2.values,
-            realized=(realized,),
-            solutions=solutions,
-            realized_is_solution=realized in solutions,
-            second_step_matches=second,
-            best_solution=solutions[0] if solutions else None,
-            predicted_stationary=group.orbit_count(realized),
-        )
-
-    # Bipartite: recover the pair (v, w) from the replayed two-step shift.
-    r1, r2 = roots
-    a_1, a_2 = a2.values[r1], a2.values[r2]
-    v_perm = [None] * k
-    w_perm = [None] * k
-    for t in range(k):
-        for r in range(k):
-            y = successor(z((t, r)))
-            t2, r2_val = y[r1], y[r2]
-            if y != z((t2, r2_val)):
-                return _fail_report(bip, True, True)
-            if v_perm[r] is None:
-                v_perm[r] = t2
-            elif v_perm[r] != t2:
-                return _fail_report(bip, True, True)
-            if w_perm[t] is None:
-                w_perm[t] = r2_val
-            elif w_perm[t] != r2_val:
+        for perm, source, t in zip(perms, reads, new):
+            if perm.setdefault(params[source], t) != t:
                 return _fail_report(bip, True, True)
     try:
-        v = group.element_by_perm(tuple(v_perm))
-        w = group.element_by_perm(tuple(w_perm))
+        realized = tuple(group.element_by_perm([p[t] for t in range(k)]) for p in perms)
     except ValidationError:
         return _fail_report(bip, True, True)
-    solutions = tuple(solve_characteristic_pair(group, a_1, a_2))
-    second = (v * w) == a_1 and (w * v) == a_2
-    report_ok = (v, w) in solutions and second
+
+    a = [core.characteristic.values[r] for r in roots]
+    # Two steps: v*v = a_root, or v*w = a_1 and w*v = a_2.
+    second = all(e * realized[s] == a_c for e, s, a_c in zip(realized, reads, a))
+    if bip:
+        solutions = tuple(solve_characteristic_pair(group, *a))
+        candidate, predicted = realized, pair_orbit_count(*realized)
+    else:
+        solutions = tuple(solve_characteristic(group, *a))
+        candidate, predicted = realized[0], group.orbit_count(realized[0])
+    is_solution = candidate in solutions
     return TheoremBReport(
-        ok=report_ok,
-        bipartite=True,
+        ok=is_solution and second,
+        bipartite=bip,
         a1_ok=True,
         a2_ok=True,
         core_matches=True,
-        characteristic=a2.values,
-        realized=(v, w),
+        characteristic=core.characteristic.values,
+        realized=realized,
         solutions=solutions,
-        realized_is_solution=(v, w) in solutions,
+        realized_is_solution=is_solution,
         second_step_matches=second,
         best_solution=solutions[0] if solutions else None,
-        predicted_stationary=pair_orbit_count(v, w),
+        predicted_stationary=predicted,
     )
 
 

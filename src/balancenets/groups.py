@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import BOUND_GRP, read_json
+from .config import BOUND_GRP, json_scalar, read_json
 from .errors import BoundExceededError, GroupMismatchError, ValidationError
 
 
@@ -318,7 +318,11 @@ def load_group(source) -> ReactionGroup:
     for key in ("states", "elements", "identity"):
         if key not in data:
             raise ValidationError(f"group description is missing {key!r}")
-    states = StateSet(tuple(data["states"]))
+    labels = tuple(data["states"])
+    for label in labels:
+        if not json_scalar(label):
+            raise ValidationError(f"group 'states' must be JSON scalars, got {label!r}")
+    states = StateSet(labels)
     perms = []
     names = []
     for i, entry in enumerate(data["elements"]):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Iterable, Mapping, Sequence
 
-from .config import read_json
+from .config import json_scalar, read_json
 from .errors import NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup, group_to_json, load_group
 
@@ -428,6 +428,9 @@ def load_network(source) -> Marking:
     nodes = data["nodes"]
     if not isinstance(nodes, list):
         raise ValidationError("'nodes' must be a list of labels")
+    for label in nodes:
+        if not json_scalar(label):
+            raise ValidationError(f"'nodes' labels must be JSON scalars, got {label!r}")
     edge_entries = data["edges"]
     if not isinstance(edge_entries, list):
         raise ValidationError("'edges' must be a list")
@@ -441,7 +444,11 @@ def load_network(source) -> Marking:
                 f"edge #{pos} needs 'from', 'to' and 'reaction' fields"
             )
         a, b = entry["from"], entry["to"]
-        for label in (a, b):
+        for key, label in (("from", a), ("to", b)):
+            if not json_scalar(label):
+                raise ValidationError(
+                    f"edge #{pos} '{key}' must be a JSON scalar, got {label!r}"
+                )
             if label not in label_to_index:
                 raise ValidationError(f"edge #{pos} references unknown node {label!r}")
         edges.append((a, b))

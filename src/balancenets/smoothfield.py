@@ -100,10 +100,12 @@ class InvolutionField:
         rows = [(a, b, c) for a, b, c in map(self.evaluator, xs.tolist(), ys.tolist())]
         return np.array(rows).reshape(-1, 3).T
 
-    def contains(self, x: float, y: float, margin: float = 0.0) -> bool:
+    def contains(self, x, y, margin: float = 0.0):
+        """Whether (x, y) lies in the domain, kept ``margin`` inside it; for
+        float arrays x and y, the same test entry by entry."""
         (x0, x1), (y0, y1) = self.domain
         pad = margin - _DOMAIN_SLACK
-        return x0 + pad <= x <= x1 - pad and y0 + pad <= y <= y1 - pad
+        return (x0 + pad <= x) & (x <= x1 - pad) & (y0 + pad <= y) & (y <= y1 - pad)
 
     def domain_error(self, x: float, y: float) -> FieldDomainError:
         return FieldDomainError(
@@ -173,14 +175,12 @@ class InvolutionField:
         kind: str = "elliptic",
         domain=UNIT_SQUARE,
         name: str = "",
-        arrays: bool = False,
     ) -> "InvolutionField":
         """Canonical one-parameter field composed with a map t(x, y).
 
-        t_func maps floats x and y to t; with ``arrays`` it maps float
-        arrays to a t array instead, with numpy arithmetic and
-        ``pointwise`` for libm functions, so that each entry is the float
-        the scalar map would give.
+        t_func maps float arrays x and y to a t array, with numpy
+        arithmetic and ``pointwise`` for libm functions, so that each entry
+        is the float a point-by-point evaluation would give.
         """
         if kind == "elliptic":
             def family(t):
@@ -192,14 +192,8 @@ class InvolutionField:
                 return (pointwise(math.cosh, t), s, -s)
         else:
             raise ValidationError(f"unknown canonical kind {kind!r}")
-        if arrays:
-            t_of = t_func
-        else:
-            def t_of(xs, ys):
-                t = map(t_func, xs.tolist(), ys.tolist())
-                return np.fromiter(t, float, len(xs))
         return cls._of_components(
-            lambda xs, ys: family(t_of(xs, ys)), domain, name or kind
+            lambda xs, ys: family(t_func(xs, ys)), domain, name or kind
         )
 
 
@@ -336,50 +330,25 @@ def _involution_stack(a, b, c) -> np.ndarray:
     return stack
 
 
-def _sample(curve: ParameterizedCurve, s: np.ndarray):
-    """(x, y, None) at s; where a scalar fn fails, the x and y before the first
-    failing s and the exception it raised."""
-    try:
-        return (*curve.points(s), None)
-    except Exception:
-        for i in range(len(s)):
-            try:
-                curve.points(s[i : i + 1])
-            except Exception as exc:
-                return (*curve.points(s[:i]), exc)
-        raise
-
-
-def _samples(
-    field: InvolutionField, xs: np.ndarray, ys: np.ndarray, failure=None
-) -> np.ndarray:
+def _samples(field: InvolutionField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The checked field matrices at the points (xs, ys), as a stack.
 
-    Fails as taking the points one by one would: at the first point that
-    leaves the domain, makes the evaluator raise or breaks bc = 1 - a**2.
-    ``failure``, an error met after the last point, is raised last.
+    If any point leaves the domain, makes the evaluator raise or breaks
+    bc = 1 - a**2, the points are taken again one by one through ``field``,
+    so the first failing point raises its own error, as in a step-by-step
+    loop.
     """
-    (x0, x1), (y0, y1) = field.domain
-    pad = 0.0 - _DOMAIN_SLACK  # the comparisons of InvolutionField.contains
-    inside = (x0 + pad <= xs) & (xs <= x1 - pad)
-    inside &= (y0 + pad <= ys) & (ys <= y1 - pad)
-    stop = len(xs) if inside.all() else int(inside.argmin())
     try:
-        a, b, c = field.components(xs[:stop], ys[:stop])
+        inside = field.contains(xs, ys)
+        if not inside.all():
+            i = int(inside.argmin())
+            raise field.domain_error(float(xs[i]), float(ys[i]))
+        a, b, c = field.components(xs, ys)
+        check_quadric(a, b, c, field.tol)
     except Exception:
-        # Find the failing point; a bc violation before it fails first.
-        for i in range(stop):
-            try:
-                field.components(xs[i : i + 1], ys[i : i + 1])
-            except Exception:
-                check_quadric(*field.components(xs[:i], ys[:i]), field.tol)
-                raise
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            field(x, y)
         raise
-    check_quadric(a, b, c, field.tol)
-    if stop < len(xs):
-        raise field.domain_error(float(xs[stop]), float(ys[stop]))
-    if failure is not None:
-        raise failure
     return _involution_stack(a, b, c)
 
 
@@ -400,7 +369,14 @@ def _fold(field: InvolutionField, jobs: Sequence[tuple]) -> list[np.ndarray]:
         for j, (curve, n) in enumerate(runs[: sum(n > lo for _, n in runs)]):
             h = (curve.s1 - curve.s0) / n
             s = curve.s0 + (np.arange(lo, min(hi, n)) + 0.5) * h
-            stack = _samples(field, *_sample(curve, s))
+            try:
+                xs, ys = curve.points(s)
+            except Exception:
+                # The step-by-step loop: the first failing step raises.
+                for v in s.tolist():
+                    field(*curve.point(v))
+                raise
+            stack = _samples(field, xs, ys)
             if np.result_type(buf, stack) != buf.dtype:
                 if len(runs) > 1:
                     raise TypeError("the lockstep fold takes real samples only")

@@ -44,6 +44,7 @@ from balancenets.smoothfield import (
     discretize,
     load_embedding,
     p_integral,
+    pointwise,
     residual_orders,
     valid_parity_assignment,
 )
@@ -294,7 +295,7 @@ def test_criterion_09_residuals_vanish_at_second_order():
         ladder = (1e-2, 5e-3, 2.5e-3)
         for kind in ("elliptic", "hyperbolic"):
             field = InvolutionField.from_parameter(
-                lambda x, y: math.sin(x) + y * y, kind
+                lambda x, y: pointwise(math.sin, x) + y * y, kind
             )
             norms, orders = residual_orders(field, (0.4, 0.35), ladder)
             assert all(1.8 <= order <= 2.2 for order in orders)
@@ -317,7 +318,7 @@ def test_criterion_10_discretized_markings_close_every_cycle():
             FIXTURES / "k4_embedding.json", marking.graph
         )
         field = InvolutionField.from_parameter(
-            lambda x, y: math.sin(x) + y * y, "elliptic"
+            lambda x, y: pointwise(math.sin, x) + y * y, "elliptic"
         )
         mm = discretize(field, embedding, rules)
         assert mm.potential_ok

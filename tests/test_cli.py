@@ -641,3 +641,44 @@ def test_config_bound_states_must_be_an_integer(capsys, fixtures_dir, bound):
         "type": "validation",
         "message": "bound_states must be an integer",
     }
+
+
+def _with_list_label(doc, where):
+    """The network doc with one label turned into a JSON list."""
+    if where == "nodes":
+        doc["nodes"][0] = [doc["nodes"][0]]
+    elif where == "states":
+        doc["group"]["states"][0] = [doc["group"]["states"][0]]
+    else:
+        doc["edges"][0][where] = [doc["edges"][0][where]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "where,message",
+    [
+        ("nodes", "'nodes' labels must be JSON scalars, got [1]"),
+        ("from", "edge #0 'from' must be a JSON scalar, got [1]"),
+        ("to", "edge #0 'to' must be a JSON scalar, got [2]"),
+        ("states", "group 'states' must be JSON scalars, got [1]"),
+    ],
+)
+def test_unhashable_labels_report_validation(capsys, fixtures_dir, where, message):
+    doc = json.loads((fixtures_dir / "gamma3_balanced.json").read_text())
+    doc["group"] = json.loads((fixtures_dir / doc["group"]).read_text())
+    assert doc["nodes"][0] == 1 and doc["edges"][0]["from"] == 1
+    assert doc["edges"][0]["to"] == 2 and doc["group"]["states"][0] == 1
+    net = json.dumps(_with_list_label(doc, where))
+    code, payload = run_cli(capsys, "markov", "--net", net)
+    assert code == 2
+    assert payload["error"] == {"type": "validation", "message": message}
+
+
+@pytest.mark.parametrize("h", ["0", "-0.001", "nan", "inf"])
+def test_check_residual_rejects_a_bad_step(capsys, h):
+    code, payload = run_cli(capsys, "smooth", "check-residual", "--h", h)
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": f"--h must be a positive finite number, got {float(h)!r}",
+    }

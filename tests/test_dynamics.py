@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
@@ -16,6 +17,10 @@ from hypothesis import strategies as st
 from balancenets.config import BOUND_STATES
 from balancenets.dynamics import (
     ChoiceDistribution,
+    MarkovModel,
+    TheoremBReport,
+    _closed_form_state,
+    _fail_report,
     apply_F,
     build_markov,
     core_set,
@@ -27,7 +32,14 @@ from balancenets.dynamics import (
     theoremB_verify,
 )
 from balancenets.errors import BoundExceededError, ValidationError
-from balancenets.groups import cyclic_group, sign_group, symmetric_group
+from balancenets.groups import (
+    cyclic_group,
+    pair_orbit_count,
+    sign_group,
+    solve_characteristic,
+    solve_characteristic_pair,
+    symmetric_group,
+)
 from balancenets.network import Marking, RelationGraph
 
 G2 = sign_group()
@@ -420,6 +432,167 @@ def test_theoremB_reports_failed_criteria():
     report = _theoremB(bad_square)
     assert not report.ok
     assert not report.a1_ok
+
+
+# The two-branch replay theoremB_verify had before its one loop over the
+# core parameters, verbatim: the oracle for its reports.
+def _theoremB_oracle(model: MarkovModel) -> TheoremBReport:
+    """Check that the one-step map on the core is a characteristic solution.
+
+    Non-bipartite: the core is z(t) and one step sends z(t) to z(b t) where
+    b solves v*v = a_root.  Bipartite: the core is z(t, r) and one step
+    sends it to z(v r, w t) where v*w = a_1 and w*v = a_2 for the two
+    component roots.  The map is recovered by replaying one step of the
+    model from each core state, then matched against the solution list.
+    """
+    core = core_set(model)
+    group = model.marking.group
+    bip = core.bipartite
+    if not core.a1_ok or not core.a2_ok:
+        return _fail_report(bip, core.a1_ok, core.a2_ok)
+    if not core.matches_closed_form:
+        return _fail_report(bip, True, True)
+
+    a2 = core.characteristic
+    roots = [min(comp) for comp in core.components]
+    k = len(group.states)
+
+    def z(params: tuple[int, ...]) -> tuple[int, ...]:
+        return _closed_form_state(core.transport, core.components, params)
+
+    m = model.matrix
+
+    def successor(x: tuple[int, ...]) -> tuple[int, ...]:
+        # Core states have exactly one successor.
+        return tuple(model.states[m.indices[m.indptr[model.index(x)]]].tolist())
+
+    if not bip:
+        a_root = a2.values[roots[0]]
+        step = []
+        for t in range(k):
+            y = successor(z((t,)))
+            if y != z((y[roots[0]],)):
+                return _fail_report(bip, True, True)
+            step.append(y[roots[0]])
+        if sorted(step) != list(range(k)):
+            return _fail_report(bip, True, True)
+        try:
+            realized = group.element_by_perm(tuple(step))
+        except ValidationError:
+            return _fail_report(bip, True, True)
+        solutions = tuple(solve_characteristic(group, a_root))
+        second = all(step[step[t]] == a_root(t) for t in range(k))
+        report_ok = realized in solutions and second
+        return TheoremBReport(
+            ok=report_ok,
+            bipartite=False,
+            a1_ok=True,
+            a2_ok=True,
+            core_matches=True,
+            characteristic=a2.values,
+            realized=(realized,),
+            solutions=solutions,
+            realized_is_solution=realized in solutions,
+            second_step_matches=second,
+            best_solution=solutions[0] if solutions else None,
+            predicted_stationary=group.orbit_count(realized),
+        )
+
+    # Bipartite: recover the pair (v, w) from the replayed two-step shift.
+    r1, r2 = roots
+    a_1, a_2 = a2.values[r1], a2.values[r2]
+    v_perm = [None] * k
+    w_perm = [None] * k
+    for t in range(k):
+        for r in range(k):
+            y = successor(z((t, r)))
+            t2, r2_val = y[r1], y[r2]
+            if y != z((t2, r2_val)):
+                return _fail_report(bip, True, True)
+            if v_perm[r] is None:
+                v_perm[r] = t2
+            elif v_perm[r] != t2:
+                return _fail_report(bip, True, True)
+            if w_perm[t] is None:
+                w_perm[t] = r2_val
+            elif w_perm[t] != r2_val:
+                return _fail_report(bip, True, True)
+    try:
+        v = group.element_by_perm(tuple(v_perm))
+        w = group.element_by_perm(tuple(w_perm))
+    except ValidationError:
+        return _fail_report(bip, True, True)
+    solutions = tuple(solve_characteristic_pair(group, a_1, a_2))
+    second = (v * w) == a_1 and (w * v) == a_2
+    report_ok = (v, w) in solutions and second
+    return TheoremBReport(
+        ok=report_ok,
+        bipartite=True,
+        a1_ok=True,
+        a2_ok=True,
+        core_matches=True,
+        characteristic=a2.values,
+        realized=(v, w),
+        solutions=solutions,
+        realized_is_solution=(v, w) in solutions,
+        second_step_matches=second,
+        best_solution=solutions[0] if solutions else None,
+        predicted_stationary=pair_orbit_count(v, w),
+    )
+
+
+def _rewired(marking, rewire):
+    """The model of marking with its core successors rewired among the core."""
+    model = build_markov(marking)
+    m = model.matrix
+    single = np.flatnonzero(np.diff(m.indptr) == 1)
+    m.indices[m.indptr[single]] = rewire(m.indices[m.indptr[single]])
+    return model
+
+
+@st.composite
+def _theoremB_models(draw):
+    """Models of gauge, A2-symmetric and random markings, and A2-symmetric
+    ones whose core successors are rewired among the core states."""
+    graph = draw(st.sampled_from(SMALL_GRAPHS))
+    group = draw(st.sampled_from(GROUPS))
+    pick = st.integers(0, len(group) - 1).map(group.element)
+    kind = draw(st.sampled_from(["gauge", "a2-symmetric", "random", "rewired"]))
+    if kind == "random":
+        values = {edge: draw(pick) for edge in graph.directed_edges}
+    else:
+        # g(i, j) = s_i^-1 * b * s_j: round trips s_i^-1 * b * b * s_i at i,
+        # whichever the neighbor, so A2 holds; b = e is a gauge marking.
+        gauge = [draw(pick) for _ in range(len(graph))]
+        b = group.identity if kind == "gauge" else draw(pick)
+        values = {(i, j): gauge[i].inverse() * b * gauge[j] for i, j in graph.directed_edges}
+    marking = Marking(graph, group, values)
+    if kind == "rewired":
+        return _rewired(marking, lambda targets: draw(st.permutations(targets.tolist())))
+    return build_markov(marking)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_theoremB_models())
+def test_theoremB_verify_matches_the_two_branch_replay(model):
+    assert theoremB_verify(model) == _theoremB_oracle(model)
+
+
+def test_theoremB_fails_inside_the_replay_and_on_a_non_solution():
+    # Every core state of the square sent to one: not a permutation.
+    collapsed = _rewired(ALL_E_SQUARE, lambda targets: targets[:1].repeat(len(targets)))
+    report = theoremB_verify(collapsed)
+    assert report == _theoremB_oracle(collapsed)
+    assert report.a1_ok and report.a2_ok and not report.core_matches
+    # The constant states of a C4 triangle shifted by one: v = r, v*v != e.
+    c4 = cyclic_group(4)
+    graph = RelationGraph.complete([1, 2, 3])
+    marking = Marking(graph, c4, {edge: c4.identity for edge in graph.directed_edges})
+    shifted = _rewired(marking, lambda targets: np.roll(targets, -1))
+    report = theoremB_verify(shifted)
+    assert report == _theoremB_oracle(shifted)
+    assert report.core_matches and not report.ok
+    assert report.realized_is_solution is False and report.second_step_matches is False
 
 
 def test_max_nonergodicity_scan_triangle():

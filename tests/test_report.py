@@ -3,6 +3,7 @@
 import collections
 import functools
 import json
+import math
 import sys
 
 import pytest
@@ -158,8 +159,10 @@ def test_config_round_trip(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        RunConfig(tau_num=0.0)
+    for tau in (0.0, -1.0, True, "x", None, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="^tau_num must be a finite positive number"):
+            RunConfig(tau_num=tau)
+    assert RunConfig(tau_num=1).tau_num == 1
     with pytest.raises(ValidationError):
         RunConfig(bound_states=4)
     with pytest.raises(ValidationError):

@@ -36,6 +36,7 @@ from balancenets.smoothfield import (
     load_embedding,
     p_integral,
     plane_section_solution,
+    pointwise,
     project_point_to_section,
     project_to_plane,
     residual_orders,
@@ -44,7 +45,7 @@ from balancenets.smoothfield import (
 )
 
 WAVE = InvolutionField.from_parameter(
-    lambda x, y: math.sin(x) + y * y, "elliptic", name="wave"
+    lambda x, y: pointwise(math.sin, x) + y * y, "elliptic", name="wave"
 )
 
 TWISTED = InvolutionField.from_components(
@@ -80,11 +81,11 @@ def test_canonical_parameter_fields():
         InvolutionField.from_parameter(lambda x, y: x, "parabolic")
 
     # Each sample computes sin (sinh) once; the entries keep their bits.
-    t_func = lambda x, y: math.sin(x) + y * y  # noqa: E731
+    t_func = lambda x, y: pointwise(math.sin, x) + y * y  # noqa: E731
     ell = InvolutionField.from_parameter(t_func, "elliptic")
     hyp = InvolutionField.from_parameter(t_func, "hyperbolic")
     for x, y in ((0.0, 0.0), (0.13, 0.71), (0.5, 0.5), (0.97, 0.02)):
-        t = t_func(x, y)
+        t = math.sin(x) + y * y
         assert ell.evaluator(x, y) == (math.cos(t), math.sin(t), math.sin(t))
         assert hyp.evaluator(x, y) == (math.cosh(t), math.sinh(t), -math.sinh(t))
 
@@ -449,8 +450,15 @@ def test_p_integral_makes_no_scalar_call_per_step(monkeypatch):
         [p_integral(field, curve, 2 * _BLOCK + 1, "odd") for curve in built_in]
         for field in fields
     ]
+    contains = InvolutionField.contains
+
+    def array_contains(field, x, y, margin=0.0):
+        if np.ndim(x) == 0:
+            refuse()
+        return contains(field, x, y, margin)
+
     monkeypatch.setattr(ParameterizedCurve, "point", refuse)
-    monkeypatch.setattr(InvolutionField, "contains", refuse)
+    monkeypatch.setattr(InvolutionField, "contains", array_contains)
     # The built-in fields have an array form: no evaluator call either.
     for field in fields[1:]:
         monkeypatch.setattr(field, "evaluator", refuse)
@@ -465,6 +473,26 @@ def test_p_integral_makes_no_scalar_call_per_step(monkeypatch):
     monkeypatch.setattr(TWISTED, "evaluator", refuse)
     with pytest.raises(AssertionError, match="per-step scalar call"):
         p_integral(TWISTED, _LINE, 64, "even")
+
+
+def test_a_scalar_only_t_map_raises_the_blocks_type_error():
+    def one_at_a_time(x, y):
+        if len(x) > 1:
+            raise TypeError("takes one sample at a time")
+        return x + y
+
+    wave = lambda x, y: math.sin(x) + y * y  # noqa: E731
+    xs = np.linspace(0.1, 0.9, 8)
+    for t_func in (one_at_a_time, wave):
+        with pytest.raises(TypeError) as block:
+            t_func(xs, xs)
+        field = InvolutionField.from_parameter(t_func, "elliptic")
+        for run in (p_integral, convergence_report):
+            # one_at_a_time passes the step-by-step replay, so the block's
+            # own error propagates.
+            with pytest.raises(TypeError) as info:
+                run(field, _LINE, 64, "even")
+            assert str(info.value) == str(block.value)
 
 
 def test_p_integral_builds_no_involution_matrix(monkeypatch):
