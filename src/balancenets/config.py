@@ -55,6 +55,12 @@ def json_scalar(value) -> bool:
     return value is None or isinstance(value, (str, int, float))
 
 
+def label_key(label):
+    """Key under which a JSON label is distinct: ``true`` is not ``1``,
+    while equal numbers such as ``1`` and ``1.0`` stay one label."""
+    return isinstance(label, bool), label
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Bounds, tolerances and seed for one analysis run."""

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import BOUND_GRP, json_scalar, read_json
+from .config import BOUND_GRP, json_scalar, label_key, read_json
 from .errors import BoundExceededError, GroupMismatchError, ValidationError
 
 
@@ -25,7 +25,7 @@ class StateSet:
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValidationError("state set must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(map(label_key, self.labels))) != len(self.labels):
             raise ValidationError("state labels must be distinct")
 
     def __len__(self) -> int:
@@ -36,7 +36,7 @@ class StateSet:
 
     def index(self, label) -> int:
         try:
-            return self.labels.index(label)
+            return [label_key(x) for x in self.labels].index(label_key(label))
         except ValueError:
             raise ValidationError(f"unknown state label {label!r}") from None
 
@@ -263,12 +263,12 @@ def solve_characteristic_pair(
     """All pairs (v, w) with v*w == a_i and w*v == a_j, most orbits first."""
     group._check(a_i)
     group._check(a_j)
-    hits = [
-        (v, w)
-        for v in group
-        for w in group
-        if (v * w) == a_i and (w * v) == a_j
-    ]
+    # v * w == a_i fixes w = v^-1 * a_i, so one pass over v finds every pair.
+    hits = []
+    for v in group:
+        w = v.inverse() * a_i
+        if w * v == a_j:
+            hits.append((v, w))
     hits.sort(key=lambda vw: (-pair_orbit_count(*vw), vw[0].index, vw[1].index))
     return hits
 
@@ -318,6 +318,9 @@ def load_group(source) -> ReactionGroup:
     for key in ("states", "elements", "identity"):
         if key not in data:
             raise ValidationError(f"group description is missing {key!r}")
+    for key in ("states", "elements"):
+        if not isinstance(data[key], list):
+            raise ValidationError(f"group {key!r} must be a list, got {data[key]!r}")
     labels = tuple(data["states"])
     for label in labels:
         if not json_scalar(label):

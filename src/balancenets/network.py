@@ -8,12 +8,13 @@ index so iteration order is reproducible.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .config import json_scalar, read_json
+from .config import json_scalar, label_key, read_json
 from .errors import NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup, group_to_json, load_group
 
@@ -25,9 +26,9 @@ class RelationGraph:
         self.nodes = tuple(nodes)
         if len(self.nodes) < 2:
             raise ValidationError("a relation graph needs at least two nodes")
-        if len(set(self.nodes)) != len(self.nodes):
+        self._index = {label_key(label): i for i, label in enumerate(self.nodes)}
+        if len(self._index) != len(self.nodes):
             raise ValidationError("node labels must be distinct")
-        self._index = {label: i for i, label in enumerate(self.nodes)}
         n = len(self.nodes)
 
         seen: set[tuple[int, int]] = set()
@@ -58,37 +59,20 @@ class RelationGraph:
             if not row:
                 raise ValidationError(f"node {self.nodes[i]!r} is isolated")
         self._edge_set = seen
-        if not self._connected():
-            raise ValidationError("graph is not connected")
+        # The all-hostile walk raises on a disconnected graph; its parts are
+        # the bipartition, or None when an odd cycle exists.
+        self.parts = two_coloring(self, dict.fromkeys(self.directed_edges, -1))[0]
 
     def _resolve(self, label) -> int:
         try:
-            return self._index[label]
+            return self._index[label_key(label)]
         except KeyError:
             raise ValidationError(f"unknown node {label!r}") from None
-
-    def _connected(self) -> bool:
-        n = len(self.nodes)
-        seen = [False] * n
-        queue = deque([0])
-        seen[0] = True
-        hit = 1
-        while queue:
-            i = queue.popleft()
-            for j in self.adjacency[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    hit += 1
-                    queue.append(j)
-        return hit == n
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def node_index(self, label) -> int:
-        return self._resolve(label)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
@@ -304,54 +288,122 @@ def two_step(graph: RelationGraph) -> TwoStepGraph:
     return TwoStepGraph(graph)
 
 
+def _tree_consistency(
+    nodes: Sequence[int],
+    edges: Sequence[tuple],
+    root: int,
+    identity,
+    compose: Callable,
+    equal: Callable,
+):
+    """Shared potentiality test over one connected component.
+
+    ``edges`` holds tuples (tail, head, value, reverse_value) where
+    reverse_value is the mark of the opposite direction (used only to walk
+    back along tree edges when building a witness cycle).  Returns
+    ``(u, None)`` on success, or ``(None, (cycle_nodes, product))`` where the
+    cycle starts and ends at the root and multiplies to something that is
+    not the identity.
+    """
+    adjacency: dict[int, list[int]] = {v: [] for v in nodes}
+    for idx, (i, _, _, _) in enumerate(edges):
+        adjacency[i].append(idx)
+
+    u = {root: identity}
+    parent_edge: dict[int, int] = {}
+    queue = deque([root])
+    while queue:
+        i = queue.popleft()
+        for idx in adjacency[i]:
+            _, j, val, _ = edges[idx]
+            if j not in u:
+                u[j] = compose(u[i], val)
+                parent_edge[j] = idx
+                queue.append(j)
+    if len(u) != len(adjacency):
+        raise ValidationError("graph is not connected")
+
+    def climb(node: int) -> tuple[list, list[int]]:
+        """Forward values and node list along the tree path root -> node."""
+        vals: list = []
+        rev_nodes = [node]
+        while node != root:
+            idx = parent_edge[node]
+            i, j, val, _ = edges[idx]
+            vals.append(val)
+            node = i
+            rev_nodes.append(node)
+        vals.reverse()
+        rev_nodes.reverse()
+        return vals, rev_nodes
+
+    def descend(node: int) -> tuple[list, list[int]]:
+        """Reverse values and node list along the tree path node -> root."""
+        vals: list = []
+        nodes_out = [node]
+        while node != root:
+            idx = parent_edge[node]
+            i, _, _, rval = edges[idx]
+            vals.append(rval)
+            node = i
+            nodes_out.append(node)
+        return vals, nodes_out
+
+    def fold(vals: Iterable):
+        acc = identity
+        for v in vals:
+            acc = compose(acc, v)
+        return acc
+
+    for i, j, val, _ in edges:
+        if equal(compose(u[i], val), u[j]):
+            continue
+        out_vals, out_nodes = climb(i)
+        back_vals, back_nodes = descend(j)
+        cycle_vals = out_vals + [val] + back_vals
+        cycle_nodes = out_nodes + back_nodes
+        product = fold(cycle_vals)
+        if not equal(product, identity):
+            return None, (tuple(cycle_nodes), product)
+        # The round trip through j alone must then fail instead.
+        out_vals, out_nodes = climb(j)
+        back_vals, back_nodes = descend(j)
+        cycle_vals = out_vals + back_vals
+        cycle_nodes = out_nodes + back_nodes[1:]
+        return None, (tuple(cycle_nodes), fold(cycle_vals))
+    return u, None
+
+
 def two_coloring(
     graph: RelationGraph, signs: Mapping[tuple[int, int], int]
 ) -> tuple[tuple[frozenset[int], frozenset[int]] | None, tuple[int, ...] | None]:
     """Split the nodes in two: positive edges inside a part, negative across.
 
-    Breadth-first from node index 0, whose part comes first.  Returns
-    ``(parts, None)`` when the split exists, else ``(None, walk)`` with
-    ``walk`` a closed walk crossing an odd number of negative edges.
+    This is the potentiality walk over the sign group {+1, -1}, every
+    positive sign read as +1 and every other as -1, from node index 0, whose
+    part comes first.  Returns ``(parts, None)`` when the split exists, else
+    ``(None, walk)`` with ``walk`` the closed walk from node 0 through the
+    first inconsistent edge, crossing an odd number of non-positive edges.
     """
-    n = len(graph)
-    color = [-1] * n
-    parent = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-
-    def ancestry(node: int) -> list[int]:
-        chain = [node]
-        while parent[chain[-1]] >= 0:
-            chain.append(parent[chain[-1]])
-        return chain
-
-    while queue:
-        i = queue.popleft()
-        for j in graph.neighbors(i):
-            want = color[i] if signs[(i, j)] > 0 else 1 - color[i]
-            if color[j] < 0:
-                color[j] = want
-                parent[j] = i
-                queue.append(j)
-            elif color[j] != want:
-                up_i = ancestry(i)
-                up_j = ancestry(j)
-                shared = set(up_i) & set(up_j)
-                pivot = next(v for v in up_i if v in shared)
-                head = list(reversed(up_i[: up_i.index(pivot) + 1]))
-                tail = up_j[: up_j.index(pivot)]
-                return None, tuple(head + tail + [pivot])
-    part0 = frozenset(i for i in range(n) if color[i] == 0)
-    part1 = frozenset(i for i in range(n) if color[i] == 1)
-    return (part0, part1), None
+    unit = {edge: 1 if signs[edge] > 0 else -1 for edge in graph.directed_edges}
+    edges = [(i, j, s, unit[(j, i)]) for (i, j), s in unit.items()]
+    nodes = range(len(graph))
+    u, witness = _tree_consistency(nodes, edges, 0, 1, operator.mul, operator.eq)
+    if witness is not None:
+        return None, witness[0]
+    return (
+        frozenset(i for i in nodes if u[i] > 0),
+        frozenset(i for i in nodes if u[i] < 0),
+    ), None
 
 
 def bipartition(graph: RelationGraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """Two-coloring of the nodes, or None when an odd cycle exists.
 
-    The first part is the one containing node index 0.
+    The first part is the one containing node index 0.  The graph found it
+    when it was built.
     """
-    return two_coloring(graph, dict.fromkeys(graph.directed_edges, -1))[0]
+    return graph.parts
 
 
 def star_marking(marking: Marking) -> StarMarking:
@@ -437,7 +489,7 @@ def load_network(source) -> Marking:
 
     edges = []
     reactions = {}
-    label_to_index = {label: i for i, label in enumerate(nodes)}
+    label_to_index = {label_key(label): i for i, label in enumerate(nodes)}
     for pos, entry in enumerate(edge_entries):
         if not isinstance(entry, dict) or not {"from", "to", "reaction"} <= set(entry):
             raise ValidationError(
@@ -449,10 +501,12 @@ def load_network(source) -> Marking:
                 raise ValidationError(
                     f"edge #{pos} '{key}' must be a JSON scalar, got {label!r}"
                 )
-            if label not in label_to_index:
+            if label_key(label) not in label_to_index:
                 raise ValidationError(f"edge #{pos} references unknown node {label!r}")
         edges.append((a, b))
-        reactions[(label_to_index[a], label_to_index[b])] = entry["reaction"]
+        reactions[(label_to_index[label_key(a)], label_to_index[label_key(b)])] = (
+            entry["reaction"]
+        )
     if symmetric:
         for (i, j), name in list(reactions.items()):
             if (j, i) not in reactions:

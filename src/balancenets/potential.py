@@ -10,9 +10,8 @@ that only cover a cycle basis.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .errors import ValidationError
 from .groups import GroupElement, ReactionGroup, sign_group
@@ -22,9 +21,9 @@ from .network import (
     RelationGraph,
     StarMarking,
     StarPath,
+    _tree_consistency,
     star_marking,
     two_coloring,
-    two_step,
 )
 
 
@@ -41,95 +40,6 @@ def product_integral_star(marks: StarMarking, path: StarPath) -> GroupElement:
     for e in path.edges:
         acc = acc * marks.mark(*e)
     return acc
-
-
-# -- generic spanning-tree consistency walk ---------------------------------
-
-
-def _tree_consistency(
-    nodes: Sequence[int],
-    edges: Sequence[tuple],
-    root: int,
-    identity,
-    compose: Callable,
-    equal: Callable,
-):
-    """Shared potentiality test over one connected component.
-
-    ``edges`` holds tuples (tail, head, value, reverse_value) where
-    reverse_value is the mark of the opposite direction (used only to walk
-    back along tree edges when building a witness cycle).  Returns
-    ``(u, None)`` on success, or ``(None, (cycle_nodes, product))`` where the
-    cycle starts and ends at the root and multiplies to something that is
-    not the identity.
-    """
-    adjacency: dict[int, list[int]] = {v: [] for v in nodes}
-    for idx, (i, _, _, _) in enumerate(edges):
-        adjacency[i].append(idx)
-
-    u = {root: identity}
-    parent_edge: dict[int, int] = {}
-    queue = deque([root])
-    while queue:
-        i = queue.popleft()
-        for idx in adjacency[i]:
-            _, j, val, _ = edges[idx]
-            if j not in u:
-                u[j] = compose(u[i], val)
-                parent_edge[j] = idx
-                queue.append(j)
-    if len(u) != len(adjacency):
-        raise ValidationError("component is not connected from the chosen root")
-
-    def climb(node: int) -> tuple[list, list[int]]:
-        """Forward values and node list along the tree path root -> node."""
-        vals: list = []
-        rev_nodes = [node]
-        while node != root:
-            idx = parent_edge[node]
-            i, j, val, _ = edges[idx]
-            vals.append(val)
-            node = i
-            rev_nodes.append(node)
-        vals.reverse()
-        rev_nodes.reverse()
-        return vals, rev_nodes
-
-    def descend(node: int) -> tuple[list, list[int]]:
-        """Reverse values and node list along the tree path node -> root."""
-        vals: list = []
-        nodes_out = [node]
-        while node != root:
-            idx = parent_edge[node]
-            i, _, _, rval = edges[idx]
-            vals.append(rval)
-            node = i
-            nodes_out.append(node)
-        return vals, nodes_out
-
-    def fold(vals: Iterable):
-        acc = identity
-        for v in vals:
-            acc = compose(acc, v)
-        return acc
-
-    for i, j, val, _ in edges:
-        if equal(compose(u[i], val), u[j]):
-            continue
-        out_vals, out_nodes = climb(i)
-        back_vals, back_nodes = descend(j)
-        cycle_vals = out_vals + [val] + back_vals
-        cycle_nodes = out_nodes + back_nodes
-        product = fold(cycle_vals)
-        if not equal(product, identity):
-            return None, (tuple(cycle_nodes), product)
-        # The round trip through j alone must then fail instead.
-        out_vals, out_nodes = climb(j)
-        back_vals, back_nodes = descend(j)
-        cycle_vals = out_vals + back_vals
-        cycle_nodes = out_nodes + back_nodes[1:]
-        return None, (tuple(cycle_nodes), fold(cycle_vals))
-    return u, None
 
 
 @dataclass(frozen=True)

@@ -137,14 +137,14 @@ class ReactionMatrix:
         return None
 
     @classmethod
-    def from_marking(cls, marking: Marking, validate: bool = True) -> "ReactionMatrix":
+    def from_marking(cls, marking: Marking) -> "ReactionMatrix":
         """Extend the marking to all node pairs and wrap it as a matrix.
 
         The extension exists exactly when the marking is potential, so a
         non-potential marking raises before any matrix is built.
         """
         entries = _pair_marks(marking)
-        return cls(marking.group, entries, graph=marking.graph, validate=validate)
+        return cls(marking.group, entries, graph=marking.graph)
 
     def entry(self, i: int, j: int) -> GroupElement:
         return self.entries[i][j]

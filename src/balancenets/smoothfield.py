@@ -25,8 +25,8 @@ from .errors import (
     ValidationError,
 )
 from .involution import InvolutionMatrix, check_quadric
-from .network import RelationGraph
-from .potential import _tree_consistency, partition_from_signs
+from .network import RelationGraph, _tree_consistency
+from .potential import partition_from_signs
 
 Point = tuple[float, float]
 

@@ -682,3 +682,56 @@ def test_check_residual_rejects_a_bad_step(capsys, h):
         "type": "validation",
         "message": f"--h must be a positive finite number, got {float(h)!r}",
     }
+
+
+SIGN_GROUP = {
+    "states": [1, -1],
+    "elements": [{"name": "e", "perm": [0, 1]}, {"name": "g", "perm": [1, 0]}],
+    "identity": "e",
+}
+
+
+def _inline_network(nodes, pairs, group=SIGN_GROUP):
+    """A symmetric network document over the group, as an inline string."""
+    return json.dumps(
+        {
+            "group": group,
+            "nodes": nodes,
+            "symmetric": True,
+            "edges": [{"from": a, "to": b, "reaction": r} for a, b, r in pairs],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("states", "ab"), ("states", {"a": 1}), ("elements", "eg"), ("elements", None)],
+)
+def test_group_states_and_elements_must_be_lists(capsys, key, value):
+    net = _inline_network([1, 2], [(1, 2, "g")], {**SIGN_GROUP, key: value})
+    code, payload = run_cli(capsys, "check-potential", "--net", net)
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": f"group {key!r} must be a list, got {value!r}",
+    }
+
+
+def test_labels_that_differ_only_by_type_stay_apart(capsys):
+    # A path 1 - 3 - true: `true` and `1` name two different nodes.
+    net = _inline_network([1, True, 3], [(1, 3, "g"), (3, True, "e")])
+    code, payload = run_cli(capsys, "balance", "--net", net)
+    assert code == 0
+    assert payload["nodes"] == 3
+    assert payload["partition"] == [[1], [True, 3]]
+    assert payload["partition"][1][0] is True
+    code, payload = run_cli(capsys, "check-potential", "--net", net)
+    assert code == 0
+    assert payload["potential"] is True
+
+
+def test_disconnected_network_reports_validation(capsys):
+    net = _inline_network([1, 2, 3, 4], [(1, 2, "g"), (3, 4, "e")])
+    code, payload = run_cli(capsys, "balance", "--net", net)
+    assert code == 2
+    assert payload["error"] == {"type": "validation", "message": "graph is not connected"}

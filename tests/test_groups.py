@@ -114,6 +114,30 @@ def test_solve_characteristic_orders_by_orbit_count():
     assert solve_characteristic(g2, g2.element("g")) == []
 
 
+def _characteristic_pair_oracle(group, a_i, a_j):
+    """Every (v, w) of the group squared, kept when v*w == a_i and w*v == a_j."""
+    hits = [
+        (v, w)
+        for v in group
+        for w in group
+        if (v * w) == a_i and (w * v) == a_j
+    ]
+    hits.sort(key=lambda vw: (-pair_orbit_count(*vw), vw[0].index, vw[1].index))
+    return hits
+
+
+@pytest.mark.parametrize(
+    "group",
+    [sign_group(), cyclic_group(4), symmetric_group(3), symmetric_group(4)],
+    ids=["sign", "C4", "S3", "S4"],
+)
+def test_solve_characteristic_pair_matches_the_square_search(group):
+    for a_i, a_j in itertools.product(group, repeat=2):
+        assert solve_characteristic_pair(group, a_i, a_j) == (
+            _characteristic_pair_oracle(group, a_i, a_j)
+        )
+
+
 def test_solve_characteristic_pair_brute_force():
     g2 = sign_group()
     e, g = g2.element("e"), g2.element("g")
@@ -177,6 +201,27 @@ def test_load_group_rejects_bad_payloads():
 def test_state_set_rejects_duplicates():
     with pytest.raises(ValidationError):
         StateSet((1, 1))
+    # Equal numbers stay one label.
+    with pytest.raises(ValidationError):
+        StateSet((1, 1.0))
+
+
+def test_state_labels_that_differ_only_by_type_are_distinct():
+    states = StateSet((1, True))
+    assert states.index(1) == 0
+    assert states.index(True) == 1
+    assert states.index(1.0) == 0
+    with pytest.raises(ValidationError):
+        states.index(False)
+    group = load_group(
+        {
+            "states": [1, True],
+            "elements": [{"name": "e", "perm": [0, 1]}, {"name": "g", "perm": [1, 0]}],
+            "identity": "e",
+        }
+    )
+    assert group.states.labels == (1, True)
+    assert group.state_labels((1, 0))[0] is True
 
 
 def test_group_requires_closure():

@@ -1,12 +1,15 @@
 """Relation graphs, markings, the two-step multigraph and JSON I/O."""
 
 import json
+import random
+from collections import deque
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balancenets import network
 from balancenets.errors import NonPotentialError, ValidationError
 from balancenets.groups import sign_group, symmetric_group
 from balancenets.network import (
@@ -14,15 +17,17 @@ from balancenets.network import (
     Path,
     RelationGraph,
     StarPath,
+    TwoStepGraph,
     bipartition,
     complete_extension,
     load_network,
     network_to_json,
     star_marking,
+    two_coloring,
     two_step,
 )
 from balancenets.potential import is_potential
-from balancenets.semigroup import ReactionMatrix
+from balancenets.semigroup import ReactionMatrix, theorem1_expected, theorem1_min_rank
 
 G2 = sign_group()
 S3 = symmetric_group(3)
@@ -179,6 +184,103 @@ def test_bipartition():
     assert parts == (frozenset({0, 2}), frozenset({1, 3}))
     chain = RelationGraph.from_undirected([1, 2, 3], [(1, 2), (2, 3)])
     assert bipartition(chain) == (frozenset({0, 2}), frozenset({1}))
+
+
+def _two_coloring_oracle(graph, signs):
+    """Breadth-first two-coloring with its own parent chains, verbatim."""
+    n = len(graph)
+    color = [-1] * n
+    parent = [-1] * n
+    color[0] = 0
+    queue = deque([0])
+
+    def ancestry(node: int) -> list[int]:
+        chain = [node]
+        while parent[chain[-1]] >= 0:
+            chain.append(parent[chain[-1]])
+        return chain
+
+    while queue:
+        i = queue.popleft()
+        for j in graph.neighbors(i):
+            want = color[i] if signs[(i, j)] > 0 else 1 - color[i]
+            if color[j] < 0:
+                color[j] = want
+                parent[j] = i
+                queue.append(j)
+            elif color[j] != want:
+                up_i = ancestry(i)
+                up_j = ancestry(j)
+                shared = set(up_i) & set(up_j)
+                pivot = next(v for v in up_i if v in shared)
+                head = list(reversed(up_i[: up_i.index(pivot) + 1]))
+                tail = up_j[: up_j.index(pivot)]
+                return None, tuple(head + tail + [pivot])
+    part0 = frozenset(i for i in range(n) if color[i] == 0)
+    part1 = frozenset(i for i in range(n) if color[i] == 1)
+    return (part0, part1), None
+
+
+def _signings(graph, rng):
+    """A balanced gauge signing, then random symmetric, asymmetric and
+    non-unit (-1, 0, 2) signings of the graph."""
+    side = [rng.choice((1, -1)) for _ in range(len(graph))]
+    yield {(i, j): side[i] * side[j] for i, j in graph.directed_edges}
+    undirected = {e: rng.choice((1, -1)) for e in graph.undirected_edges}
+    yield {(i, j): undirected[(min(i, j), max(i, j))] for i, j in graph.directed_edges}
+    yield {e: rng.choice((1, -1)) for e in graph.directed_edges}
+    yield {e: rng.choice((-1, 0, 2)) for e in graph.directed_edges}
+
+
+def test_two_coloring_matches_the_breadth_first_oracle_on_the_atlas():
+    rng = random.Random(2027)
+    graphs = list(_atlas_graphs(2, 7))
+    assert len(graphs) == 995
+    verdicts = set()
+    for graph in graphs:
+        assert graph.parts == _two_coloring_oracle(
+            graph, dict.fromkeys(graph.directed_edges, -1)
+        )[0]
+        for signs in _signings(graph, rng):
+            parts, walk = two_coloring(graph, signs)
+            expected, oracle_walk = _two_coloring_oracle(graph, signs)
+            assert parts == expected
+            assert (walk is None) == (oracle_walk is None)
+            verdicts.add(parts is None)
+            if walk is None:
+                continue
+            assert walk[0] == walk[-1] == 0
+            assert all(graph.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+            hostile = sum(1 for a, b in zip(walk, walk[1:]) if signs[(a, b)] <= 0)
+            assert hostile % 2 == 1
+    assert verdicts == {True, False}
+
+
+def test_a_built_graph_runs_no_walk_for_its_bipartition(monkeypatch):
+    square = RelationGraph.cycle([1, 2, 3, 4])
+    triangle = RelationGraph.complete([1, 2, 3])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spanning-tree walk ran again")
+
+    monkeypatch.setattr(network, "_tree_consistency", refuse)
+    assert bipartition(square) == (frozenset({0, 2}), frozenset({1, 3}))
+    assert bipartition(triangle) is None
+    assert TwoStepGraph(square).components == bipartition(square)
+    assert TwoStepGraph(triangle).components == (frozenset({0, 1, 2}),)
+    assert (theorem1_expected(square), theorem1_min_rank(square)) == (4, 2)
+    assert (theorem1_expected(triangle), theorem1_min_rank(triangle)) == (3, 1)
+    with pytest.raises(AssertionError):
+        RelationGraph.cycle([1, 2, 3])
+
+
+def test_labels_that_differ_only_by_type_are_distinct():
+    graph = RelationGraph.from_undirected([1, True, 3], [(1, 3), (3, True)])
+    assert graph.directed_edges == ((0, 2), (1, 2), (2, 0), (2, 1))
+    assert graph.nodes[1] is True
+    # Equal numbers stay one label.
+    with pytest.raises(ValidationError, match="node labels must be distinct"):
+        RelationGraph.complete([1, 1.0])
 
 
 def test_star_marking_values():
