@@ -97,11 +97,14 @@ def _load_curve(spec: str) -> ParameterizedCurve:
     """
     payload = read_json(spec, "curve spec")
     kind = payload.get("type")
+    if kind not in ("line", "polyline"):
+        raise ValidationError(f"curve type must be 'line' or 'polyline', got {kind!r}")
+    for key in ("from", "to") if kind == "line" else ("points",):
+        if key not in payload:
+            raise ValidationError(f"curve spec of type {kind!r} is missing {key!r}")
     if kind == "line":
         return ParameterizedCurve.line(payload["from"], payload["to"])
-    if kind == "polyline":
-        return ParameterizedCurve.polyline(payload["points"])
-    raise ValidationError(f"curve type must be 'line' or 'polyline', got {kind!r}")
+    return ParameterizedCurve.polyline(payload["points"])
 
 
 # -- subcommand handlers ----------------------------------------------------------

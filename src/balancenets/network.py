@@ -8,6 +8,7 @@ index so iteration order is reproducible.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -298,12 +299,10 @@ def _tree_consistency(
 ):
     """Shared potentiality test over one connected component.
 
-    ``edges`` holds tuples (tail, head, value, reverse_value) where
-    reverse_value is the mark of the opposite direction (used only to walk
-    back along tree edges when building a witness cycle).  Returns
-    ``(u, None)`` on success, or ``(None, (cycle_nodes, product))`` where the
-    cycle starts and ends at the root and multiplies to something that is
-    not the identity.
+    ``edges`` holds tuples (tail, head, value, reverse_value); reverse_value,
+    the mark of the opposite direction, walks back along tree edges in a
+    witness.  Returns ``(u, None)`` on success, or ``(None, (cycle_nodes,
+    product))`` for a cycle from the root whose product is not the identity.
     """
     adjacency: dict[int, list[int]] = {v: [] for v in nodes}
     for idx, (i, _, _, _) in enumerate(edges):
@@ -323,54 +322,28 @@ def _tree_consistency(
     if len(u) != len(adjacency):
         raise ValidationError("graph is not connected")
 
-    def climb(node: int) -> tuple[list, list[int]]:
-        """Forward values and node list along the tree path root -> node."""
-        vals: list = []
-        rev_nodes = [node]
+    def tree_path(node: int) -> list[int]:
+        """Indices of the tree edges from the root down to ``node``."""
+        path: list[int] = []
         while node != root:
-            idx = parent_edge[node]
-            i, j, val, _ = edges[idx]
-            vals.append(val)
-            node = i
-            rev_nodes.append(node)
-        vals.reverse()
-        rev_nodes.reverse()
-        return vals, rev_nodes
+            path.append(parent_edge[node])
+            node = edges[path[-1]][0]
+        return path[::-1]
 
-    def descend(node: int) -> tuple[list, list[int]]:
-        """Reverse values and node list along the tree path node -> root."""
-        vals: list = []
-        nodes_out = [node]
-        while node != root:
-            idx = parent_edge[node]
-            i, _, _, rval = edges[idx]
-            vals.append(rval)
-            node = i
-            nodes_out.append(node)
-        return vals, nodes_out
-
-    def fold(vals: Iterable):
-        acc = identity
-        for v in vals:
-            acc = compose(acc, v)
-        return acc
-
-    for i, j, val, _ in edges:
+    for idx, (i, j, val, _) in enumerate(edges):
         if equal(compose(u[i], val), u[j]):
             continue
-        out_vals, out_nodes = climb(i)
-        back_vals, back_nodes = descend(j)
-        cycle_vals = out_vals + [val] + back_vals
-        cycle_nodes = out_nodes + back_nodes
-        product = fold(cycle_vals)
-        if not equal(product, identity):
-            return None, (tuple(cycle_nodes), product)
-        # The round trip through j alone must then fail instead.
-        out_vals, out_nodes = climb(j)
-        back_vals, back_nodes = descend(j)
-        cycle_vals = out_vals + back_vals
-        cycle_nodes = out_nodes + back_nodes[1:]
-        return None, (tuple(cycle_nodes), fold(cycle_vals))
+        # Out along the tree to i, across (i, j), back from j with reverse
+        # values; when that multiplies to the identity, the round trip
+        # through j alone must fail instead.
+        back = tree_path(j)[::-1]
+        for out in (tree_path(i) + [idx], back[::-1]):
+            vals = [edges[k][2] for k in out] + [edges[k][3] for k in back]
+            product = functools.reduce(compose, vals, identity)
+            if not equal(product, identity):
+                break
+        cycle = (root, *(edges[k][1] for k in out), *(edges[k][0] for k in back))
+        return None, (cycle, product)
     return u, None
 
 

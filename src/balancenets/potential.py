@@ -10,6 +10,7 @@ that only cover a cycle basis.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -64,26 +65,34 @@ class PotentialVerdict:
     witness_product: GroupElement | None
 
 
+def _walk_components(components, edges, identity) -> tuple:
+    """Walk each component from its smallest node along the edges it tails.
+
+    ``edges`` holds (tail, head, value, reverse_value) tuples.  Returns the
+    verdict fields: ``True`` and one potential per component, or ``False``
+    and the first witness.
+    """
+    potentials = []
+    for comp in components:
+        root = min(comp)
+        tails = [e for e in edges if e[0] in comp]
+        u, witness = _tree_consistency(
+            sorted(comp), tails, root, identity, operator.mul, operator.eq
+        )
+        if witness is not None:
+            return (False, None, *witness)
+        potentials.append(PotentialFunction(root, u))
+    return True, tuple(potentials), None, None
+
+
 def is_potential(marking: Marking) -> PotentialVerdict:
-    """Spanning-tree potentiality test with a closed-cycle witness on failure."""
-    graph = marking.graph
-    edges = [
-        (i, j, marking.mark(i, j), marking.mark(j, i))
-        for i, j in graph.directed_edges
-    ]
-    identity = marking.group.identity
-    u, witness = _tree_consistency(
-        range(len(graph)),
-        edges,
-        0,
-        identity,
-        lambda a, b: a * b,
-        lambda a, b: a == b,
+    """Spanning-tree test with a cycle witness: the A1 loop on one component."""
+    graph, mark = marking.graph, marking.mark
+    edges = [(i, j, mark(i, j), mark(j, i)) for i, j in graph.directed_edges]
+    ok, potentials, *witness = _walk_components(
+        [range(len(graph))], edges, marking.group.identity
     )
-    if witness is None:
-        return PotentialVerdict(True, PotentialFunction(0, u), None, None)
-    cycle_nodes, product = witness
-    return PotentialVerdict(False, None, cycle_nodes, product)
+    return PotentialVerdict(ok, potentials[0] if ok else None, *witness)
 
 
 @dataclass(frozen=True)
@@ -99,29 +108,10 @@ class StarPotentialReport:
 def check_A1(marking: Marking) -> StarPotentialReport:
     """Potentiality of the induced marks on every two-step component."""
     marks = star_marking(marking)
-    star = marks.star
-    identity = marking.group.identity
-    potentials = []
-    for comp in star.components:
-        root = min(comp)
-        edges = [
-            (i, j, marks.mark(i, j, k), marks.mark(j, i, k))
-            for i, j, k in star.star_edges
-            if i in comp
-        ]
-        u, witness = _tree_consistency(
-            sorted(comp),
-            edges,
-            root,
-            identity,
-            lambda a, b: a * b,
-            lambda a, b: a == b,
-        )
-        if witness is not None:
-            cycle_nodes, product = witness
-            return StarPotentialReport(False, None, cycle_nodes, product)
-        potentials.append(PotentialFunction(root, u))
-    return StarPotentialReport(True, tuple(potentials), None, None)
+    mark = marks.mark
+    edges = [(i, j, mark(i, j, k), mark(j, i, k)) for i, j, k in marks.star.star_edges]
+    fields = _walk_components(marks.star.components, edges, marking.group.identity)
+    return StarPotentialReport(*fields)
 
 
 @dataclass(frozen=True)

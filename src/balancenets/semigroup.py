@@ -411,20 +411,17 @@ def enumerate_ideals(rg: ReactionMatrix) -> IdealEnumeration:
     parts = bipartition(rg.graph)
     kernel = _kernel(rg, parts)
     min_rank = min(op.rank for op in kernel)
-    closures: dict[frozenset, frozenset] = {}
+    # The ideals partition the kernel, so in sort order each one is met
+    # first at its smallest element, and the list comes out sorted by it.
+    ideals = []
     assigned: set[OperatorMatrix] = set()
     for op in sorted(kernel, key=OperatorMatrix.sort_key):
         if op in assigned:
             continue
         cls = _closure(op, lambda o: _left_children(o, rg))
-        closures[cls] = cls
         assigned.update(cls)
-    ideals = []
-    for cls in closures:
         elements = tuple(sorted(cls, key=OperatorMatrix.sort_key))
-        kind, nodes = _classify(elements, parts)
-        ideals.append(LeftIdeal(elements, kind, nodes))
-    ideals.sort(key=lambda ideal: ideal.elements[0].sort_key())
+        ideals.append(LeftIdeal(elements, *_classify(elements, parts)))
     expected = theorem1_expected(rg.graph) if rg.is_potential() else None
     matches = (len(ideals) == expected) if expected is not None else None
     return IdealEnumeration(

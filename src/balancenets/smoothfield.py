@@ -9,6 +9,7 @@ by a plane 2*a*C1 + c*C2 + b*C3 = 0.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -807,6 +808,12 @@ class GraphEmbedding:
         return cls(graph, coords, curves)
 
 
+def _embedding_key(label) -> str:
+    """Embedding key of a node label: a string is its own key, any other
+    label its JSON spelling (``1``, ``2.5``, ``true``, ``null``)."""
+    return label if isinstance(label, str) else json.dumps(label)
+
+
 def load_embedding(
     source, graph: RelationGraph
 ) -> tuple[GraphEmbedding, dict[tuple[int, int], EdgeQuadratureRule]]:
@@ -827,7 +834,14 @@ def load_embedding(
     if "nodes" not in payload:
         raise ValidationError("embedding is missing 'nodes'")
 
-    by_label = {str(label): i for i, label in enumerate(graph.nodes)}
+    by_label: dict[str, int] = {}
+    for i, label in enumerate(graph.nodes):
+        first = by_label.setdefault(_embedding_key(label), i)
+        if first != i:
+            raise ValidationError(
+                f"node labels {graph.nodes[first]!r} and {label!r} share the "
+                f"embedding key {_embedding_key(label)!r}"
+            )
     raw_nodes = payload["nodes"]
     if not isinstance(raw_nodes, dict):
         raise ValidationError("embedding 'nodes' must be an object of node coordinates")
@@ -847,8 +861,8 @@ def load_embedding(
     rules: dict[tuple[int, int], EdgeQuadratureRule] = {}
     for entry in edge_entries:
         try:
-            i = by_label[str(entry["from"])]
-            j = by_label[str(entry["to"])]
+            i = by_label[_embedding_key(entry["from"])]
+            j = by_label[_embedding_key(entry["to"])]
         except KeyError as exc:
             raise ValidationError(f"embedding edge references {exc}") from exc
         if not graph.has_edge(i, j):

@@ -527,6 +527,75 @@ def test_malformed_curve_points_report_validation(capsys, curve, message):
 
 
 @pytest.mark.parametrize(
+    "curve,kind,key",
+    [
+        ({"type": "line", "to": [0.5, 0.5]}, "line", "from"),
+        ({"type": "line", "from": [0.1, 0.1]}, "line", "to"),
+        ({"type": "polyline"}, "polyline", "points"),
+    ],
+    ids=["line-from", "line-to", "polyline-points"],
+)
+def test_curve_spec_names_its_missing_key(capsys, curve, kind, key):
+    code, payload = run_cli(capsys, "smooth", "p-integral", "--curve", json.dumps(curve))
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": f"curve spec of type '{kind}' is missing '{key}'",
+    }
+
+
+def _triangle_net(labels, sign_group):
+    a, b, c = labels
+    return {
+        "group": sign_group,
+        "nodes": list(labels),
+        "symmetric": True,
+        "edges": [
+            {"from": x, "to": y, "reaction": "e"} for x, y in ((a, b), (a, c), (b, c))
+        ],
+    }
+
+
+def test_embedding_keys_json_literal_labels_by_their_json_spelling(capsys, fixtures_dir):
+    group = json.loads((fixtures_dir / "sign_group.json").read_text())
+    net = json.dumps(_triangle_net([True, False, None], group))
+    embedding = {
+        "nodes": {"true": [0.1, 0.1], "false": [0.9, 0.1], "null": [0.5, 0.9]},
+        "edges": [{"from": True, "to": False, "steps": 64}, {"from": "null", "to": "true"}],
+    }
+    argv = ["smooth", "discretize", "--net", net, "--embedding"]
+    code, payload = run_cli(capsys, *argv, json.dumps(embedding))
+    assert code == 0
+    assert payload["potential"] is True
+    # The output keeps its Python spelling of the labels.
+    assert sorted(payload["marks"]) == sorted(
+        f"{x}->{y}" for x in (True, False, None) for y in (True, False, None) if x is not y
+    )
+    # The Python spellings no longer name a node.
+    embedding["nodes"] = {"True": [0.1, 0.1], "False": [0.9, 0.1], "None": [0.5, 0.9]}
+    code, payload = run_cli(capsys, *argv, json.dumps(embedding))
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": "embedding names unknown node 'True'",
+    }
+
+
+def test_embedding_rejects_labels_that_share_a_key(capsys, fixtures_dir):
+    group = json.loads((fixtures_dir / "sign_group.json").read_text())
+    net = json.dumps(_triangle_net([1, "1", 2], group))
+    embedding = {"nodes": {"1": [0.1, 0.1], "2": [0.9, 0.1]}}
+    code, payload = run_cli(
+        capsys, "smooth", "discretize", "--net", net, "--embedding", json.dumps(embedding)
+    )
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": "node labels 1 and '1' share the embedding key '1'",
+    }
+
+
+@pytest.mark.parametrize(
     "node,edge,message",
     [
         ([0.1], {}, "embedding node '1' must be"),

@@ -1,6 +1,7 @@
 """Relation graphs, markings, the two-step multigraph and JSON I/O."""
 
 import json
+import operator
 import random
 from collections import deque
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from balancenets import network
 from balancenets.errors import NonPotentialError, ValidationError
-from balancenets.groups import sign_group, symmetric_group
+from balancenets.groups import cyclic_group, sign_group, symmetric_group
 from balancenets.network import (
     Marking,
     Path,
@@ -26,7 +27,7 @@ from balancenets.network import (
     two_coloring,
     two_step,
 )
-from balancenets.potential import is_potential
+from balancenets.potential import check_A1, is_potential
 from balancenets.semigroup import ReactionMatrix, theorem1_expected, theorem1_min_rank
 
 G2 = sign_group()
@@ -254,6 +255,182 @@ def test_two_coloring_matches_the_breadth_first_oracle_on_the_atlas():
             hostile = sum(1 for a, b in zip(walk, walk[1:]) if signs[(a, b)] <= 0)
             assert hostile % 2 == 1
     assert verdicts == {True, False}
+
+
+def _tree_consistency_oracle(nodes, edges, root, identity, compose, equal):
+    """The spanning-tree walk with hand-built witness cycles, verbatim."""
+    adjacency = {v: [] for v in nodes}
+    for idx, (i, _, _, _) in enumerate(edges):
+        adjacency[i].append(idx)
+
+    u = {root: identity}
+    parent_edge = {}
+    queue = deque([root])
+    while queue:
+        i = queue.popleft()
+        for idx in adjacency[i]:
+            _, j, val, _ = edges[idx]
+            if j not in u:
+                u[j] = compose(u[i], val)
+                parent_edge[j] = idx
+                queue.append(j)
+    if len(u) != len(adjacency):
+        raise ValidationError("graph is not connected")
+
+    def climb(node):
+        """Forward values and node list along the tree path root -> node."""
+        vals = []
+        rev_nodes = [node]
+        while node != root:
+            idx = parent_edge[node]
+            i, j, val, _ = edges[idx]
+            vals.append(val)
+            node = i
+            rev_nodes.append(node)
+        vals.reverse()
+        rev_nodes.reverse()
+        return vals, rev_nodes
+
+    def descend(node):
+        """Reverse values and node list along the tree path node -> root."""
+        vals = []
+        nodes_out = [node]
+        while node != root:
+            idx = parent_edge[node]
+            i, _, _, rval = edges[idx]
+            vals.append(rval)
+            node = i
+            nodes_out.append(node)
+        return vals, nodes_out
+
+    def fold(vals):
+        acc = identity
+        for v in vals:
+            acc = compose(acc, v)
+        return acc
+
+    for i, j, val, _ in edges:
+        if equal(compose(u[i], val), u[j]):
+            continue
+        out_vals, out_nodes = climb(i)
+        back_vals, back_nodes = descend(j)
+        cycle_vals = out_vals + [val] + back_vals
+        cycle_nodes = out_nodes + back_nodes
+        product = fold(cycle_vals)
+        if not equal(product, identity):
+            return None, (tuple(cycle_nodes), product)
+        # The round trip through j alone must then fail instead.
+        out_vals, out_nodes = climb(j)
+        back_vals, back_nodes = descend(j)
+        cycle_vals = out_vals + back_vals
+        cycle_nodes = out_nodes + back_nodes[1:]
+        return None, (tuple(cycle_nodes), fold(cycle_vals))
+    return u, None
+
+
+def _random_connected_graph(n, rng):
+    """A random tree on 0..n-1 plus random chords, nodes shuffled."""
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {frozenset((order[v], order[rng.randrange(v)])) for v in range(1, n)}
+    density = rng.random()
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < density:
+                pairs.add(frozenset((a, b)))
+    return RelationGraph.from_undirected(range(n), [tuple(p) for p in pairs])
+
+
+def _gauge_marking_with_noise(graph, group, rng, noise=0.15):
+    """Marks u(i)^-1 * u(j) of a random potential, with some entries
+    overwritten one direction at a time."""
+    elements = list(group)
+    u = [rng.choice(elements) for _ in range(len(graph))]
+    values = {}
+    for i, j in graph.directed_edges:
+        values[(i, j)] = u[i].inverse() * u[j]
+        if rng.random() < noise:
+            values[(i, j)] = rng.choice(elements)
+    return Marking(graph, group, values)
+
+
+def _walks_agree(nodes, edges, root, identity):
+    """Run the walk and its oracle on one component; return whether the
+    oracle took the round-trip fallback."""
+    checks = []
+
+    def equal(a, b):
+        checks.append(a == b)
+        return checks[-1]
+
+    got = network._tree_consistency(
+        nodes, edges, root, identity, operator.mul, operator.eq
+    )
+    want = _tree_consistency_oracle(nodes, edges, root, identity, operator.mul, equal)
+    assert got == want
+    # Only the fallback ends the oracle on a passing identity check.
+    return want[1] is not None and checks[-1]
+
+
+@pytest.mark.parametrize("group", [G2, cyclic_group(3), S3], ids=["G2", "C3", "S3"])
+def test_tree_path_witnesses_match_the_hand_built_walk(group):
+    rng = random.Random(1517)
+    identity = group.identity
+    witnesses = fallbacks = 0
+    for _ in range(700):
+        graph = _random_connected_graph(rng.randint(2, 7), rng)
+        marking = _gauge_marking_with_noise(graph, group, rng)
+        n = len(graph)
+        edges = [
+            (i, j, marking.mark(i, j), marking.mark(j, i))
+            for i, j in graph.directed_edges
+        ]
+        for root in (0, rng.randrange(n)):
+            fallbacks += _walks_agree(range(n), edges, root, identity)
+        verdict = is_potential(marking)
+        u, witness = _tree_consistency_oracle(
+            range(n), edges, 0, identity, operator.mul, operator.eq
+        )
+        witnesses += witness is not None
+        if witness is None:
+            assert verdict.ok and verdict.potential.values == u
+        else:
+            assert (verdict.witness_cycle_nodes, verdict.witness_product) == witness
+
+        marks = star_marking(marking)
+        star_edges = [
+            (i, j, marks.mark(i, j, k), marks.mark(j, i, k))
+            for i, j, k in marks.star.star_edges
+        ]
+        potentials, a1_witness = [], None
+        for comp in marks.star.components:
+            tails = [e for e in star_edges if e[0] in comp]
+            for root in (min(comp), rng.choice(sorted(comp))):
+                fallbacks += _walks_agree(sorted(comp), tails, root, identity)
+            u, witness = _tree_consistency_oracle(
+                sorted(comp), tails, min(comp), identity, operator.mul, operator.eq
+            )
+            if witness is not None:
+                a1_witness = witness
+                break
+            potentials.append((min(comp), u))
+        report = check_A1(marking)
+        if a1_witness is None:
+            assert report.ok
+            assert [(p.root, p.values) for p in report.potentials] == potentials
+        else:
+            assert not report.ok and report.potentials is None
+            assert (report.witness_cycle_nodes, report.witness_product) == a1_witness
+    assert witnesses > 100
+    assert fallbacks > 0
+
+
+def test_tree_path_walk_reports_a_disconnected_component():
+    e = S3.identity
+    edges = [(0, 1, e, e), (1, 0, e, e)]
+    for walk in (network._tree_consistency, _tree_consistency_oracle):
+        with pytest.raises(ValidationError, match="^graph is not connected$"):
+            walk(range(3), edges, 0, e, operator.mul, operator.eq)
 
 
 def test_a_built_graph_runs_no_walk_for_its_bipartition(monkeypatch):

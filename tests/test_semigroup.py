@@ -524,6 +524,20 @@ def test_enumerate_ideals_without_potentiality_matches_brute_force():
     assert final_states(broken, enumeration) == _final_states_scan(broken, enumeration)
 
 
+def test_ideals_come_back_ordered_by_their_first_element():
+    rng = random.Random(415)
+    matrices = [_gauge_matrix(g, G2, rng.randrange) for g in _atlas_graphs(2, 7)]
+    for rm in matrices + [_broken_triangle()]:
+        enumeration = enumerate_ideals(rm)
+        firsts = [ideal.elements[0].sort_key() for ideal in enumeration.ideals]
+        assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+        for ideal in enumeration.ideals:
+            keys = [op.sort_key() for op in ideal.elements]
+            assert keys == sorted(keys)
+        members = [op for ideal in enumeration.ideals for op in ideal.elements]
+        assert len(set(members)) == len(members) == enumeration.kernel_size
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SMALL_GRAPHS), st.sampled_from(GROUPS), st.data())
 def test_final_states_match_the_scan_oracle(graph, group, data):
