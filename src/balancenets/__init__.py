@@ -23,13 +23,11 @@ from .dynamics import (
     MarkovModel,
     ScanResult,
     TheoremBReport,
-    apply_F,
     build_markov,
     core_set,
     essential_check,
     limit_exists,
     max_nonergodicity_scan,
-    state_space,
     stationary_count,
     theoremB_verify,
 )

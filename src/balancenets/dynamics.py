@@ -5,13 +5,15 @@ neighbor's state pushed through the mark on the connecting edge.  The
 one-step law is a row-stochastic matrix over the product state space,
 enumerated in lexicographic node-major order.  It is held as one
 ``scipy.sparse`` CSR matrix, assembled in integers over a common
-denominator; closed classes, periods and the core are read off it.
+denominator; closed classes and periods are read off it.  The core and
+Theorem B need no chain: they follow from the marks alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +29,7 @@ from .groups import (
     solve_characteristic,
     solve_characteristic_pair,
 )
-from .network import Marking, bipartition
+from .network import Marking, _tree_consistency, bipartition
 from .potential import CharacteristicReactions, check_A1, check_A2
 
 if TYPE_CHECKING:
@@ -44,21 +46,6 @@ def _state_array(marking: Marking, bound: int) -> np.ndarray:
             f"state space has {size} elements, which exceeds the bound {bound}"
         )
     return np.arange(size)[:, None] // k ** np.arange(n - 1, -1, -1) % k
-
-
-def state_space(marking: Marking, bound: int = BOUND_STATES) -> tuple[tuple[int, ...], ...]:
-    """All joint states as tuples of state indices, node-major lexicographic."""
-    return tuple(map(tuple, _state_array(marking, bound).tolist()))
-
-
-def apply_F(marking: Marking, x: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Set of joint states reachable in one synchronous step from x."""
-    graph = marking.graph
-    options = []
-    for i in range(len(graph)):
-        seen = {marking.mark(i, j)(x[j]) for j in graph.neighbors(i)}
-        options.append(sorted(seen))
-    return frozenset(itertools.product(*options))
 
 
 class ChoiceDistribution:
@@ -312,20 +299,50 @@ def _closed_form_state(
     return tuple(x[j] for j in range(len(x)))
 
 
-def core_set(model: MarkovModel) -> CoreSet:
-    """Read the single-image states off the model and reconcile with the
-    closed form.
+def _core_walk(marking: Marking) -> tuple[frozenset[tuple[int, ...]], bool]:
+    """Single-image states and whether their images stay among them.
+
+    State x steps to y alone when y_c = g(c, p)(x_p) on every edge (c, p):
+    a potential on the bipartite double cover, with copy p holding x_p,
+    copy n + c holding y_c and the edge carrying the permutation of g(c, p).
+    The cover has one component per part of a bipartite graph, else one;
+    each is walked from every state of its root.
+    """
+    graph = marking.graph
+    n = len(graph)
+    edges = []
+    for c, p in graph.directed_edges:
+        forward, back = marking.mark(c, p).perm, marking.mark(c, p).inverse().perm
+        edges += [(p, n + c, forward, back), (n + c, p, back, forward)]
+    walks = []
+    for part in graph.parts or (range(n),):
+        nodes = {*part, *(n + c for p in part for c in graph.neighbors(p))}
+        tails = [e for e in edges if e[0] in nodes]
+        walks.append([])
+        for t in range(len(marking.group.states)):
+            u, _ = _tree_consistency(
+                nodes, tails, min(part), t, lambda s, perm: perm[s], operator.eq
+            )
+            if u is not None:
+                walks[-1].append(u)
+    pairs = []
+    for pieces in itertools.product(*walks):
+        u = {v: s for piece in pieces for v, s in piece.items()}
+        pairs.append((tuple(u[v] for v in range(n)), tuple(u[v] for v in range(n, 2 * n))))
+    found = frozenset(x for x, _ in pairs)
+    return found, all(y in found for _, y in pairs)
+
+
+def core_set(marking: Marking) -> CoreSet:
+    """Find the single-image states from the marks and reconcile them with
+    the closed form.
 
     The closed form parameterizes the core by one free state per two-step
     component; it only applies when the induced marks are potential (A1)
     and the round-trip marks are neighbor-independent (A2), so those two
     verdicts ride along in the result.
     """
-    marking = model.marking
-    m = model.matrix
-    single = np.flatnonzero(np.diff(m.indptr) == 1)
-    found = frozenset(map(tuple, model.states[single].tolist()))
-    closed = bool(np.isin(m.indices[m.indptr[single]], single).all())
+    found, closed = _core_walk(marking)
 
     a1 = check_A1(marking)
     a2 = check_A2(marking)
@@ -366,7 +383,7 @@ def core_set(model: MarkovModel) -> CoreSet:
 
 @dataclass(frozen=True)
 class TheoremBReport:
-    """Replay of the core dynamics against the characteristic equations."""
+    """The one-step map on the core against the characteristic equations."""
 
     ok: bool
     bipartite: bool
@@ -399,19 +416,19 @@ def _fail_report(bip: bool, a1: bool, a2: bool) -> TheoremBReport:
     )
 
 
-def theoremB_verify(model: MarkovModel) -> TheoremBReport:
+def theoremB_verify(marking: Marking) -> TheoremBReport:
     """Check that the one-step map on the core is a characteristic solution.
 
     The core is z(params), one free state per two-step component. One step
     sends component c's parameter to e_c applied to the parameter of the
     component c reads: itself on a non-bipartite graph, where e solves
     v*v = a_root, and the other side on a bipartite one, where (v, w)
-    solves v*w = a_1, w*v = a_2 for the two component roots. The maps e_c
-    are recovered by replaying one step of the model from each core state,
-    then matched against the solution list.
+    solves v*w = a_1, w*v = a_2 for the two component roots.  On the core,
+    root r of c steps to g(r, p)(x_p) for every neighbor p, so e_c is
+    g(r, p) * transport[p], which is then matched against the solution list.
     """
-    core = core_set(model)
-    group = model.marking.group
+    core = core_set(marking)
+    group = marking.group
     bip = core.bipartite
     # None unless both A1 and A2 hold.
     if not core.matches_closed_form:
@@ -419,23 +436,8 @@ def theoremB_verify(model: MarkovModel) -> TheoremBReport:
 
     roots = [min(comp) for comp in core.components]
     reads = (1, 0) if bip else (0,)
-    k = len(group.states)
-    m = model.matrix
-    perms: list[dict[int, int]] = [{} for _ in roots]
-    for params in itertools.product(range(k), repeat=len(roots)):
-        x = _closed_form_state(core.transport, core.components, params)
-        # Core states have exactly one successor.
-        y = tuple(model.states[m.indices[m.indptr[model.index(x)]]].tolist())
-        new = tuple(y[r] for r in roots)
-        if y != _closed_form_state(core.transport, core.components, new):
-            return _fail_report(bip, True, True)
-        for perm, source, t in zip(perms, reads, new):
-            if perm.setdefault(params[source], t) != t:
-                return _fail_report(bip, True, True)
-    try:
-        realized = tuple(group.element_by_perm([p[t] for t in range(k)]) for p in perms)
-    except ValidationError:
-        return _fail_report(bip, True, True)
+    first = [marking.graph.neighbors(r)[0] for r in roots]
+    realized = tuple(marking.mark(r, p) * core.transport[p] for r, p in zip(roots, first))
 
     a = [core.characteristic.values[r] for r in roots]
     # Two steps: v*v = a_root, or v*w = a_1 and w*v = a_2.

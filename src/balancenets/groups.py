@@ -170,7 +170,7 @@ class ReactionGroup:
                 return GroupElement(self, self.names.index(key))
             except ValueError:
                 raise ValidationError(f"unknown element name {key!r}") from None
-        if isinstance(key, int):
+        if isinstance(key, int) and not isinstance(key, bool):
             if not (0 <= key < len(self.perms)):
                 raise ValidationError(f"element index {key} out of range")
             return GroupElement(self, key)
@@ -331,6 +331,8 @@ def load_group(source) -> ReactionGroup:
     for i, entry in enumerate(data["elements"]):
         if not isinstance(entry, dict) or "name" not in entry or "perm" not in entry:
             raise ValidationError(f"element #{i} needs 'name' and 'perm'")
+        if not isinstance(entry["name"], str):
+            raise ValidationError(f"element #{i} 'name' must be a string, got {entry['name']!r}")
         perm = entry["perm"]
         if (
             not isinstance(perm, list)
@@ -342,9 +344,11 @@ def load_group(source) -> ReactionGroup:
                 f"on {len(states)} state indices"
             )
         perms.append(tuple(perm))
-        names.append(str(entry["name"]))
+        names.append(entry["name"])
     group = ReactionGroup(states, perms, names=names)
     declared = data["identity"]
+    if not isinstance(declared, str):
+        raise ValidationError(f"group 'identity' must be an element name, got {declared!r}")
     if declared not in names:
         raise ValidationError(f"identity {declared!r} is not an element name")
     if names.index(declared) != group.identity_index:

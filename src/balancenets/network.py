@@ -476,6 +476,10 @@ def load_network(source) -> Marking:
                 )
             if label_key(label) not in label_to_index:
                 raise ValidationError(f"edge #{pos} references unknown node {label!r}")
+        if not isinstance(entry["reaction"], str):
+            raise ValidationError(
+                f"edge #{pos} 'reaction' must be an element name, got {entry['reaction']!r}"
+            )
         edges.append((a, b))
         reactions[(label_to_index[label_key(a)], label_to_index[label_key(b)])] = (
             entry["reaction"]

@@ -95,9 +95,9 @@ def analyze_marking(
     n_measures = stationary_count(model)
     converges = limit_exists(model)
 
-    core = core_set(model)
+    core = core_set(marking)
     core_states = tuple(sorted(marking.group.state_labels(x) for x in core.states))
-    characteristic = theoremB_verify(model)
+    characteristic = theoremB_verify(marking)
 
     ideal_count = None
     kernel_size = None

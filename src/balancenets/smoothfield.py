@@ -258,6 +258,8 @@ class ParameterizedCurve:
 
     @classmethod
     def polyline(cls, points: Sequence[Point]) -> "ParameterizedCurve":
+        if not isinstance(points, (list, tuple, np.ndarray)):
+            raise ValidationError(f"polyline points must be a list of [x, y] pairs, got {points!r}")
         pts = [_point(p, "polyline point") for p in points]
         if len(pts) < 2:
             raise ValidationError("polyline needs at least two points")

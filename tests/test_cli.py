@@ -516,8 +516,9 @@ def test_bad_config_reports_validation(fixtures_dir, tmp_path, capsys):
     [
         ('{"type":"line","from":[0.1],"to":[0.5,0.5]}', "line start must be"),
         ('{"type":"polyline","points":[[0.1,0.1],[0.3]]}', "polyline point must be"),
+        ('{"type":"polyline","points":5}', "polyline points must be a list"),
     ],
-    ids=["line-start", "polyline-point"],
+    ids=["line-start", "polyline-point", "polyline-points"],
 )
 def test_malformed_curve_points_report_validation(capsys, curve, message):
     code, payload = run_cli(capsys, "smooth", "p-integral", "--curve", curve)
@@ -578,6 +579,20 @@ def test_embedding_keys_json_literal_labels_by_their_json_spelling(capsys, fixtu
     assert payload["error"] == {
         "type": "validation",
         "message": "embedding names unknown node 'True'",
+    }
+
+
+def test_embedding_polyline_that_is_not_a_list_reports_validation(capsys, fixtures_dir):
+    embedding = json.loads((fixtures_dir / "k4_embedding.json").read_text())
+    embedding["edges"][0]["polyline"] = 5
+    code, payload = run_cli(
+        capsys, "smooth", "discretize", "--net", str(fixtures_dir / "k4_complete.json"),
+        "--embedding", json.dumps(embedding),
+    )
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": "polyline points must be a list of [x, y] pairs, got 5",
     }
 
 
@@ -783,6 +798,17 @@ def test_group_states_and_elements_must_be_lists(capsys, key, value):
     assert payload["error"] == {
         "type": "validation",
         "message": f"group {key!r} must be a list, got {value!r}",
+    }
+
+
+@pytest.mark.parametrize("reaction", [True, 0])
+def test_reaction_that_is_not_a_name_reports_validation(capsys, reaction):
+    net = _inline_network([1, 2, 3], [(1, 2, "e"), (1, 3, "e"), (2, 3, reaction)])
+    code, payload = run_cli(capsys, "check-potential", "--net", net)
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": f"edge #2 'reaction' must be an element name, got {reaction!r}",
     }
 
 

@@ -17,17 +17,17 @@ from hypothesis import strategies as st
 from balancenets.config import BOUND_STATES
 from balancenets.dynamics import (
     ChoiceDistribution,
+    CoreSet,
     MarkovModel,
     TheoremBReport,
     _closed_form_state,
     _fail_report,
-    apply_F,
+    _state_array,
     build_markov,
     core_set,
     essential_check,
     limit_exists,
     max_nonergodicity_scan,
-    state_space,
     stationary_count,
     theoremB_verify,
 )
@@ -40,7 +40,8 @@ from balancenets.groups import (
     solve_characteristic_pair,
     symmetric_group,
 )
-from balancenets.network import Marking, RelationGraph
+from balancenets.network import Marking, RelationGraph, bipartition
+from balancenets.potential import check_A1, check_A2
 
 G2 = sign_group()
 
@@ -63,8 +64,64 @@ def _square(marks):
 ALL_E_SQUARE = _square({(0, 1): "e", (1, 2): "e", (2, 3): "e", (3, 0): "e"})
 
 
-def _theoremB(marking):
-    return theoremB_verify(build_markov(marking))
+# Oracles for core_set: the one-step image scan over every joint state, and
+# the read of single-successor chain rows that core_set made before it
+# walked the marks.
+def state_space(marking, bound=BOUND_STATES):
+    """All joint states as tuples of state indices, node-major lexicographic."""
+    return tuple(map(tuple, _state_array(marking, bound).tolist()))
+
+
+def apply_F(marking, x):
+    """Set of joint states reachable in one synchronous step from x."""
+    graph = marking.graph
+    options = []
+    for i in range(len(graph)):
+        seen = {marking.mark(i, j)(x[j]) for j in graph.neighbors(i)}
+        options.append(sorted(seen))
+    return frozenset(itertools.product(*options))
+
+
+def _chain_core_set(model: MarkovModel) -> CoreSet:
+    """Read the single-image states off the model and reconcile with the
+    closed form."""
+    marking = model.marking
+    m = model.matrix
+    single = np.flatnonzero(np.diff(m.indptr) == 1)
+    found = frozenset(map(tuple, model.states[single].tolist()))
+    closed = bool(np.isin(m.indices[m.indptr[single]], single).all())
+
+    a1 = check_A1(marking)
+    a2 = check_A2(marking)
+    bip = bipartition(marking.graph) is not None
+    transport = None
+    components = None
+    closed_form = None
+    matches = None
+    if a1.ok:
+        transport = {
+            j: u.inverse() for pot in a1.potentials for j, u in pot.values.items()
+        }
+        components = tuple(frozenset(pot.values) for pot in a1.potentials)
+    if a1.ok and a2 is not None:
+        k = len(marking.group.states)
+        closed_form = frozenset(
+            _closed_form_state(transport, components, params)
+            for params in itertools.product(range(k), repeat=len(components))
+        )
+        matches = closed_form == found
+    return CoreSet(
+        states=found,
+        closed=closed,
+        a1_ok=a1.ok,
+        a2_ok=a2 is not None,
+        bipartite=bip,
+        closed_form=closed_form,
+        matches_closed_form=matches,
+        transport=transport,
+        components=components,
+        characteristic=a2,
+    )
 
 
 def test_state_space_enumeration():
@@ -158,7 +215,7 @@ def test_essential_check():
 
 
 def test_core_set_balanced():
-    core = core_set(build_markov(BALANCED))
+    core = core_set(BALANCED)
     assert core.states == frozenset({(0, 1, 1), (1, 0, 0)})
     assert core.closed
     assert core.a1_ok and core.a2_ok
@@ -172,14 +229,14 @@ def test_core_set_balanced():
 
 
 def test_core_set_oscillating():
-    core = core_set(build_markov(ONE_HOSTILE))
+    core = core_set(ONE_HOSTILE)
     assert core.states == frozenset({(0, 1, 0), (1, 0, 1)})
     assert core.closed
     assert core.matches_closed_form
 
 
 def test_core_set_square_is_bipartite():
-    core = core_set(build_markov(ALL_E_SQUARE))
+    core = core_set(ALL_E_SQUARE)
     assert core.bipartite
     # Two free parameters, one per part: all states constant on each part.
     assert core.states == frozenset(
@@ -230,9 +287,10 @@ def _markings_with_choice(draw):
 def test_core_set_matches_the_apply_F_scan(case):
     marking, choice = case
     scan = frozenset(x for x in state_space(marking) if len(apply_F(marking, x)) == 1)
-    core = core_set(build_markov(marking, choice))
+    core = core_set(marking)
     assert core.states == scan
     assert core.closed == all(next(iter(apply_F(marking, x))) in scan for x in scan)
+    assert core == _chain_core_set(build_markov(marking, choice))
 
 
 def _fraction_rows(marking, choice=None):
@@ -316,7 +374,7 @@ def test_sparse_markov_layer_matches_the_fraction_oracle(case, data):
 
     drawn = data.draw(st.sets(st.sampled_from(states), max_size=8))
     candidates = [
-        core_set(model).states,
+        core_set(marking).states,
         frozenset().union(*model.recurrent_classes()),
         model.recurrent_classes()[0],
         frozenset(drawn),
@@ -392,7 +450,7 @@ def test_build_markov_at_the_state_bound_stays_sparse():
 
 
 def test_theoremB_non_bipartite():
-    report = _theoremB(BALANCED)
+    report = theoremB_verify(BALANCED)
     assert report.ok
     assert not report.bipartite
     assert report.core_matches
@@ -406,7 +464,7 @@ def test_theoremB_non_bipartite():
 
 
 def test_theoremB_predicts_the_oscillating_count():
-    report = _theoremB(ONE_HOSTILE)
+    report = theoremB_verify(ONE_HOSTILE)
     assert report.ok
     assert report.realized[0].name == "g"
     assert report.predicted_stationary == 1
@@ -414,7 +472,7 @@ def test_theoremB_predicts_the_oscillating_count():
 
 
 def test_theoremB_bipartite_square():
-    report = _theoremB(ALL_E_SQUARE)
+    report = theoremB_verify(ALL_E_SQUARE)
     assert report.ok
     assert report.bipartite
     v, w = report.realized
@@ -429,7 +487,7 @@ def test_theoremB_bipartite_square():
 
 def test_theoremB_reports_failed_criteria():
     bad_square = _square({(0, 1): "g", (1, 2): "e", (2, 3): "e", (3, 0): "e"})
-    report = _theoremB(bad_square)
+    report = theoremB_verify(bad_square)
     assert not report.ok
     assert not report.a1_ok
 
@@ -445,7 +503,7 @@ def _theoremB_oracle(model: MarkovModel) -> TheoremBReport:
     component roots.  The map is recovered by replaying one step of the
     model from each core state, then matched against the solution list.
     """
-    core = core_set(model)
+    core = _chain_core_set(model)
     group = model.marking.group
     bip = core.bipartite
     if not core.a1_ok or not core.a2_ok:
@@ -541,23 +599,13 @@ def _theoremB_oracle(model: MarkovModel) -> TheoremBReport:
     )
 
 
-def _rewired(marking, rewire):
-    """The model of marking with its core successors rewired among the core."""
-    model = build_markov(marking)
-    m = model.matrix
-    single = np.flatnonzero(np.diff(m.indptr) == 1)
-    m.indices[m.indptr[single]] = rewire(m.indices[m.indptr[single]])
-    return model
-
-
 @st.composite
 def _theoremB_models(draw):
-    """Models of gauge, A2-symmetric and random markings, and A2-symmetric
-    ones whose core successors are rewired among the core states."""
+    """Models of gauge, A2-symmetric and random markings."""
     graph = draw(st.sampled_from(SMALL_GRAPHS))
     group = draw(st.sampled_from(GROUPS))
     pick = st.integers(0, len(group) - 1).map(group.element)
-    kind = draw(st.sampled_from(["gauge", "a2-symmetric", "random", "rewired"]))
+    kind = draw(st.sampled_from(["gauge", "a2-symmetric", "random"]))
     if kind == "random":
         values = {edge: draw(pick) for edge in graph.directed_edges}
     else:
@@ -566,33 +614,38 @@ def _theoremB_models(draw):
         gauge = [draw(pick) for _ in range(len(graph))]
         b = group.identity if kind == "gauge" else draw(pick)
         values = {(i, j): gauge[i].inverse() * b * gauge[j] for i, j in graph.directed_edges}
-    marking = Marking(graph, group, values)
-    if kind == "rewired":
-        return _rewired(marking, lambda targets: draw(st.permutations(targets.tolist())))
-    return build_markov(marking)
+    return build_markov(Marking(graph, group, values))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_theoremB_models())
 def test_theoremB_verify_matches_the_two_branch_replay(model):
-    assert theoremB_verify(model) == _theoremB_oracle(model)
+    assert theoremB_verify(model.marking) == _theoremB_oracle(model)
 
 
-def test_theoremB_fails_inside_the_replay_and_on_a_non_solution():
-    # Every core state of the square sent to one: not a permutation.
-    collapsed = _rewired(ALL_E_SQUARE, lambda targets: targets[:1].repeat(len(targets)))
-    report = theoremB_verify(collapsed)
-    assert report == _theoremB_oracle(collapsed)
-    assert report.a1_ok and report.a2_ok and not report.core_matches
-    # The constant states of a C4 triangle shifted by one: v = r, v*v != e.
-    c4 = cyclic_group(4)
-    graph = RelationGraph.complete([1, 2, 3])
-    marking = Marking(graph, c4, {edge: c4.identity for edge in graph.directed_edges})
-    shifted = _rewired(marking, lambda targets: np.roll(targets, -1))
-    report = theoremB_verify(shifted)
-    assert report == _theoremB_oracle(shifted)
-    assert report.core_matches and not report.ok
-    assert report.realized_is_solution is False and report.second_step_matches is False
+@settings(max_examples=60, deadline=None)
+@given(_markings_with_choice())
+def test_theoremB_predicts_the_stationary_count(case):
+    marking, choice = case
+    report = theoremB_verify(marking)
+    if report.ok:
+        assert report.predicted_stationary == stationary_count(build_markov(marking, choice))
+
+
+def test_core_and_theoremB_past_the_state_bound():
+    # A gauge C14 over the sign group: 2**14 joint states, above the bound
+    # a chain may have, but the core needs none.
+    graph = RelationGraph.cycle(list(range(14)))
+    gauge = [G2.element(i % 3 % 2) for i in range(14)]
+    values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
+    marking = Marking(graph, G2, values)
+    assert 2 ** 14 > BOUND_STATES
+    core = core_set(marking)
+    assert len(core.states) == 4
+    assert core.closed and core.matches_closed_form
+    report = theoremB_verify(marking)
+    assert report.ok and report.bipartite
+    assert report.predicted_stationary == 3
 
 
 def test_max_nonergodicity_scan_triangle():

@@ -52,6 +52,9 @@ def test_element_lookup_forms_agree():
     assert c4.element(by_name) is by_name
     with pytest.raises(ValidationError):
         c4.element("missing")
+    # A bool is not an element index.
+    with pytest.raises(ValidationError, match="cannot interpret True"):
+        c4.element(True)
     with pytest.raises(ValidationError):
         c4.element_by_perm((0, 2, 1, 3))
 
@@ -196,6 +199,14 @@ def test_load_group_rejects_bad_payloads():
                 "identity": "g",
             }
         )
+    # Element names and the identity are strings, never numbers or bools.
+    two = [{"name": "e", "perm": [0, 1]}, {"name": "g", "perm": [1, 0]}]
+    for name in (True, 1):
+        elements = [two[0], {**two[1], "name": name}]
+        with pytest.raises(ValidationError, match=f"element #1 'name' must be a string, got {name}"):
+            load_group({"states": [0, 1], "elements": elements, "identity": "e"})
+    with pytest.raises(ValidationError, match="group 'identity' must be an element name, got 0"):
+        load_group({"states": [0, 1], "elements": two, "identity": 0})
 
 
 def test_state_set_rejects_duplicates():
