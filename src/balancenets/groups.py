@@ -334,8 +334,10 @@ def load_group(source) -> ReactionGroup:
         if not isinstance(entry["name"], str):
             raise ValidationError(f"element #{i} 'name' must be a string, got {entry['name']!r}")
         perm = entry["perm"]
+        # `true` and `1.0` sort like 1, but they index no state.
         if (
             not isinstance(perm, list)
+            or any(type(p) is not int for p in perm)
             or len(perm) != len(states)
             or sorted(perm) != list(range(len(states)))
         ):

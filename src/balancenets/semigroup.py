@@ -376,52 +376,41 @@ def _classify(
     elements: tuple[OperatorMatrix, ...],
     parts: tuple[frozenset[int], frozenset[int]] | None,
 ) -> tuple[str, tuple[int, ...]]:
-    if len(elements) == 1 and elements[0].rank == 1:
-        return "column", (elements[0].pattern[0],)
+    """Kind and read nodes of an ideal whose operators all read the same nodes."""
+    nodes = tuple(sorted(set(elements[0].pattern)))
+    if len(elements) == 1 and len(nodes) == 1:
+        return "column", nodes
     if parts is not None and len(elements) == 2:
-        pats = [el.pattern for el in elements]
-        images = [set(p) for p in pats]
-        if all(len(im) <= 2 for im in images) and images[0] == images[1]:
-            part_sets = [set(parts[0]), set(parts[1])]
-            def constant_on_parts(pat):
-                vals = []
-                for ps in part_sets:
-                    got = {pat[i] for i in ps}
-                    if len(got) != 1:
-                        return None
-                    vals.append(got.pop())
-                return tuple(vals)
-            c0 = constant_on_parts(pats[0])
-            c1 = constant_on_parts(pats[1])
-            if c0 is not None and c1 is not None and c0 == (c1[1], c1[0]):
-                return "pair", tuple(sorted(images[0]))
-    return "other", tuple(sorted(set().union(*(el.pattern for el in elements))))
+        # A pair ideal: each operator is constant on both parts, and the two
+        # operators swap the values they read there.
+        (a, b), (c, d) = ([{op.pattern[i] for i in part} for part in parts] for op in elements)
+        if len(a) == len(b) == 1 and (a, b) == (d, c):
+            return "pair", nodes
+    return "other", nodes
 
 
 def enumerate_ideals(rg: ReactionMatrix) -> IdealEnumeration:
     """All minimal left ideals of the semigroup generated by one-step operators.
 
-    Works through the kernel: every minimal left ideal lives inside the
-    smallest two-sided ideal and is the left closure of any of its own
-    members, so the distinct left closures of kernel elements are exactly
-    the minimal left ideals.  The kernel is exactly the set of minimum-rank
-    operators, so the two-sided closure of one constructed witness is the
-    whole kernel.
+    Works through the kernel, the smallest two-sided ideal: it is exactly
+    the set of minimum-rank operators, so the two-sided closure of one
+    constructed witness is all of it.  Two kernel elements generate the
+    same minimal left ideal exactly when they identify the same joint states
+    (Green's L-relation), which for an operator means agreeing on the nodes
+    its pattern reads, since every value is a bijection.
     """
     parts = bipartition(rg.graph)
     kernel = _kernel(rg, parts)
     min_rank = min(op.rank for op in kernel)
-    # The ideals partition the kernel, so in sort order each one is met
-    # first at its smallest element, and the list comes out sorted by it.
-    ideals = []
-    assigned: set[OperatorMatrix] = set()
+    # Grouped in sort order, each ideal is met first at its smallest element,
+    # so the list comes out sorted by it and each ideal's elements in order.
+    groups: dict[frozenset[int], list[OperatorMatrix]] = {}
     for op in sorted(kernel, key=OperatorMatrix.sort_key):
-        if op in assigned:
-            continue
-        cls = _closure(op, lambda o: _left_children(o, rg))
-        assigned.update(cls)
-        elements = tuple(sorted(cls, key=OperatorMatrix.sort_key))
-        ideals.append(LeftIdeal(elements, *_classify(elements, parts)))
+        groups.setdefault(frozenset(op.pattern), []).append(op)
+    ideals = [
+        LeftIdeal(elements, *_classify(elements, parts))
+        for elements in map(tuple, groups.values())
+    ]
     expected = theorem1_expected(rg.graph) if rg.is_potential() else None
     matches = (len(ideals) == expected) if expected is not None else None
     return IdealEnumeration(
@@ -438,8 +427,8 @@ def final_states(
 ) -> frozenset[tuple[int, ...]]:
     """Joint states reachable under minimal-ideal operators from anywhere.
 
-    An operator reads only the coordinates on its image nodes, so its image
-    is what it makes of every assignment to those nodes: k**rank states.
+    Every operator of an ideal reads only the ideal's nodes, so its image is
+    what it makes of every assignment to those nodes: k**rank states.
     """
     if enumeration is None:
         enumeration = enumerate_ideals(rg)
@@ -447,10 +436,9 @@ def final_states(
     out = set()
     for ideal in enumeration.ideals:
         for op in ideal.elements:
-            free = sorted(set(op.pattern))
             x = [0] * rg.n
-            for y in itertools.product(range(k), repeat=len(free)):
-                for node, value in zip(free, y):
+            for y in itertools.product(range(k), repeat=len(ideal.nodes)):
+                for node, value in zip(ideal.nodes, y):
                     x[node] = value
                 out.add(op.apply(x))
     return frozenset(out)

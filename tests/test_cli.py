@@ -198,6 +198,23 @@ def test_absorb_output_is_pinned(capsys, fixtures_dir, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Exit code and stdout sha256 of `ideals` on each network fixture; the two
+# frustrated triangles answer with the same non-potential error.
+IDEALS_GOLDEN = {
+    "gamma3_allg.json": (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    "gamma3_balanced.json": (0, "0f9e4dfd095aa68212fbf14af2b1aaba1271242c8dbd89e1658ca7fb2a1adc88"),
+    "gamma3_ex1.json": (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    "k4_complete.json": (0, "bfd23663052ef33b864bdbf636045789746b2b58fafde0bbdebd874918ebc552"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDEALS_GOLDEN))
+def test_ideals_output_is_pinned(capsys, fixtures_dir, name):
+    code = main(["ideals", "--net", str(fixtures_dir / name)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == IDEALS_GOLDEN[name]
+
+
 def test_smooth_check_residual(capsys):
     code, payload = run_cli(
         capsys, "smooth", "check-residual", "--field", "elliptic-wave", "--grid", "3"
@@ -785,6 +802,20 @@ def _inline_network(nodes, pairs, group=SIGN_GROUP):
             "edges": [{"from": a, "to": b, "reaction": r} for a, b, r in pairs],
         }
     )
+
+
+@pytest.mark.parametrize("perm", [[False, True], [0.0, 1]], ids=["bool", "float"])
+@pytest.mark.parametrize("command", ["check-potential", "ideals", "markov", "analyze"])
+def test_group_perm_entries_must_be_integers(capsys, tmp_path, perm, command):
+    group = {**SIGN_GROUP, "elements": [{"name": "e", "perm": perm}, SIGN_GROUP["elements"][1]]}
+    net = tmp_path / "net.json"
+    net.write_text(_inline_network([1, 2, 3], [(1, 2, "g"), (1, 3, "g"), (2, 3, "e")], group))
+    code, payload = run_cli(capsys, command, "--net", str(net))
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": "element 'e': perm must be a bijection on 2 state indices",
+    }
 
 
 @pytest.mark.parametrize(

@@ -632,6 +632,26 @@ def test_theoremB_predicts_the_stationary_count(case):
         assert report.predicted_stationary == stationary_count(build_markov(marking, choice))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_markings_with_choice())
+def test_limit_exists_exactly_when_the_realized_map_fixes_every_parameter(case):
+    # When Theorem B holds, the closed classes are the orbits of the realized
+    # map on the core's parameters, so the chain converges exactly when that
+    # map fixes every parameter: each t, or each pair (x, y), which steps to
+    # (v(y), w(x)) on a bipartite graph.
+    marking, choice = case
+    report = theoremB_verify(marking)
+    if not report.ok:
+        return
+    states = range(len(marking.group.states))
+    if report.bipartite:
+        v, w = report.realized
+        fixed = all((v(y), w(x)) == (x, y) for x in states for y in states)
+    else:
+        fixed = all(report.realized[0](t) == t for t in states)
+    assert limit_exists(build_markov(marking, choice)) == fixed
+
+
 def test_core_and_theoremB_past_the_state_bound():
     # A gauge C14 over the sign group: 2**14 joint states, above the bound
     # a chain may have, but the core needs none.

@@ -207,6 +207,11 @@ def test_load_group_rejects_bad_payloads():
             load_group({"states": [0, 1], "elements": elements, "identity": "e"})
     with pytest.raises(ValidationError, match="group 'identity' must be an element name, got 0"):
         load_group({"states": [0, 1], "elements": two, "identity": 0})
+    # Perm entries are integers, never bools or floats that sort like them.
+    for perm in ([True, False], [1.0, 0]):
+        elements = [two[0], {**two[1], "perm": perm}]
+        with pytest.raises(ValidationError, match="element 'g': perm must be a bijection"):
+            load_group({"states": [0, 1], "elements": elements, "identity": "e"})
 
 
 def test_state_set_rejects_duplicates():

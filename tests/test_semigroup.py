@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from balancenets import semigroup
 from balancenets.config import trajectory_seed
 from balancenets.errors import NonPotentialError, ValidationError
-from balancenets.groups import ReactionGroup, sign_group, symmetric_group
+from balancenets.groups import ReactionGroup, cyclic_group, sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph, bipartition, load_network
 from balancenets.semigroup import (
     ControlMatrix,
@@ -522,6 +522,36 @@ def test_enumerate_ideals_without_potentiality_matches_brute_force():
     assert mine == _minimal_left_ideals_brute(broken)
     assert (enumeration.kernel_size, mine) == _fixpoint_ideals(broken)
     assert final_states(broken, enumeration) == _final_states_scan(broken, enumeration)
+
+
+# Graphs on which the fixpoint oracle stays fast on any matrix; it takes
+# seconds on four- and five-node graphs.
+TINY_GRAPHS = (
+    RelationGraph.complete([1, 2]),
+    RelationGraph.complete([1, 2, 3]),
+    RelationGraph.from_undirected([1, 2, 3], [(1, 2), (2, 3)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TINY_GRAPHS), st.sampled_from([G2, cyclic_group(3)]), st.data())
+def test_ideals_of_any_matrix_group_the_kernel_by_the_nodes_read(graph, group, data):
+    # Random off-diagonal entries: mostly not potential, so no closed form
+    # holds, and the left closures of the fixpoint kernel are the oracle.
+    pick = st.integers(0, len(group) - 1).map(group.element)
+    n = len(graph)
+    entries = [
+        [group.identity if i == j else data.draw(pick) for j in range(n)]
+        for i in range(n)
+    ]
+    rm = ReactionMatrix(group, entries, graph=graph, validate=False)
+    enumeration = enumerate_ideals(rm)
+    kernel_size, ideals = _fixpoint_ideals(rm)
+    assert enumeration.kernel_size == kernel_size
+    assert {frozenset(ideal.elements) for ideal in enumeration.ideals} == ideals
+    for ideal in enumeration.ideals:
+        read = set().union(*(op.pattern for op in ideal.elements))
+        assert ideal.nodes == tuple(sorted(read))
 
 
 def test_ideals_come_back_ordered_by_their_first_element():
