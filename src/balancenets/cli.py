@@ -438,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", parents=[common], help="full pipeline report for one or more networks"
     )
     p.add_argument(
-        "--net", action="append", required=True, help="repeatable network JSON file"
+        "--net", action="append", required=True, help="repeatable network JSON file or inline JSON"
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--timing", action="store_true", help="attach wall-clock seconds")

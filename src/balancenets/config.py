@@ -31,6 +31,11 @@ BOUND_GRP = 720
 REFERENCE_STEPS = 2 ** 10
 
 
+def inline_json(source) -> bool:
+    """Whether a source is JSON text, a string opening with ``{``, not a path."""
+    return isinstance(source, str) and source.lstrip().startswith("{")
+
+
 def read_json(source, what: str) -> dict:
     """JSON object from a file path, an inline ``{...}`` string or a dict.
 
@@ -38,7 +43,7 @@ def read_json(source, what: str) -> dict:
     ``what``; a file that cannot be read raises OSError.
     """
     if isinstance(source, (str, os.PathLike)):
-        inline = isinstance(source, str) and source.lstrip().startswith("{")
+        inline = inline_json(source)
         text = source if inline else Path(source).read_text()
         try:
             source = json.loads(text)

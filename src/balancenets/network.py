@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .config import json_scalar, label_key, read_json
+from .config import inline_json, json_scalar, label_key, read_json
 from .errors import NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup, group_to_json, load_group
 
@@ -435,7 +435,7 @@ def load_network(source) -> Marking:
     reverse with the same reaction.  A group path is relative to the file.
     """
     base_dir = None
-    if isinstance(source, (str, FsPath)) and not str(source).lstrip().startswith("{"):
+    if isinstance(source, (str, FsPath)) and not inline_json(source):
         base_dir = FsPath(source).parent
     data = read_json(source, "network")
     for key in ("group", "nodes", "edges"):

@@ -1,4 +1,4 @@
-"""Full-pipeline analysis of one network file, as a flat serializable report.
+"""Full-pipeline analysis of one network, as a flat serializable report.
 
 The report carries every number the acceptance checks assert on.  Output
 is deterministic for a fixed input file and seed; wall-clock timing is
@@ -13,7 +13,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, inline_json
 from .dynamics import build_markov, core_set, limit_exists, stationary_count, theoremB_verify
 from .errors import ValidationError
 from .network import Marking, load_network
@@ -146,8 +146,9 @@ def run_full_analysis(
     config: RunConfig | None = None,
     timing: bool = False,
 ) -> AnalysisReport:
-    """Load a network file and run every check the toolkit offers on it."""
-    raw = Path(path).read_bytes()
+    """Load a network, a file or inline JSON text, and run every check the
+    toolkit offers on it.  The digest is of the file's bytes or the text's."""
+    raw = path.encode() if inline_json(path) else Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     marking = load_network(path)
     return analyze_marking(marking, digest, config, timing)

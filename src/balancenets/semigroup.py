@@ -459,6 +459,17 @@ class ProductTrajectory:
     final_operator: OperatorMatrix
 
 
+def _draw_below(getrandbits: Callable[[int], int], m: int) -> int:
+    """Uniform draw from range(m), m >= 1, by random.Random's own rule for
+    choice and randrange(m): m.bit_length() random bits, drawn again while
+    they read m or more."""
+    b = m.bit_length()
+    r = getrandbits(b)
+    while r >= m:
+        r = getrandbits(b)
+    return r
+
+
 def random_product_process(
     rg: ReactionMatrix,
     steps: int,
@@ -471,21 +482,30 @@ def random_product_process(
 
     Each trajectory draws from its own stream, derived from the root seed
     and the trajectory index, so batches are reproducible and independent
-    of evaluation order.  On a potential matrix the operator product is the
-    one-step operator of the composed index map, which is all that is
-    carried: node i's state is what it reads off start through that map,
-    looked up in a table built once per trajectory, and the product's rank
-    is the map's image size.  Absorption is the first step whose rank
+    of evaluation order.  Every draw, of a start entry or of the neighbor
+    a node reads, is _draw_below, which reads the same words as
+    random.Random's randrange and choice.  On a potential matrix the
+    operator product is the one-step operator of the composed index map
+    p_t, which is all that is carried: node i's state is what it reads off
+    start through that map, looked up in a table built once per
+    trajectory, and the product's rank is the map's image size.
+
+    Once p_t is constant on every neighborhood N(i) the product has
+    settled: p_{t+1}[i] is p_t's value on N(i) whichever neighbor is
+    drawn, and p_{t+2} = p_t because i lies in N(j) for every j in N(i).
+    On a connected graph that happens exactly at the minimum rank, 1 or 2,
+    so it is tested only there; the remaining steps alternate the two maps
+    and draw nothing more.  Absorption is the first step whose rank
     reaches min_rank.
     """
     if steps < 1:
         raise ValidationError("need at least one step")
     if not rg.is_potential():
         raise NonPotentialError(f"random products need a potential matrix: {rg._defect}")
-    rng = random.Random(trajectory_seed(seed, index))
+    bits = random.Random(trajectory_seed(seed, index)).getrandbits
     k = len(rg.group.states)
     if start is None:
-        start = tuple(rng.randrange(k) for _ in range(rg.n))
+        start = tuple(_draw_below(bits, k) for _ in range(rg.n))
     elif len(start) != rg.n:
         raise ValidationError("start state length does not match the matrix")
     for x in start:
@@ -493,19 +513,29 @@ def random_product_process(
             raise ValidationError(f"start entry {x!r} is not a state index in range({k})")
     start = tuple(start)
     pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
+    # Settled means every neighborhood reads the value of its first member.
+    same = [(pool[0], j) for pool in pools for j in pool[1:]]
     # reads[i][j]: the state node i holds after reading node j of start.
     reads = [[rg.entry(i, j)(x) for j, x in enumerate(start)] for i in range(rg.n)]
 
     pattern = tuple(range(rg.n))
     states = [start]
     ranks = []
-    absorbed = None
     for t in range(1, steps + 1):
-        pattern = tuple(pattern[rng.choice(pool)] for pool in pools)
+        pattern = tuple(pattern[pool[_draw_below(bits, len(pool))]] for pool in pools)
         states.append(tuple(map(getitem, reads, pattern)))
         ranks.append(len(set(pattern)))
-        if absorbed is None and min_rank is not None and ranks[-1] <= min_rank:
-            absorbed = t
+        if ranks[-1] <= 2 and all(pattern[a] == pattern[b] for a, b in same):
+            left = steps - t
+            after = tuple(pattern[pool[0]] for pool in pools)
+            states += ([tuple(map(getitem, reads, after)), states[-1]] * left)[:left]
+            ranks += ranks[-1:] * left
+            if left % 2:
+                pattern = after
+            break
+    absorbed = None
+    if min_rank is not None:
+        absorbed = next((t for t, r in enumerate(ranks, 1) if r <= min_rank), None)
     return ProductTrajectory(
         start=start,
         states=tuple(states),

@@ -215,6 +215,53 @@ def test_ideals_output_is_pinned(capsys, fixtures_dir, name):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == IDEALS_GOLDEN[name]
 
 
+# Exit code and stdout sha256 of `absorb` on each network fixture, keyed by
+# (fixture, seed, runs, steps): full runs that settle well before their last
+# step, and single steps.
+ABSORB_HASHES = {
+    ("gamma3_allg.json", 7, 32, 64): (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_allg.json", 7, 4, 1): (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_allg.json", 2027, 32, 64): (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_allg.json", 2027, 4, 1): (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_balanced.json", 7, 32, 64): (0, "f292a1078665e146262e1bc12d053a11fbb4fe259b9d9f62ed9aac091d5a3057"),
+    ("gamma3_balanced.json", 7, 4, 1): (0, "2bb6813a3bb8bc7803ab75a5c873aa7cc4c504614c2728891206a7990daf86a8"),
+    ("gamma3_balanced.json", 2027, 32, 64): (0, "e6a0bd633cd75fd3b7ce2bab90cf2a61091d5fe5bd20826685db8e836a762828"),
+    ("gamma3_balanced.json", 2027, 4, 1): (0, "d0889d50f3f7cab7a884c1d3e6895093e8cbef23ef4468c7135f6c98c31a592e"),
+    ("gamma3_ex1.json", 7, 32, 64): (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_ex1.json", 7, 4, 1): (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_ex1.json", 2027, 32, 64): (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_ex1.json", 2027, 4, 1): (2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("k4_complete.json", 7, 32, 64): (0, "ba4b8d730bedff66157ad153013971d3f98f816eeb781296b0891839469c7204"),
+    ("k4_complete.json", 7, 4, 1): (0, "9a60bd2099797bdd908ca832177a58ec9e6bcf27e8ce25210ef5d455e4932638"),
+    ("k4_complete.json", 2027, 32, 64): (0, "e0a7e61250a092c44e8890bc72d0f6e728a5df392561a27e6e53a0fd45bf29d1"),
+    ("k4_complete.json", 2027, 4, 1): (0, "62bffa5ccbdfe2c32075a5bcdbac6f987220993485e8576e46d7e7b64f24a166"),
+}
+
+
+@pytest.mark.parametrize("name, seed, runs, steps", sorted(ABSORB_HASHES))
+def test_absorb_stdout_is_pinned(capsys, fixtures_dir, name, seed, runs, steps):
+    argv = ["--runs", str(runs), "--steps", str(steps), "--seed", str(seed)]
+    code = main(["absorb", "--net", str(fixtures_dir / name), *argv])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == ABSORB_HASHES[
+        name, seed, runs, steps
+    ]
+
+
+def test_analyze_reads_inline_json_as_it_reads_the_file(capsys, fixtures_dir, tmp_path):
+    doc = json.loads((fixtures_dir / "k4_complete.json").read_text())
+    doc["group"] = json.loads((fixtures_dir / "sign_group.json").read_text())
+    text = json.dumps(doc, indent=2)
+    path = tmp_path / "k4_inline_group.json"
+    path.write_text(text, encoding="utf-8")
+    outs = []
+    for net in (str(path), text):
+        assert main(["analyze", "--net", net, "--seed", "7"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1])["digest"] == hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_smooth_check_residual(capsys):
     code, payload = run_cli(
         capsys, "smooth", "check-residual", "--field", "elliptic-wave", "--grid", "3"

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import types
 from collections import deque
 
 import networkx as nx
@@ -735,6 +736,89 @@ def test_random_product_process_matches_the_oracle_at_benchmark_scale():
                 assert getattr(run, field.name) == getattr(oracle, field.name), (
                     len(group), index, field.name
                 )
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_draw_below_reads_the_words_of_choice_and_randrange(m):
+    for seed in range(200):
+        bits, chooser, ranger = (random.Random(seed) for _ in range(3))
+        for _ in range(40):
+            drawn = semigroup._draw_below(bits.getrandbits, m)
+            assert drawn == chooser.choice(range(m)) == ranger.randrange(m)
+        assert bits.getstate() == chooser.getstate() == ranger.getstate()
+
+
+def _assert_matches_the_oracle(rm, steps, **kwargs):
+    run = random_product_process(rm, steps, **kwargs)
+    oracle = _random_product_oracle(rm, steps, **kwargs)
+    for field in dataclasses.fields(ProductTrajectory):
+        assert getattr(run, field.name) == getattr(oracle, field.name), (steps, field.name)
+    return run
+
+
+def test_random_product_process_settles_k2_at_the_first_step():
+    rm = _gauge_matrix(RelationGraph.complete([1, 2]), symmetric_group(3), random.Random(1).randrange)
+    for steps in range(1, 8):
+        for index in range(4):
+            run = _assert_matches_the_oracle(rm, steps, seed=5, index=index, min_rank=2)
+            assert run.absorbed_at == 1
+            assert run.states[1::2] == (run.states[1],) * len(run.states[1::2])
+            assert run.states[2::2] == (run.start,) * len(run.states[2::2])
+
+
+def test_random_product_process_draws_on_past_an_unsettled_rank_two():
+    """On a triangle a rank-2 map is not constant on every neighborhood, so
+    the product has not settled there and the draws go on."""
+    through_two = 0
+    for index in range(64):
+        run = _assert_matches_the_oracle(BALANCED_RM, 24, seed=13, index=index, min_rank=1)
+        through_two += 2 in run.ranks and run.ranks[-1] == 1
+    assert through_two > 16
+
+
+def test_random_product_process_fills_the_settled_tail_of_a_bipartite_graph():
+    """Settling on the last step, then one to four steps more: odd and even
+    tails alternate the two maps of the settled period."""
+    rm = _gauge_matrix(
+        RelationGraph.from_undirected(
+            range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)]
+        ),
+        symmetric_group(3),
+        random.Random(3).randrange,
+    )
+    settled = set()
+    for index in range(24):
+        kwargs = dict(seed=21, index=index, min_rank=2)
+        at = _random_product_oracle(rm, 64, **kwargs).absorbed_at
+        settled.add(at)
+        for steps in range(at, at + 5):
+            run = _assert_matches_the_oracle(rm, steps, **kwargs)
+            assert run.absorbed_at == at
+    assert len(settled) > 3
+
+
+class _CountedRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        _CountedRandom.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize(
+    "rm", [BALANCED_RM, SQUARE_RM, CHAIN_RM], ids=["triangle", "square", "chain"]
+)
+def test_random_product_process_stops_drawing_once_settled(monkeypatch, rm):
+    monkeypatch.setattr(semigroup, "random", types.SimpleNamespace(Random=_CountedRandom))
+    min_rank = theorem1_min_rank(rm.graph)
+    for index in range(8):
+        calls = []
+        for steps in (200, 2000):
+            _CountedRandom.calls = 0
+            run = random_product_process(rm, steps, seed=17, index=index, min_rank=min_rank)
+            calls.append(_CountedRandom.calls)
+            assert run.absorbed_at < 200
+        assert calls[0] == calls[1] < 200 * rm.n
 
 
 def test_random_product_process_needs_a_potential_matrix():
