@@ -155,9 +155,9 @@ def _cmd_markov(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
     model = build_markov(marking, bound=config.bound_states, exact=args.exact)
     core = core_set(marking)
-    classes = model.recurrent_classes()
+    classes = model.recurrent_class_indices()
     payload = {
-        "states": len(model.states),
+        "states": model.size,
         "stationary_count": stationary_count(model),
         "limit_exists": limit_exists(model),
         "W0": sorted(marking.group.state_labels(x) for x in core.states),
@@ -169,11 +169,9 @@ def _cmd_markov(args, config: RunConfig) -> dict:
         },
     }
     if args.exact:
-        # Rows are keyed by target position in the lexicographic state order.
-        payload["exact_rows"] = [
-            {str(j): str(p) for j, p in sorted(row.items())}
-            for row in model.exact_rows
-        ]
+        # Rows are keyed by target position in the lexicographic state order,
+        # written as JSON strings; each distinct probability is formatted once.
+        payload["exact_rows"] = model.rows([str(p) for p in model.fractions])
     return payload
 
 

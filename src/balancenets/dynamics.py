@@ -3,10 +3,12 @@
 Every automaton simultaneously picks a random neighbor and adopts that
 neighbor's state pushed through the mark on the connecting edge.  The
 one-step law is a row-stochastic matrix over the product state space,
-enumerated in lexicographic node-major order.  It is held as one
-``scipy.sparse`` CSR matrix, assembled in integers over a common
-denominator; closed classes and periods are read off it.  The core and
-Theorem B need no chain: they follow from the marks alone.
+enumerated in lexicographic node-major order.  Its closed classes and
+their periods are searched from the image of one minimum-rank control
+word, with no matrix; the matrix, one ``scipy.sparse`` CSR assembled in
+integers over a common denominator, is built only when values are asked
+for.  The core and Theorem B need no chain: they follow from the marks
+alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
@@ -31,21 +33,121 @@ from .groups import (
 )
 from .network import Marking, _tree_consistency, bipartition
 from .potential import CharacteristicReactions, check_A1, check_A2
+from .semigroup import _contracting_word
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 
-def _state_array(marking: Marking, bound: int) -> np.ndarray:
-    """All joint states as rows of a (k**n, n) array, node-major lexicographic."""
-    n = len(marking.graph)
-    k = len(marking.group.states)
-    size = k ** n
+def _state_count(marking: Marking, bound: int) -> int:
+    """k**n, the number of joint states; BoundExceededError above bound."""
+    size = len(marking.group.states) ** len(marking.graph)
     if size > bound:
         raise BoundExceededError(
             f"state space has {size} elements, which exceeds the bound {bound}"
         )
-    return np.arange(size)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    return size
+
+
+def _digits(codes: np.ndarray, marking: Marking) -> np.ndarray:
+    """Joint states of row codes, one per row: each code written in base k."""
+    n, k = len(marking.graph), len(marking.group.states)
+    return codes[:, None] // k ** np.arange(n - 1, -1, -1) % k
+
+
+def _state_array(marking: Marking, bound: int) -> np.ndarray:
+    """All joint states as rows of a (k**n, n) array, node-major lexicographic."""
+    return _digits(np.arange(_state_count(marking, bound)), marking)
+
+
+def _successors(
+    marking: Marking, codes: np.ndarray, weights: list[Mapping[int, object]], dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(position in codes, successor code, weight) of every one-step move.
+
+    Node i moves to s with weight table[r, s], the sum of weights[i][j] over
+    the neighbors j whose mark sends x_j to s.  Expanding node by node and
+    dropping zeros keeps each state's successors in increasing code order.
+    With boolean weights this is the support alone.
+    """
+    k = len(marking.group.states)
+    x = _digits(codes, marking)
+    at = np.arange(len(codes), dtype=codes.dtype)
+    rows, cols, nums = at, np.zeros_like(codes), np.ones(len(codes), dtype=dtype)
+    for i, w in enumerate(weights):
+        table = np.zeros((len(codes), k), dtype=dtype)
+        for j, wij in w.items():
+            table[at, np.array(marking.mark(i, j).perm)[x[:, j]]] += wij
+        nums = (nums[:, None] * table[rows]).ravel()
+        cols = (cols[:, None] * k + np.arange(k, dtype=cols.dtype)).ravel()
+        rows = np.repeat(rows, k)
+        keep = nums != 0
+        rows, cols, nums = rows[keep], cols[keep], nums[keep]
+    return rows, cols, nums
+
+
+def _seeds(marking: Marking) -> np.ndarray:
+    """Row codes of the image of the contracting word's map on joint states.
+
+    A control c acts as y_i = g(i, c_i)(x_{c_i}), and the word's last factor
+    acts first, so the composite reads node p[i] through h[i]: rank 1, or
+    rank 2 on a bipartite graph, the least of any word.
+    """
+    graph = marking.graph
+    n, k = len(graph), len(marking.group.states)
+    p, h = np.arange(n), np.tile(np.arange(k), (n, 1))
+    for cm in reversed(_contracting_word(graph, graph.parts)):
+        c = np.array(cm.rowmap)
+        marks = np.array([marking.mark(i, j).perm for i, j in enumerate(cm.rowmap)])
+        p, h = p[c], np.take_along_axis(marks, h[c], axis=1)
+    image, column = np.unique(p, return_inverse=True)
+    free = np.indices((k,) * len(image)).reshape(len(image), -1).T
+    return h[np.arange(n), free[:, column]] @ k ** np.arange(n - 1, -1, -1)
+
+
+_BLOCK = 1024
+
+
+def _seeded_classes(marking: Marking) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
+    """Closed classes as row codes, sorted by smallest, and their periods.
+
+    The contracting word's map lies in the kernel of the semigroup of choice
+    maps, so each state of its image is recurrent, and the image meets every
+    closed class, which every map keeps.  Every choice weight is positive,
+    so the support is the union of the choice maps and a recurrent state's
+    forward closure is its class: a breadth-first search from each seed not
+    yet placed.  A period is the gcd of level[u] + 1 - level[v] over the
+    class's edges (u, v).  Levels run on from class to class, so a level's
+    states are the frontier and a class is every state from its first level.
+    """
+    size = len(marking.group.states) ** len(marking.graph)
+    weights = [dict.fromkeys(marking.graph.neighbors(i), True) for i in range(len(marking.graph))]
+    level = np.full(size, -1)
+    depth = 0
+    classes, periods = [], []
+    for seed in _seeds(marking).tolist():
+        if level[seed] >= 0:
+            continue
+        first, period = depth, 0
+        level[seed] = depth
+        frontier = np.array([seed])
+        # Once every state is placed and the period is 1, no edge can
+        # change either.
+        while frontier.size and (period != 1 or (level < 0).any()):
+            hit = np.zeros(size, dtype=bool)
+            for a in range(0, len(frontier), _BLOCK):
+                hit[_successors(marking, frontier[a : a + _BLOCK], weights, bool)[1]] = True
+            # Every frontier state sits at depth, so its edges need only the
+            # levels of the states they reach.
+            reached = np.flatnonzero(hit)
+            level[reached[level[reached] < 0]] = depth + 1
+            period = math.gcd(period, int(np.gcd.reduce(depth + 1 - level[reached])))
+            depth += 1
+            frontier = np.flatnonzero(level == depth)
+        classes.append(frozenset(np.flatnonzero(level >= first).tolist()))
+        periods.append(period)
+    order = sorted(range(len(classes)), key=lambda c: min(classes[c]))
+    return tuple(classes[c] for c in order), tuple(periods[c] for c in order)
 
 
 class ChoiceDistribution:
@@ -91,109 +193,89 @@ class MarkovModel:
     """One-step law of the perception process over the joint state space.
 
     ``states`` is the (k**n, n) array of joint states, so row r is r
-    written in base k; ``matrix`` lists the columns of each row in
-    increasing order; ``exact_rows`` holds the same rows as Fractions when
-    built with exact=True.
+    written in base k.  Closed classes need no values; ``matrix``, with the
+    columns of each row in increasing order, is assembled on first use.
+    With exact=True, ``fractions`` holds each distinct probability once and
+    ``fraction_index`` the position of each nonzero's value in it.
     """
 
     marking: Marking
     choice: ChoiceDistribution
-    states: np.ndarray
-    matrix: csr_array
-    exact_rows: list[dict[int, Fraction]] | None
-    _recurrent: tuple[frozenset[int], ...] | None = field(default=None, init=False, repr=False)
+    size: int
+    fractions: list[Fraction] | None = None
+    fraction_index: np.ndarray | None = None
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return _state_array(self.marking, self.size)
+
+    @cached_property
+    def matrix(self) -> csr_array:
+        return _assemble(self.marking, self.choice, self.size)[0]
 
     def index(self, x: tuple[int, ...]) -> int:
         """Row of joint state x, its base-k number; ValueError for a non-state."""
         k = len(self.marking.group.states)
-        return int(np.ravel_multi_index(tuple(x), (k,) * self.states.shape[1]))
+        return int(np.ravel_multi_index(tuple(x), (k,) * len(self.marking.graph)))
 
     @cached_property
     def support(self) -> list[np.ndarray]:
         """Sorted target columns of each row."""
         return np.split(self.matrix.indices, self.matrix.indptr[1:-1])
 
+    def rows(self, values: list) -> list[dict[int, object]]:
+        """Row r as {c: values[i]} over its nonzeros (r, c), where i is the
+        position of the nonzero's probability in ``fractions``."""
+        m = self.matrix
+        keys = m.indices.tolist()
+        picked = np.asarray(values, dtype=object)[self.fraction_index].tolist()
+        bounds = m.indptr.tolist()
+        return [dict(zip(keys[a:b], picked[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def exact_rows(self) -> list[dict[int, Fraction]] | None:
+        return None if self.fractions is None else self.rows(self.fractions)
+
+    @cached_property
+    def _seeded(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
+        return _seeded_classes(self.marking)
+
     def recurrent_class_indices(self) -> tuple[frozenset[int], ...]:
-        """Closed communicating classes as row indices, sorted by smallest.
-
-        A strong component is closed when none of its members has an edge
-        leaving it.
-        """
-        if self._recurrent is None:
-            from scipy.sparse.csgraph import connected_components
-
-            m = self.matrix
-            count, labels = connected_components(m, directed=True, connection="strong")
-            sources = labels[np.repeat(np.arange(len(self.states)), np.diff(m.indptr))]
-            leaves = np.zeros(count, dtype=bool)
-            leaves[sources[sources != labels[m.indices]]] = True
-            members = np.flatnonzero(~leaves[labels])
-            members = members[np.argsort(labels[members], kind="stable")]
-            cuts = np.flatnonzero(np.diff(labels[members])) + 1
-            classes = (frozenset(c.tolist()) for c in np.split(members, cuts))
-            self._recurrent = tuple(sorted(classes, key=min))
-        return self._recurrent
+        """Closed communicating classes as row indices, sorted by smallest."""
+        return self._seeded[0]
 
     def recurrent_classes(self) -> tuple[frozenset[tuple[int, ...]], ...]:
         """Closed communicating classes as joint states."""
         return tuple(
-            frozenset(map(tuple, self.states[list(cls)].tolist()))
+            frozenset(map(tuple, _digits(np.array(sorted(cls)), self.marking).tolist()))
             for cls in self.recurrent_class_indices()
         )
 
 
-def build_markov(
-    marking: Marking,
-    choice: ChoiceDistribution | None = None,
-    bound: int = BOUND_STATES,
-    exact: bool = False,
-) -> MarkovModel:
-    """Assemble the one-step transition matrix as CSR.
+def _assemble(
+    marking: Marking, choice: ChoiceDistribution, size: int, exact: bool = False
+) -> tuple[csr_array, list[Fraction] | None, np.ndarray | None]:
+    """The one-step matrix as CSR, with exact=True also its distinct values
+    as Fractions and each nonzero's position among them.
 
     Per-node next-state distributions are independent given the current
     state, so each row is the Kronecker product of n small distributions.
     Node i's distribution is held as integer weights over its common
     denominator d_i, so every entry is an integer numerator over
-    D = prod(d_i), and each row must sum to exactly D.  With exact=True
-    the rows are also kept as Fractions.
+    D = prod(d_i), and each row must sum to exactly D.
     """
     from scipy.sparse import csr_array
 
-    graph = marking.graph
-    if choice is None:
-        choice = ChoiceDistribution.uniform(graph)
-    X = _state_array(marking, bound)
-    size, n = X.shape
-    k = len(marking.group.states)
-    weights = [choice.integer_weights(i) for i in range(n)]
+    weights = [choice.integer_weights(i) for i in range(len(marking.graph))]
     D = math.prod(d for d, _ in weights)
     # Below 2**53 every numerator and D are exact float64 values, so num / D
     # is the correctly rounded quotient; above it, Python ints take over.
     dtype = np.int64 if D < 2 ** 53 else object
-
     # State indices fit in int32: a state array past 2**31 rows would not
     # fit in memory, and narrower index arrays cut the peak at the bound.
-    every_row = np.arange(size, dtype=np.int32)
-    # tables[i][r, s]: weight of node i moving to state s from joint state r.
-    tables = []
-    for i, (_, w) in enumerate(weights):
-        table = np.zeros((size, k), dtype=dtype)
-        for j, wij in w.items():
-            perm = np.array(marking.mark(i, j).perm)
-            table[every_row, perm[X[:, j]]] += wij
-        tables.append(table)
-
-    # Expand node by node; each entry splits into its successors in state
-    # order, so the columns of every row stay sorted.
-    rows = every_row
-    cols = np.zeros(size, dtype=np.int32)
-    nums = np.ones(size, dtype=dtype)
-    for table in tables:
-        nums = (nums[:, None] * table[rows]).ravel()
-        cols = (cols[:, None] * k + np.arange(k, dtype=np.int32)).ravel()
-        rows = np.repeat(rows, k)
-        keep = nums != 0
-        rows, cols, nums = rows[keep], cols[keep], nums[keep]
+    rows, cols, nums = _successors(
+        marking, np.arange(size, dtype=np.int32), [w for _, w in weights], dtype
+    )
 
     # Every node has a neighbor with positive weight, so no row is empty.
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
@@ -206,46 +288,42 @@ def build_markov(
     matrix = csr_array(
         (np.asarray(nums / D, dtype=np.float64), cols, indptr), shape=(size, size)
     )
-    exact_rows = None
+    if not exact:
+        return matrix, None, None
+    values, index = np.unique(nums, return_inverse=True)
+    return matrix, [Fraction(a, D) for a in values.tolist()], index
+
+
+def build_markov(
+    marking: Marking,
+    choice: ChoiceDistribution | None = None,
+    bound: int = BOUND_STATES,
+    exact: bool = False,
+) -> MarkovModel:
+    """The chain of the perception process on a marking.
+
+    The state bound is checked here.  With exact=True the transition matrix
+    is assembled here, with one Fraction per distinct probability; without
+    it, nothing is assembled until ``matrix`` is first read.
+    """
+    if choice is None:
+        choice = ChoiceDistribution.uniform(marking.graph)
+    model = MarkovModel(marking, choice, _state_count(marking, bound))
     if exact:
-        fractions = [Fraction(a, D) for a in nums.tolist()]
-        targets = cols.tolist()
-        bounds = indptr.tolist()
-        exact_rows = [
-            dict(zip(targets[a:b], fractions[a:b])) for a, b in zip(bounds, bounds[1:])
-        ]
-    return MarkovModel(marking, choice, X, matrix, exact_rows)
+        model.matrix, model.fractions, model.fraction_index = _assemble(
+            marking, choice, model.size, exact=True
+        )
+    return model
 
 
 def stationary_count(model: MarkovModel) -> int:
     """Number of extreme stationary measures: one per closed class."""
-    return len(model.recurrent_classes())
+    return len(model.recurrent_class_indices())
 
 
 def limit_exists(model: MarkovModel) -> bool:
-    """True when P**t converges: every closed class must be aperiodic.
-
-    The period of a closed class is the gcd of level[u] + 1 - level[v] over
-    its edges (u, v), with level the breadth-first distance from one member.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import shortest_path
-
-    m = model.matrix
-    position = np.zeros(len(model.states), dtype=np.int64)
-    for cls in model.recurrent_class_indices():
-        members = np.array(sorted(cls))
-        position[members] = np.arange(len(members))
-        # A closed class keeps every edge of its members inside it.
-        out = m[members]
-        inner = csr_array(
-            (out.data, position[out.indices], out.indptr), shape=(len(members),) * 2
-        )
-        level = shortest_path(inner, unweighted=True, indices=0).astype(np.int64)
-        u = np.repeat(np.arange(len(members)), np.diff(out.indptr))
-        if np.gcd.reduce(level[u] + 1 - level[inner.indices]) != 1:
-            return False
-    return True
+    """True when P**t converges: every closed class must be aperiodic."""
+    return all(p == 1 for p in model._seeded[1])
 
 
 def essential_check(model: MarkovModel, core: frozenset[tuple[int, ...]]) -> bool:
@@ -487,7 +565,8 @@ def max_nonergodicity_scan(
 
     With symmetric=True both directions of an edge get the same element,
     which matches how fields are generated; otherwise every directed edge
-    varies independently.
+    varies independently.  Each count reads the closed classes searched
+    from the marks, so no transition matrix is assembled.
     """
     slots = graph.undirected_edges if symmetric else graph.directed_edges
     total = len(group) ** len(slots)

@@ -12,6 +12,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -148,6 +149,16 @@ class ReactionMatrix:
 
     def entry(self, i: int, j: int) -> GroupElement:
         return self.entries[i][j]
+
+    @cached_property
+    def reads(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """reads[j][x]: the state each node i takes by reading node j in state
+        x, entry(i, j)(x), tabulated once per matrix."""
+        k = len(self.group.states)
+        return tuple(
+            tuple(tuple(row[j](x) for row in self.entries) for x in range(k))
+            for j in range(self.n)
+        )
 
     def is_potential(self) -> bool:
         return self._defect is None
@@ -487,8 +498,8 @@ def random_product_process(
     random.Random's randrange and choice.  On a potential matrix the
     operator product is the one-step operator of the composed index map
     p_t, which is all that is carried: node i's state is what it reads off
-    start through that map, looked up in a table built once per
-    trajectory, and the product's rank is the map's image size.
+    start through that map, looked up in the matrix's ``reads`` table,
+    and the product's rank is the map's image size.
 
     Once p_t is constant on every neighborhood N(i) the product has
     settled: p_{t+1}[i] is p_t's value on N(i) whichever neighbor is
@@ -516,7 +527,7 @@ def random_product_process(
     # Settled means every neighborhood reads the value of its first member.
     same = [(pool[0], j) for pool in pools for j in pool[1:]]
     # reads[i][j]: the state node i holds after reading node j of start.
-    reads = [[rg.entry(i, j)(x) for j, x in enumerate(start)] for i in range(rg.n)]
+    reads = list(zip(*map(getitem, rg.reads, start)))
 
     pattern = tuple(range(rg.n))
     states = [start]

@@ -248,6 +248,87 @@ def test_absorb_stdout_is_pinned(capsys, fixtures_dir, name, seed, runs, steps):
     ]
 
 
+# Inline networks for the pinned outputs below, spelled out in full so the
+# pins do not depend on any writer of the program.
+_SIGN = {
+    "states": [1, -1],
+    "elements": [{"name": "e", "perm": [0, 1]}, {"name": "g", "perm": [1, 0]}],
+    "identity": "e",
+}
+_S3 = {
+    "states": [0, 1, 2],
+    "elements": [
+        {"name": name, "perm": list(perm)}
+        for name, perm in [
+            ("e", (0, 1, 2)), ("s021", (0, 2, 1)), ("s102", (1, 0, 2)),
+            ("s120", (1, 2, 0)), ("s201", (2, 0, 1)), ("s210", (2, 1, 0)),
+        ]
+    ],
+    "identity": "e",
+}
+_S3_INVERSE = {"e": "e", "s021": "s021", "s102": "s102", "s120": "s201", "s201": "s120", "s210": "s210"}
+
+
+def _inline(group, nodes, edges):
+    """Inline network text; each (a, b, reaction) edge also gets its reverse
+    with the inverse reaction."""
+    inverse = _S3_INVERSE if group is _S3 else {"e": "e", "g": "g"}
+    entries = []
+    for a, b, r in edges:
+        entries += [{"from": a, "to": b, "reaction": r}, {"from": b, "to": a, "reaction": inverse[r]}]
+    return json.dumps({"group": group, "nodes": nodes, "edges": entries})
+
+
+# A frustrated K6 (one hostile edge), a gauge K3,3 over S3 with
+# g(i, j) = s_i^-1 * s_j, and a C13, whose 2**13 states exceed the bound.
+_INLINE_NETS = {
+    "k6-frustrated": _inline(
+        _SIGN, list(range(1, 7)),
+        [(a, b, "g" if (a, b) == (1, 2) else "e") for a in range(1, 7) for b in range(a + 1, 7)],
+    ),
+    "k33-s3-gauge": _inline(
+        _S3, list(range(1, 7)),
+        [(1, 4, "s120"), (1, 5, "s201"), (1, 6, "s210"), (2, 4, "s210"), (2, 5, "s102"),
+         (2, 6, "s120"), (3, 4, "s021"), (3, 5, "s210"), (3, 6, "s201")],
+    ),
+    "c13": _inline(_SIGN, list(range(1, 14)), [(i, i % 13 + 1, "e") for i in range(1, 14)]),
+}
+
+
+# Exit code and stdout sha256 of `markov`, `markov --exact` and `analyze` on
+# each network fixture and the inline networks, keyed by (network, command).
+MARKOV_HASHES = {
+    ('c13', 'analyze'): (2, "f38a351eae96e8d98567b853a13793d5e91d7627365635701437f75a7ffe159f"),
+    ('gamma3_allg.json', 'analyze'): (0, "4a7b00f6ca5c0a0b538b4e6ee61011f18ef4b6109db1f93da03d7f628501ffa4"),
+    ('gamma3_allg.json', 'markov'): (0, "a7d93b10bd0a68783785e4dfc97cf99792bde924966cf56ffd292bcbf6ecd848"),
+    ('gamma3_allg.json', 'markov --exact'): (0, "164e94fac436ba89903fe2c21c8095e8442e0d332b3543304d24d0f93e613353"),
+    ('gamma3_balanced.json', 'analyze'): (0, "be86562d849c55cebf2149f0e4a5012f424d79df4a6470db09a2a8c110ff286b"),
+    ('gamma3_balanced.json', 'markov'): (0, "651f46b0d783b8a7a91485b6d9c49b022951f17cc8da1b759f4b9bc7c0ff12af"),
+    ('gamma3_balanced.json', 'markov --exact'): (0, "6d1c413c5e227dba616dd264ed8f26d280dbf1c00a8870f5a187573205a21fae"),
+    ('gamma3_ex1.json', 'analyze'): (0, "79c2334bda7634d8f6ae4565889469cacd89d32430d84ba4dd8611da09cf5eac"),
+    ('gamma3_ex1.json', 'markov'): (0, "f4327537bb211cd9208f8a5b575d53db324cd921dad2da6da714c7758dc2d05d"),
+    ('gamma3_ex1.json', 'markov --exact'): (0, "5d3d0dee679dcc452fbbceb2d3b3242e500da068d9c4bbd30f65bf863d809614"),
+    ('k33-s3-gauge', 'analyze'): (0, "8a3a7f92186c2f0e6978751514d13d3f15979782665c9182b1c3dc1acc880782"),
+    ('k33-s3-gauge', 'markov'): (0, "987370832da74586a357a4f250098919a651ff7ece6c3a208a290b8574b4cf26"),
+    ('k33-s3-gauge', 'markov --exact'): (0, "a582b60b4594e5bf5b38034154f08a9428b0a33f823cf89a911d0ba6ed6c87a1"),
+    ('k4_complete.json', 'analyze'): (0, "0c5678f6a661b52d5e6387f9e84d8cdc49237d437029cd88995be6acb876725d"),
+    ('k4_complete.json', 'markov'): (0, "48986c0700b3729f39e4e637e053e3d8de241c38b4c2abb516a9e3b54900e05d"),
+    ('k4_complete.json', 'markov --exact'): (0, "2048d2d0080bd56a4cfc9dcb5d7d79db6e9cf114b155cc92a11076056ee834e8"),
+    ('k6-frustrated', 'analyze'): (0, "675cf13d80e3902410b201508e60a7f025ada2578725ed33c0a9c3691ad24f4c"),
+    ('k6-frustrated', 'markov'): (0, "e663f2cba4012df42bbb84ae3cde12b6829f0758d9e8d1882598bf0338d94528"),
+    ('k6-frustrated', 'markov --exact'): (0, "051d8bd4b671b3a5a057672beaaa271dac0d55ba5659f7d33b3697406943fd60"),
+}
+
+
+@pytest.mark.parametrize("net, command", sorted(MARKOV_HASHES))
+def test_markov_stdout_is_pinned(capsys, fixtures_dir, net, command):
+    source = _INLINE_NETS[net] if net in _INLINE_NETS else str(fixtures_dir / net)
+    name, *flags = command.split()
+    code = main([name, "--net", source, *flags])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MARKOV_HASHES[net, command]
+
+
 def test_analyze_reads_inline_json_as_it_reads_the_file(capsys, fixtures_dir, tmp_path):
     doc = json.loads((fixtures_dir / "k4_complete.json").read_text())
     doc["group"] = json.loads((fixtures_dir / "sign_group.json").read_text())

@@ -22,6 +22,8 @@ from balancenets.dynamics import (
     TheoremBReport,
     _closed_form_state,
     _fail_report,
+    _seeded_classes,
+    _seeds,
     _state_array,
     build_markov,
     core_set,
@@ -383,6 +385,158 @@ def test_sparse_markov_layer_matches_the_fraction_oracle(case, data):
     for core in candidates:
         core_idx = {model.index(x) for x in core}
         assert essential_check(model, core) == _essential_walk(g, core_idx)
+
+
+# Oracles for the seeded classes: the closed classes and the periodicity
+# test that read the assembled chain, verbatim from before the classes were
+# searched from the marks.
+def _csr_recurrent_class_indices(model: MarkovModel) -> tuple[frozenset[int], ...]:
+    """Closed communicating classes as row indices, sorted by smallest.
+
+    A strong component is closed when none of its members has an edge
+    leaving it.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    m = model.matrix
+    count, labels = connected_components(m, directed=True, connection="strong")
+    sources = labels[np.repeat(np.arange(len(model.states)), np.diff(m.indptr))]
+    leaves = np.zeros(count, dtype=bool)
+    leaves[sources[sources != labels[m.indices]]] = True
+    members = np.flatnonzero(~leaves[labels])
+    members = members[np.argsort(labels[members], kind="stable")]
+    cuts = np.flatnonzero(np.diff(labels[members])) + 1
+    classes = (frozenset(c.tolist()) for c in np.split(members, cuts))
+    return tuple(sorted(classes, key=min))
+
+
+def _csr_limit_exists(model: MarkovModel) -> bool:
+    """True when P**t converges: every closed class must be aperiodic.
+
+    The period of a closed class is the gcd of level[u] + 1 - level[v] over
+    its edges (u, v), with level the breadth-first distance from one member.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import shortest_path
+
+    m = model.matrix
+    position = np.zeros(len(model.states), dtype=np.int64)
+    for cls in _csr_recurrent_class_indices(model):
+        members = np.array(sorted(cls))
+        position[members] = np.arange(len(members))
+        # A closed class keeps every edge of its members inside it.
+        out = m[members]
+        inner = csr_array(
+            (out.data, position[out.indices], out.indptr), shape=(len(members),) * 2
+        )
+        level = shortest_path(inner, unweighted=True, indices=0).astype(np.int64)
+        u = np.repeat(np.arange(len(members)), np.diff(out.indptr))
+        if np.gcd.reduce(level[u] + 1 - level[inner.indices]) != 1:
+            return False
+    return True
+
+
+def _assert_seeded_classes_match_the_oracles(model, rows=None):
+    seeded = model.recurrent_class_indices()
+    closed = _csr_recurrent_class_indices(model)
+    assert seeded == closed
+    if rows is not None:
+        assert list(seeded) == _closed_classes(_support_digraph(rows))
+    assert [len(c) for c in seeded] == [len(c) for c in closed]
+    assert limit_exists(model) == _csr_limit_exists(model)
+    # The seeds are the image of a minimum-rank word: k or k**2 states, each
+    # in a closed class.
+    k = len(model.marking.group.states)
+    seeds = _seeds(model.marking).tolist()
+    assert len(set(seeds)) == k ** (1 if model.marking.graph.parts is None else 2)
+    assert all(any(s in c for c in closed) for s in seeds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_markings_with_choice())
+def test_seeded_classes_match_the_chain_and_the_condensation(case):
+    marking, choice = case
+    model = build_markov(marking, choice)
+    _assert_seeded_classes_match_the_oracles(model, _fraction_rows(marking, choice))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("hostile", ["one", "all"])
+def test_seeded_classes_of_frustrated_complete_graphs(n, hostile):
+    graph = RelationGraph.complete(list(range(n)))
+    marks = {
+        edge: "g" if hostile == "all" or edge == (0, 1) else "e"
+        for edge in graph.undirected_edges
+    }
+    model = build_markov(Marking.from_names(graph, G2, marks, symmetric=True))
+    _assert_seeded_classes_match_the_oracles(model)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_seeds_of_complete_graphs_have_rank_one(n):
+    # Composed first factor first, the word's map on K9 has rank 2.
+    graph = RelationGraph.complete(list(range(n)))
+    marks = {edge: "g" if edge == (0, 1) else "e" for edge in graph.undirected_edges}
+    assert len(set(_seeds(Marking.from_names(graph, G2, marks, symmetric=True)).tolist())) == 2
+
+
+def test_periods_are_the_cycle_lengths_of_a_deterministic_map():
+    # On K2 with both marks the rotation r of C3, (a, b) steps to
+    # (r(b), r(a)): the diagonal is a 3-cycle and the rest one 6-cycle.
+    group = cyclic_group(3)
+    r = group.element(1)
+    marking = Marking(RelationGraph.complete([1, 2]), group, {(0, 1): r, (1, 0): r})
+    model = build_markov(marking)
+    assert _seeded_classes(marking) == (
+        (frozenset({0, 4, 8}), frozenset({1, 2, 3, 5, 6, 7})),
+        (3, 6),
+    )
+    assert not limit_exists(model)
+    assert model.recurrent_class_indices() == _csr_recurrent_class_indices(model)
+
+
+def test_seeded_classes_past_the_state_bound():
+    # The gauge C14 of test_core_and_theoremB_past_the_state_bound: two
+    # consensus states and one alternating pair, found without the chain.
+    graph = RelationGraph.cycle(list(range(14)))
+    gauge = [G2.element(i % 3 % 2) for i in range(14)]
+    values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
+    marking = Marking(graph, G2, values)
+    with pytest.raises(BoundExceededError):
+        build_markov(marking)
+    model = build_markov(marking, bound=2 ** 14)
+    assert sorted(len(c) for c in model.recurrent_classes()) == [1, 1, 2]
+    assert stationary_count(model) == 3
+    assert not limit_exists(model)
+    assert frozenset().union(*model.recurrent_classes()) == core_set(marking).states
+
+
+def test_build_markov_assembles_values_only_when_asked(monkeypatch):
+    import balancenets.dynamics as dynamics
+
+    assembled = []
+    real = dynamics._assemble
+    monkeypatch.setattr(
+        dynamics, "_assemble", lambda *args, **kw: assembled.append(args) or real(*args, **kw)
+    )
+    model = build_markov(ALL_E_SQUARE)
+    assert stationary_count(model) == 3 and not limit_exists(model)
+    assert len(model.recurrent_classes()) == 3 and model.exact_rows is None
+    assert assembled == []
+    assert model.matrix.shape == (16, 16)
+    assert len(assembled) == 1
+    build_markov(ALL_E_SQUARE, exact=True)
+    assert len(assembled) == 2
+
+
+def test_exact_rows_hold_one_fraction_per_distinct_value():
+    graph = BALANCED.graph
+    choice = ChoiceDistribution(graph, {0: {1: 1, 2: 2}, 1: {0: 1, 2: 3}, 2: {0: 1, 1: 1}})
+    model = build_markov(BALANCED, choice, exact=True)
+    assert model.fractions == sorted(set(model.fractions))
+    values = [p for row in model.exact_rows for p in row.values()]
+    assert {id(p) for p in values} == {id(p) for p in model.fractions}
+    assert model.exact_rows == _fraction_rows(BALANCED, choice)
 
 
 @pytest.mark.parametrize(
