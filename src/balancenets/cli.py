@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import REFERENCE_STEPS, RunConfig, read_json
+from .config import REFERENCE_STEPS, RunConfig, label_order, read_json
 from .dynamics import build_markov, core_set, limit_exists, stationary_count
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
 from .groups import load_group
@@ -160,7 +160,7 @@ def _cmd_markov(args, config: RunConfig) -> dict:
         "states": model.size,
         "stationary_count": stationary_count(model),
         "limit_exists": limit_exists(model),
-        "W0": sorted(marking.group.state_labels(x) for x in core.states),
+        "W0": sorted(map(marking.group.state_labels, core.states), key=label_order),
         "recurrent_class_sizes": [len(cls) for cls in classes],
         "core": {
             "size": len(core.states),
@@ -187,7 +187,9 @@ def _cmd_balance(args, config: RunConfig) -> dict:
         "witness": None,
     }
     if parts is not None:
-        payload["partition"] = [sorted(nodes[i] for i in part) for part in parts]
+        payload["partition"] = [
+            sorted((nodes[i] for i in part), key=label_order) for part in parts
+        ]
     else:
         payload["witness"] = {
             "cycle": [nodes[i] for i in cycle],
@@ -219,7 +221,7 @@ def _cmd_ideals(args, config: RunConfig) -> dict:
             for ideal in enumeration.ideals
         ],
         "final_state_count": len(reachable),
-        "final_states": sorted(rm.group.state_labels(x) for x in reachable),
+        "final_states": sorted(map(rm.group.state_labels, reachable), key=label_order),
     }
 
 
@@ -242,7 +244,9 @@ def _cmd_absorb(args, config: RunConfig) -> dict:
         for i in range(args.runs)
     ]
     absorbed = [t for t in trajectories if t.absorbed_at is not None]
-    finals = sorted({rm.group.state_labels(t.final_state) for t in trajectories})
+    finals = sorted(
+        {rm.group.state_labels(t.final_state) for t in trajectories}, key=label_order
+    )
     mean_step = (
         round(sum(t.absorbed_at for t in absorbed) / len(absorbed), 6)
         if absorbed

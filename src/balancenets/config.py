@@ -66,6 +66,16 @@ def label_key(label):
     return isinstance(label, bool), label
 
 
+def label_order(value):
+    """Sort key for JSON labels and tuples of them: null first, then numbers
+    and booleans, then strings, each kind in Python's own order."""
+    if isinstance(value, tuple):
+        return tuple(map(label_order, value))
+    if value is None:
+        return (0,)
+    return (2, value) if isinstance(value, str) else (1, value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Bounds, tolerances and seed for one analysis run."""

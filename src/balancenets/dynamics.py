@@ -31,8 +31,8 @@ from .groups import (
     solve_characteristic,
     solve_characteristic_pair,
 )
-from .network import Marking, _tree_consistency, bipartition
-from .potential import CharacteristicReactions, check_A1, check_A2
+from .network import Marking, _tree_consistency
+from .potential import CharacteristicReactions, check_A2
 from .semigroup import _contracting_word
 
 if TYPE_CHECKING:
@@ -367,24 +367,17 @@ class CoreSet:
     characteristic: CharacteristicReactions | None
 
 
-def _closed_form_state(
-    transport: dict[int, GroupElement],
-    components: tuple[frozenset[int], ...],
-    params: tuple[int, ...],
-) -> tuple[int, ...]:
-    """Core state whose free state on component c is params[c]."""
-    x = {j: transport[j](t) for comp, t in zip(components, params) for j in comp}
-    return tuple(x[j] for j in range(len(x)))
-
-
-def _core_walk(marking: Marking) -> tuple[frozenset[tuple[int, ...]], bool]:
-    """Single-image states and whether their images stay among them.
+def _core_walk(
+    marking: Marking, parts: tuple[frozenset[int], ...]
+) -> list[list[dict[int, int] | None]]:
+    """The double-cover walk of each part from every state of its root.
 
     State x steps to y alone when y_c = g(c, p)(x_p) on every edge (c, p):
     a potential on the bipartite double cover, with copy p holding x_p,
     copy n + c holding y_c and the edge carrying the permutation of g(c, p).
-    The cover has one component per part of a bipartite graph, else one;
-    each is walked from every state of its root.
+    The cover has one component per part: each side of a bipartite graph,
+    else all nodes.  Walk t of a part starts its smallest node at state t
+    and is None where the walk meets an inconsistent edge.
     """
     graph = marking.graph
     n = len(graph)
@@ -393,7 +386,7 @@ def _core_walk(marking: Marking) -> tuple[frozenset[tuple[int, ...]], bool]:
         forward, back = marking.mark(c, p).perm, marking.mark(c, p).inverse().perm
         edges += [(p, n + c, forward, back), (n + c, p, back, forward)]
     walks = []
-    for part in graph.parts or (range(n),):
+    for part in parts:
         nodes = {*part, *(n + c for p in part for c in graph.neighbors(p))}
         tails = [e for e in edges if e[0] in nodes]
         walks.append([])
@@ -401,55 +394,51 @@ def _core_walk(marking: Marking) -> tuple[frozenset[tuple[int, ...]], bool]:
             u, _ = _tree_consistency(
                 nodes, tails, min(part), t, lambda s, perm: perm[s], operator.eq
             )
-            if u is not None:
-                walks[-1].append(u)
-    pairs = []
-    for pieces in itertools.product(*walks):
-        u = {v: s for piece in pieces for v, s in piece.items()}
-        pairs.append((tuple(u[v] for v in range(n)), tuple(u[v] for v in range(n, 2 * n))))
-    found = frozenset(x for x, _ in pairs)
-    return found, all(y in found for _, y in pairs)
+            walks[-1].append(u)
+    return walks
 
 
 def core_set(marking: Marking) -> CoreSet:
-    """Find the single-image states from the marks and reconcile them with
-    the closed form.
+    """Find the single-image states, and the closed form, from the marks.
 
     The closed form parameterizes the core by one free state per two-step
-    component; it only applies when the induced marks are potential (A1)
-    and the round-trip marks are neighbor-independent (A2), so those two
-    verdicts ride along in the result.
+    component, the root state t that walk t starts from.  The induced marks
+    are potential (A1) exactly when every walk succeeds: a cycle's product
+    is then the identity permutation on every state, and group elements are
+    distinct permutations.  The form applies when the round-trip marks are
+    also neighbor-independent (A2), so both verdicts ride along.
     """
-    found, closed = _core_walk(marking)
+    graph = marking.graph
+    n = len(graph)
+    parts = graph.parts or (frozenset(range(n)),)
+    walks = _core_walk(marking, parts)
+    pairs = []
+    for pieces in itertools.product(*([u for u in w if u is not None] for w in walks)):
+        u = {v: s for piece in pieces for v, s in piece.items()}
+        pairs.append((tuple(u[v] for v in range(n)), tuple(u[v] for v in range(n, 2 * n))))
+    found = frozenset(x for x, _ in pairs)
 
-    a1 = check_A1(marking)
+    a1 = all(u is not None for w in walks for u in w)
     a2 = check_A2(marking)
-    bip = bipartition(marking.graph) is not None
     transport = None
     components = None
-    closed_form = None
-    matches = None
-    if a1.ok:
+    if a1:
         # x_j = transport[j](t) carries the root parameter t to node j.
         transport = {
-            j: u.inverse() for pot in a1.potentials for j, u in pot.values.items()
+            j: marking.group.element_by_perm([u[j] for u in w])
+            for part, w in zip(parts, walks)
+            for j in part
         }
-        components = tuple(frozenset(pot.values) for pot in a1.potentials)
-    if a1.ok and a2 is not None:
-        k = len(marking.group.states)
-        closed_form = frozenset(
-            _closed_form_state(transport, components, params)
-            for params in itertools.product(range(k), repeat=len(components))
-        )
-        matches = closed_form == found
+        components = parts
+    both = a1 and a2 is not None
     return CoreSet(
         states=found,
-        closed=closed,
-        a1_ok=a1.ok,
+        closed=all(y in found for _, y in pairs),
+        a1_ok=a1,
         a2_ok=a2 is not None,
-        bipartite=bip,
-        closed_form=closed_form,
-        matches_closed_form=matches,
+        bipartite=graph.parts is not None,
+        closed_form=found if both else None,
+        matches_closed_form=True if both else None,
         transport=transport,
         components=components,
         characteristic=a2,
@@ -461,37 +450,23 @@ def core_set(marking: Marking) -> CoreSet:
 
 @dataclass(frozen=True)
 class TheoremBReport:
-    """The one-step map on the core against the characteristic equations."""
+    """The one-step map on the core against the characteristic equations.
+
+    The fields after ``a2_ok`` default to their values when A1 or A2 fails.
+    """
 
     ok: bool
     bipartite: bool
     a1_ok: bool
     a2_ok: bool
-    core_matches: bool
-    characteristic: dict[int, GroupElement] | None
-    realized: tuple[GroupElement, ...] | None
-    solutions: tuple
-    realized_is_solution: bool | None
-    second_step_matches: bool | None
-    best_solution: object
-    predicted_stationary: int | None
-
-
-def _fail_report(bip: bool, a1: bool, a2: bool) -> TheoremBReport:
-    return TheoremBReport(
-        ok=False,
-        bipartite=bip,
-        a1_ok=a1,
-        a2_ok=a2,
-        core_matches=False,
-        characteristic=None,
-        realized=None,
-        solutions=(),
-        realized_is_solution=None,
-        second_step_matches=None,
-        best_solution=None,
-        predicted_stationary=None,
-    )
+    core_matches: bool = False
+    characteristic: dict[int, GroupElement] | None = None
+    realized: tuple[GroupElement, ...] | None = None
+    solutions: tuple = ()
+    realized_is_solution: bool | None = None
+    second_step_matches: bool | None = None
+    best_solution: object = None
+    predicted_stationary: int | None = None
 
 
 def theoremB_verify(marking: Marking) -> TheoremBReport:
@@ -510,7 +485,7 @@ def theoremB_verify(marking: Marking) -> TheoremBReport:
     bip = core.bipartite
     # None unless both A1 and A2 hold.
     if not core.matches_closed_form:
-        return _fail_report(bip, core.a1_ok, core.a2_ok)
+        return TheoremBReport(ok=False, bipartite=bip, a1_ok=core.a1_ok, a2_ok=core.a2_ok)
 
     roots = [min(comp) for comp in core.components]
     reads = (1, 0) if bip else (0,)
@@ -557,7 +532,6 @@ def max_nonergodicity_scan(
     graph,
     group,
     symmetric: bool = True,
-    choice: ChoiceDistribution | None = None,
     bound: int = BOUND_STATES,
     max_fields: int = 65536,
 ) -> ScanResult:
@@ -583,7 +557,7 @@ def max_nonergodicity_scan(
             if symmetric:
                 values[(j, i)] = group.element(gi)
         marking = Marking(graph, group, values)
-        count = stationary_count(build_markov(marking, choice, bound))
+        count = stationary_count(build_markov(marking, bound=bound))
         if count > best_count:
             best_count = count
             best = [marking]

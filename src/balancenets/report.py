@@ -13,7 +13,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .config import RunConfig, inline_json
+from .config import RunConfig, inline_json, label_order
 from .dynamics import build_markov, core_set, limit_exists, stationary_count, theoremB_verify
 from .errors import ValidationError
 from .network import Marking, load_network
@@ -96,7 +96,7 @@ def analyze_marking(
     converges = limit_exists(model)
 
     core = core_set(marking)
-    core_states = tuple(sorted(marking.group.state_labels(x) for x in core.states))
+    core_states = tuple(sorted(map(marking.group.state_labels, core.states), key=label_order))
     characteristic = theoremB_verify(marking)
 
     ideal_count = None

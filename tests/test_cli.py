@@ -984,6 +984,31 @@ def test_labels_that_differ_only_by_type_stay_apart(capsys):
     assert payload["potential"] is True
 
 
+@pytest.mark.parametrize(
+    "command", ["check-potential", "balance", "markov", "ideals", "absorb", "analyze"]
+)
+def test_labels_of_mixed_json_types_sort(capsys, command):
+    # Node labels and state labels each mix null, numbers and strings, which
+    # sort null first, then numbers, then strings.
+    group = {**SIGN_GROUP, "states": [0, "x"]}
+    pairs = [(1, "b", "e"), ("b", 3, "g"), (3, None, "e"), (None, 1, "g")]
+    net = _inline_network([1, "b", 3, None], pairs, group)
+    code, payload = run_cli(capsys, command, "--net", net)
+    assert code == 0
+    states = [[0, 0, "x", "x"], [0, "x", "x", 0], ["x", 0, 0, "x"], ["x", "x", 0, 0]]
+    if command == "balance":
+        assert payload["partition"] == [[1, "b"], [None, 3]]
+    elif command == "markov":
+        assert payload["W0"] == states
+    elif command == "ideals":
+        assert payload["final_states"] == states
+    elif command == "analyze":
+        assert payload["core_states"] == states
+    elif command == "absorb":
+        seen = payload["final_states_seen"]
+        assert seen == [x for x in states if x in seen]
+
+
 def test_disconnected_network_reports_validation(capsys):
     net = _inline_network([1, 2, 3, 4], [(1, 2, "g"), (3, 4, "e")])
     code, payload = run_cli(capsys, "balance", "--net", net)

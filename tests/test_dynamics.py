@@ -20,8 +20,6 @@ from balancenets.dynamics import (
     CoreSet,
     MarkovModel,
     TheoremBReport,
-    _closed_form_state,
-    _fail_report,
     _seeded_classes,
     _seeds,
     _state_array,
@@ -35,6 +33,7 @@ from balancenets.dynamics import (
 )
 from balancenets.errors import BoundExceededError, ValidationError
 from balancenets.groups import (
+    GroupElement,
     cyclic_group,
     pair_orbit_count,
     sign_group,
@@ -82,6 +81,16 @@ def apply_F(marking, x):
         seen = {marking.mark(i, j)(x[j]) for j in graph.neighbors(i)}
         options.append(sorted(seen))
     return frozenset(itertools.product(*options))
+
+
+def _closed_form_state(
+    transport: dict[int, GroupElement],
+    components: tuple[frozenset[int], ...],
+    params: tuple[int, ...],
+) -> tuple[int, ...]:
+    """Core state whose free state on component c is params[c]."""
+    x = {j: transport[j](t) for comp, t in zip(components, params) for j in comp}
+    return tuple(x[j] for j in range(len(x)))
 
 
 def _chain_core_set(model: MarkovModel) -> CoreSet:
@@ -647,7 +656,25 @@ def test_theoremB_reports_failed_criteria():
 
 
 # The two-branch replay theoremB_verify had before its one loop over the
-# core parameters, verbatim: the oracle for its reports.
+# core parameters, and its failure report, verbatim: the oracle for its
+# reports.
+def _fail_report(bip: bool, a1: bool, a2: bool) -> TheoremBReport:
+    return TheoremBReport(
+        ok=False,
+        bipartite=bip,
+        a1_ok=a1,
+        a2_ok=a2,
+        core_matches=False,
+        characteristic=None,
+        realized=None,
+        solutions=(),
+        realized_is_solution=None,
+        second_step_matches=None,
+        best_solution=None,
+        predicted_stationary=None,
+    )
+
+
 def _theoremB_oracle(model: MarkovModel) -> TheoremBReport:
     """Check that the one-step map on the core is a characteristic solution.
 
@@ -775,6 +802,29 @@ def _theoremB_models(draw):
 @given(_theoremB_models())
 def test_theoremB_verify_matches_the_two_branch_replay(model):
     assert theoremB_verify(model.marking) == _theoremB_oracle(model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_theoremB_models())
+def test_core_set_reads_A1_and_the_closed_form_off_its_walks(model):
+    # The star-marking walk of check_A1 and the closed-form product are
+    # the oracles for what core_set reads off its double-cover walks.
+    marking = model.marking
+    core = core_set(marking)
+    a1 = check_A1(marking)
+    assert core.a1_ok == a1.ok
+    if not a1.ok:
+        return
+    assert core.transport == {
+        j: u.inverse() for pot in a1.potentials for j, u in pot.values.items()
+    }
+    assert core.components == tuple(frozenset(pot.values) for pot in a1.potentials)
+    if core.a2_ok:
+        k = len(marking.group.states)
+        assert core.states == frozenset(
+            _closed_form_state(core.transport, core.components, params)
+            for params in itertools.product(range(k), repeat=len(core.components))
+        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,9 +7,11 @@ import math
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from balancenets import dynamics, network, potential
-from balancenets.config import RunConfig, trajectory_seed
+from balancenets.config import RunConfig, label_order, trajectory_seed
 from balancenets.errors import ValidationError
 from balancenets.groups import sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph
@@ -87,9 +89,12 @@ def test_analyze_marking_derives_artefacts_once_per_core_set(monkeypatch):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
     analyze_marking(_balanced_marking(), digest="d" * 64)
-    # analyze_marking and theoremB_verify each take one CoreSet, and each
-    # core_set builds the star marking, A1 and A2 once.
-    assert calls == {name: 2 for name in targets}
+    # analyze_marking and theoremB_verify each take one CoreSet; each
+    # core_set decides A2 once and reads A1 off its own walks, with no
+    # star marking.
+    assert {name: calls[name] for name in targets} == {
+        "star_marking": 0, "check_A1": 0, "check_A2": 2, "core_set": 2,
+    }
 
 
 def test_analyze_marking_skips_semigroup_when_not_potential():
@@ -193,3 +198,18 @@ def test_trajectory_seed_splits_the_root():
     assert trajectory_seed(2 ** 64 - 1, 1) == 0
     with pytest.raises(ValidationError):
         trajectory_seed(10, -1)
+
+
+_LABELS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(-2, 2), st.sampled_from("ab")
+)
+
+
+@given(st.lists(st.tuples(_LABELS, _LABELS), max_size=8))
+def test_label_order_agrees_with_every_sort_that_works(labels):
+    try:
+        plain = sorted(labels)
+    except TypeError:
+        return
+    # repr tells 1, 1.0 and true apart, which compare equal.
+    assert repr(sorted(labels, key=label_order)) == repr(plain)
