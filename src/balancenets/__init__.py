@@ -57,8 +57,6 @@ from .groups import (
     symmetric_group,
 )
 from .involution import (
-    E2,
-    Z_SWAP,
     InvolutionMatrix,
     involution_from_seed,
     involution_log,
@@ -143,4 +141,12 @@ from .smoothfield import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name: str):
+    """E2 and Z_SWAP, read from ``involution`` on demand: they are numpy arrays."""
+    if name in ("E2", "Z_SWAP"):
+        return getattr(involution, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["E2", "Z_SWAP"])

@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import REFERENCE_STEPS, RunConfig, label_order, read_json
+from .config import REFERENCE_STEPS, RunConfig, label_order, label_texts, read_json
 from .dynamics import build_markov, core_set, limit_exists, stationary_count
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
 from .groups import load_group
@@ -129,10 +129,8 @@ def _cmd_check_potential(args, config: RunConfig) -> dict:
             "product": verdict.witness_product.name,
         }
     if a2 is not None:
-        payload["characteristic"] = {
-            str(marking.graph.nodes[i]): el.name
-            for i, el in sorted(a2.values.items())
-        }
+        keys = list(label_texts(marking.graph.nodes, "characteristic"))
+        payload["characteristic"] = {keys[i]: el.name for i, el in sorted(a2.values.items())}
     return payload
 
 

@@ -10,9 +10,11 @@ exactly, in integers.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass
 from numbers import Real
 from pathlib import Path
@@ -66,6 +68,25 @@ def label_key(label):
     return isinstance(label, bool), label
 
 
+def label_text(label) -> str:
+    """JSON object key of a node label: a string is its own key, any other
+    label its JSON spelling (``1``, ``2.5``, ``true``, ``null``)."""
+    return label if isinstance(label, str) else json.dumps(label)
+
+
+def label_texts(labels, what: str) -> dict[str, int]:
+    """Index of each label by its text; two labels with one text raise."""
+    by_text: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        first = by_text.setdefault(label_text(label), i)
+        if first != i:
+            raise ValidationError(
+                f"node labels {labels[first]!r} and {label!r} share the "
+                f"{what} key {label_text(label)!r}"
+            )
+    return by_text
+
+
 def label_order(value):
     """Sort key for JSON labels and tuples of them: null first, then numbers
     and booleans, then strings, each kind in Python's own order."""
@@ -74,6 +95,19 @@ def label_order(value):
     if value is None:
         return (0,)
     return (2, value) if isinstance(value, str) else (1, value)
+
+
+def lazy_module(name: str):
+    """Module ``name`` in ``sys.modules``, executed on its first attribute read."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @dataclass(frozen=True)

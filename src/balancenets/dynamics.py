@@ -21,9 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
-
-from .config import BOUND_STATES
+from .config import BOUND_STATES, lazy_module
 from .errors import BoundExceededError, ValidationError
 from .groups import (
     GroupElement,
@@ -34,6 +32,8 @@ from .groups import (
 from .network import Marking, _tree_consistency
 from .potential import CharacteristicReactions, check_A2
 from .semigroup import _contracting_word
+
+np = lazy_module("numpy")
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array

@@ -12,13 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .config import TAU_ALG
+from .config import TAU_ALG, lazy_module
 from .errors import SingularSeedError, ValidationError
 
-E2 = np.eye(2)
-Z_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+np = lazy_module("numpy")
+
+
+def __getattr__(name: str):
+    """E2 (identity) and Z_SWAP, built per read: importing loads no numpy."""
+    if name == "E2":
+        return np.eye(2)
+    if name == "Z_SWAP":
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def check_quadric(a, b, c, tol: float) -> None:
@@ -120,7 +126,7 @@ def seed_from_involution(
 def spectral_projectors(inv: InvolutionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Projectors onto the +1 and -1 eigenspaces: Z1 = (A+E)/2, Z2 = (E-A)/2."""
     m = inv.matrix
-    return (m + E2) / 2.0, (E2 - m) / 2.0
+    return (m + np.eye(2)) / 2.0, (np.eye(2) - m) / 2.0
 
 
 def involution_log(inv: InvolutionMatrix) -> np.ndarray:

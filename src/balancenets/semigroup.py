@@ -16,12 +16,12 @@ from functools import cached_property
 from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .config import trajectory_seed
+from .config import lazy_module, trajectory_seed
 from .errors import BoundExceededError, NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup
 from .network import Marking, RelationGraph, _pair_marks, bipartition
+
+np = lazy_module("numpy")
 
 
 @dataclass(frozen=True)

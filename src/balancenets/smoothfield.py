@@ -9,15 +9,14 @@ by a plane 2*a*C1 + c*C2 + b*C3 = 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable, Iterator, Mapping, Sequence
 
-import numpy as np
-
-from .config import REFERENCE_STEPS, TAU_FLD, TAU_NUM, read_json
+from .config import (
+    REFERENCE_STEPS, TAU_FLD, TAU_NUM, label_text, label_texts, lazy_module, read_json
+)
 from .errors import (
     DegeneratePlaneError,
     FieldDomainError,
@@ -28,6 +27,8 @@ from .errors import (
 from .involution import InvolutionMatrix, check_quadric
 from .network import RelationGraph, _tree_consistency
 from .potential import partition_from_signs
+
+np = lazy_module("numpy")
 
 Point = tuple[float, float]
 
@@ -810,12 +811,6 @@ class GraphEmbedding:
         return cls(graph, coords, curves)
 
 
-def _embedding_key(label) -> str:
-    """Embedding key of a node label: a string is its own key, any other
-    label its JSON spelling (``1``, ``2.5``, ``true``, ``null``)."""
-    return label if isinstance(label, str) else json.dumps(label)
-
-
 def load_embedding(
     source, graph: RelationGraph
 ) -> tuple[GraphEmbedding, dict[tuple[int, int], EdgeQuadratureRule]]:
@@ -836,14 +831,7 @@ def load_embedding(
     if "nodes" not in payload:
         raise ValidationError("embedding is missing 'nodes'")
 
-    by_label: dict[str, int] = {}
-    for i, label in enumerate(graph.nodes):
-        first = by_label.setdefault(_embedding_key(label), i)
-        if first != i:
-            raise ValidationError(
-                f"node labels {graph.nodes[first]!r} and {label!r} share the "
-                f"embedding key {_embedding_key(label)!r}"
-            )
+    by_label = label_texts(graph.nodes, "embedding")
     raw_nodes = payload["nodes"]
     if not isinstance(raw_nodes, dict):
         raise ValidationError("embedding 'nodes' must be an object of node coordinates")
@@ -863,8 +851,8 @@ def load_embedding(
     rules: dict[tuple[int, int], EdgeQuadratureRule] = {}
     for entry in edge_entries:
         try:
-            i = by_label[_embedding_key(entry["from"])]
-            j = by_label[_embedding_key(entry["to"])]
+            i = by_label[label_text(entry["from"])]
+            j = by_label[label_text(entry["to"])]
         except KeyError as exc:
             raise ValidationError(f"embedding edge references {exc}") from exc
         if not graph.has_edge(i, j):

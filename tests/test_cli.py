@@ -11,6 +11,7 @@ import pytest
 
 import balancenets
 from balancenets.cli import _build_parser, main
+from balancenets.config import lazy_module
 
 
 def run_cli(capsys, *argv):
@@ -585,19 +586,146 @@ def test_analyze_on_c8_meets_the_closed_forms(capsys, tmp_path):
     assert "skipped" not in payload
 
 
-@pytest.mark.parametrize("module", ["networkx", "scipy.integrate", "scipy.optimize"])
-def test_importing_the_cli_leaves_module_out(module):
+def _probe(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package."""
     src = str(Path(balancenets.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = f"import sys, balancenets.cli; print({module!r} in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert result.stdout.strip() == "False"
+
+
+# numpy always has a key in sys.modules: the stub that lazy_module leaves
+# there.  It has run only when one of its submodules is loaded too.  Any
+# attribute read on the stub would run it, so the probes read keys alone.
+_LOADED = "sorted(k for k in sys.modules if k == {0!r} or k.startswith({0!r} + '.'))"
+
+
+@pytest.mark.parametrize(
+    "module", ["networkx", "scipy", "scipy.integrate", "scipy.optimize", "numpy"]
+)
+def test_importing_the_cli_leaves_module_out(module):
+    result = _probe(f"import sys, balancenets.cli; print({_LOADED.format(module)})")
+    assert result.stdout.strip() == str(["numpy"] if module == "numpy" else [])
+
+
+@pytest.mark.parametrize(
+    "argv,runs_numpy",
+    [
+        (["check-potential", "--net", "k4_complete.json"], False),
+        (["balance", "--net", "k4_complete.json"], False),
+        (["ideals", "--net", "k4_complete.json"], False),
+        (["absorb", "--runs", "4", "--steps", "16", "--net", "k4_complete.json"], False),
+        (["gen-fields", "--nodes", "4"], False),
+        (["markov", "--net", "k4_complete.json"], True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_discrete_commands_leave_numpy_unexecuted(fixtures_dir, argv, runs_numpy):
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+    result = _probe(
+        "import sys\n"
+        "from balancenets.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(any(k.startswith('numpy.') for k in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    assert json.loads(result.stdout)
+    assert result.stderr.strip() == str(runs_numpy)
+
+
+def test_numpy_run_by_a_command_is_the_one_numpy(fixtures_dir):
+    net = str(fixtures_dir / "k4_complete.json")
+    result = _probe(
+        "import sys\n"
+        "import balancenets.dynamics as dynamics\n"
+        "from balancenets.cli import main\n"
+        f"main(['markov', '--net', {net!r}])\n"
+        "import numpy, scipy.sparse\n"
+        "assert dynamics.np is sys.modules['numpy'] is numpy\n"
+        "print(scipy.sparse.csr_array(numpy.eye(2)).nnz, file=sys.stderr)\n"
+    )
+    assert result.stderr.strip() == "2"
+
+
+def test_lazy_module_returns_a_module_already_imported():
+    import numpy
+
+    assert lazy_module("numpy") is numpy is sys.modules["numpy"]
+
+
+def test_lazy_module_runs_the_module_on_first_attribute_read(tmp_path, monkeypatch):
+    name = "balancenets_lazy_probe"
+    (tmp_path / f"{name}.py").write_text(
+        "from pathlib import Path\n"
+        "Path(__file__).with_suffix('.ran').touch()\n"
+        "VALUE = 7\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        module = lazy_module(name)
+        assert sys.modules[name] is module
+        assert not (tmp_path / f"{name}.ran").exists()
+        assert module.VALUE == 7
+        assert (tmp_path / f"{name}.ran").exists()
+        assert lazy_module(name) is module
+    finally:
+        sys.modules.pop(name, None)
+
+
+def test_lazy_module_raises_like_import_for_a_missing_module():
+    with pytest.raises(ModuleNotFoundError) as info:
+        lazy_module("balancenets_no_such_module")
+    assert info.value.name == "balancenets_no_such_module"
+    assert "balancenets_no_such_module" not in sys.modules
+
+
+def test_public_names_are_unchanged():
+    assert balancenets.__all__ == """
+    AnalysisReport BOUND_GRP BOUND_STATES BalanceNetsError BalancePartition
+    BoundExceededError CharacteristicReactions ChoiceDistribution ConicSectionFamily
+    ControlMatrix ConvergenceReport CoreSet DegeneratePlaneError E2
+    EdgeQuadratureRule FieldDomainError GraphEmbedding GroupElement
+    GroupMismatchError IdealEnumeration InvolutionField InvolutionMatrix LeftIdeal
+    Marking MarkovModel MatrixMarking NonPotentialError OperatorMatrix
+    ParameterizedCurve ParityError Path PlaneCoefficients PotentialFunction
+    PotentialVerdict ProductTrajectory REFERENCE_STEPS ReactionGroup ReactionMatrix
+    RelationGraph ResidualReport RunConfig ScanResult SingularSeedError StarMarking
+    StarPath StarPotentialReport StateSet TAU_ALG TAU_FLD TAU_NUM TheoremBReport
+    TwoStepGraph ValidationError Z_SWAP analyze_marking balance_partition
+    balance_signs balance_witness bipartition build_markov check_A1 check_A2
+    complete_extension config control_matrices convergence_report core_set
+    cyclic_group discretize dynamics enumerate_ideals errors essential_check
+    final_states gamma3_solution_family generate_potential_fields group_to_json
+    groups infinitesimal_residual involution involution_from_seed involution_log
+    is_potential limit_exists load_embedding load_group load_network
+    max_nonergodicity_scan network network_to_json orbit_count p_integral
+    pair_orbit_count partition_from_signs plane_rhs plane_section_solution potential
+    product_integral product_integral_star project_point_to_section project_to_plane
+    random_product_process read_json report residual_orders rho run_full_analysis
+    seed_from_involution semigroup sign_by_identity sign_group smoothfield
+    solve_characteristic solve_characteristic_pair solve_ode_field
+    spectral_projectors star_marking star_product stationary_count symmetric_group
+    theorem1_expected theorem1_min_rank theoremB_verify trajectory_seed two_coloring
+    two_step valid_parity_assignment word_index_map
+    """.split()
+    assert all(hasattr(balancenets, name) for name in balancenets.__all__)
+
+
+def test_package_constants_are_the_identity_and_the_swap():
+    import numpy as np
+
+    from balancenets import E2, Z_SWAP
+
+    for value, expected in ((E2, [[1.0, 0.0], [0.0, 1.0]]), (Z_SWAP, [[0.0, 1.0], [1.0, 0.0]])):
+        assert type(value) is np.ndarray and value.dtype == np.float64
+        assert value.tolist() == expected
+    with pytest.raises(AttributeError):
+        balancenets.no_such_name
 
 
 def test_curve_that_is_not_an_object_reports_validation(capsys, tmp_path):
@@ -752,6 +880,25 @@ def test_embedding_rejects_labels_that_share_a_key(capsys, fixtures_dir):
     assert payload["error"] == {
         "type": "validation",
         "message": "node labels 1 and '1' share the embedding key '1'",
+    }
+
+
+def test_check_potential_keys_labels_by_their_json_spelling(capsys, fixtures_dir):
+    group = json.loads((fixtures_dir / "sign_group.json").read_text())
+    net = json.dumps(_triangle_net([True, 2.5, None], group))
+    code, payload = run_cli(capsys, "check-potential", "--net", net)
+    assert code == 0
+    assert payload["characteristic"] == {"true": "e", "2.5": "e", "null": "e"}
+
+
+def test_check_potential_rejects_labels_that_share_a_key(capsys, fixtures_dir):
+    group = json.loads((fixtures_dir / "sign_group.json").read_text())
+    net = json.dumps(_triangle_net([1, "1", 2], group))
+    code, payload = run_cli(capsys, "check-potential", "--net", net)
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": "node labels 1 and '1' share the characteristic key '1'",
     }
 
 
