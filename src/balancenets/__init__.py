@@ -71,7 +71,6 @@ from .network import (
     StarPath,
     TwoStepGraph,
     bipartition,
-    complete_extension,
     load_network,
     network_to_json,
     star_marking,
@@ -89,6 +88,7 @@ from .potential import (
     balance_witness,
     check_A1,
     check_A2,
+    complete_extension,
     gamma3_solution_family,
     generate_potential_fields,
     is_potential,

@@ -151,7 +151,7 @@ def _cmd_gen_fields(args, config: RunConfig) -> dict:
 
 def _cmd_markov(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
-    model = build_markov(marking, bound=config.bound_states, exact=args.exact)
+    model = build_markov(marking, bound=config.bound_states)
     core = core_set(marking)
     classes = model.recurrent_class_indices()
     payload = {

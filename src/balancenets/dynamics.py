@@ -5,10 +5,9 @@ neighbor's state pushed through the mark on the connecting edge.  The
 one-step law is a row-stochastic matrix over the product state space,
 enumerated in lexicographic node-major order.  Its closed classes and
 their periods are searched from the image of one minimum-rank control
-word, with no matrix; the matrix, one ``scipy.sparse`` CSR assembled in
-integers over a common denominator, is built only when values are asked
-for.  The core and Theorem B need no chain: they follow from the marks
-alone.
+word, with no matrix; the values are assembled once, in integers over a
+common denominator, when one is first read.  The core and Theorem B need
+no chain: they follow from the marks alone.
 """
 
 from __future__ import annotations
@@ -53,11 +52,6 @@ def _digits(codes: np.ndarray, marking: Marking) -> np.ndarray:
     """Joint states of row codes, one per row: each code written in base k."""
     n, k = len(marking.graph), len(marking.group.states)
     return codes[:, None] // k ** np.arange(n - 1, -1, -1) % k
-
-
-def _state_array(marking: Marking, bound: int) -> np.ndarray:
-    """All joint states as rows of a (k**n, n) array, node-major lexicographic."""
-    return _digits(np.arange(_state_count(marking, bound)), marking)
 
 
 def _successors(
@@ -193,25 +187,31 @@ class MarkovModel:
     """One-step law of the perception process over the joint state space.
 
     ``states`` is the (k**n, n) array of joint states, so row r is r
-    written in base k.  Closed classes need no values; ``matrix``, with the
-    columns of each row in increasing order, is assembled on first use.
-    With exact=True, ``fractions`` holds each distinct probability once and
-    ``fraction_index`` the position of each nonzero's value in it.
+    written in base k.  Closed classes need no values.  The first read of
+    ``matrix``, ``support``, ``fractions`` or ``rows`` assembles the chain
+    once, in integers, and every one of them reads that assembly.
     """
 
     marking: Marking
     choice: ChoiceDistribution
     size: int
-    fractions: list[Fraction] | None = None
-    fraction_index: np.ndarray | None = None
 
     @cached_property
     def states(self) -> np.ndarray:
-        return _state_array(self.marking, self.size)
+        return _digits(np.arange(self.size), self.marking)
+
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        return _assemble(self.marking, self.choice, self.size)
 
     @cached_property
     def matrix(self) -> csr_array:
-        return _assemble(self.marking, self.choice, self.size)[0]
+        """The float CSR, with the columns of each row in increasing order."""
+        from scipy.sparse import csr_array
+
+        indptr, cols, nums, D = self._chain
+        data = np.asarray(nums / D, dtype=np.float64)
+        return csr_array((data, cols, indptr), shape=(self.size, self.size))
 
     def index(self, x: tuple[int, ...]) -> int:
         """Row of joint state x, its base-k number; ValueError for a non-state."""
@@ -221,20 +221,28 @@ class MarkovModel:
     @cached_property
     def support(self) -> list[np.ndarray]:
         """Sorted target columns of each row."""
-        return np.split(self.matrix.indices, self.matrix.indptr[1:-1])
+        indptr, cols, _, _ = self._chain
+        return np.split(cols, indptr[1:-1])
+
+    @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct numerators, and each nonzero's position among them."""
+        return np.unique(self._chain[2], return_inverse=True)
+
+    @cached_property
+    def fractions(self) -> list[Fraction]:
+        """Each distinct probability once, in increasing order."""
+        D = self._chain[3]
+        return [Fraction(a, D) for a in self._distinct[0].tolist()]
 
     def rows(self, values: list) -> list[dict[int, object]]:
         """Row r as {c: values[i]} over its nonzeros (r, c), where i is the
         position of the nonzero's probability in ``fractions``."""
-        m = self.matrix
-        keys = m.indices.tolist()
-        picked = np.asarray(values, dtype=object)[self.fraction_index].tolist()
-        bounds = m.indptr.tolist()
+        indptr, cols, _, _ = self._chain
+        keys = cols.tolist()
+        picked = np.asarray(values, dtype=object)[self._distinct[1]].tolist()
+        bounds = indptr.tolist()
         return [dict(zip(keys[a:b], picked[a:b])) for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def exact_rows(self) -> list[dict[int, Fraction]] | None:
-        return None if self.fractions is None else self.rows(self.fractions)
 
     @cached_property
     def _seeded(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
@@ -253,10 +261,10 @@ class MarkovModel:
 
 
 def _assemble(
-    marking: Marking, choice: ChoiceDistribution, size: int, exact: bool = False
-) -> tuple[csr_array, list[Fraction] | None, np.ndarray | None]:
-    """The one-step matrix as CSR, with exact=True also its distinct values
-    as Fractions and each nonzero's position among them.
+    marking: Marking, choice: ChoiceDistribution, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The one-step law in integers: CSR row pointers, columns, numerators
+    and their common denominator D.
 
     Per-node next-state distributions are independent given the current
     state, so each row is the Kronecker product of n small distributions.
@@ -264,8 +272,6 @@ def _assemble(
     denominator d_i, so every entry is an integer numerator over
     D = prod(d_i), and each row must sum to exactly D.
     """
-    from scipy.sparse import csr_array
-
     weights = [choice.integer_weights(i) for i in range(len(marking.graph))]
     D = math.prod(d for d, _ in weights)
     # Below 2**53 every numerator and D are exact float64 values, so num / D
@@ -284,36 +290,22 @@ def _assemble(
     if bad.size:
         r = int(bad[0])
         raise ValidationError(f"row {r} sums to {float(Fraction(int(sums[r]), D))!r}")
-
-    matrix = csr_array(
-        (np.asarray(nums / D, dtype=np.float64), cols, indptr), shape=(size, size)
-    )
-    if not exact:
-        return matrix, None, None
-    values, index = np.unique(nums, return_inverse=True)
-    return matrix, [Fraction(a, D) for a in values.tolist()], index
+    return indptr, cols, nums, D
 
 
 def build_markov(
     marking: Marking,
     choice: ChoiceDistribution | None = None,
     bound: int = BOUND_STATES,
-    exact: bool = False,
 ) -> MarkovModel:
     """The chain of the perception process on a marking.
 
-    The state bound is checked here.  With exact=True the transition matrix
-    is assembled here, with one Fraction per distinct probability; without
-    it, nothing is assembled until ``matrix`` is first read.
+    The state bound is checked here; nothing is assembled until a value is
+    first read.
     """
     if choice is None:
         choice = ChoiceDistribution.uniform(marking.graph)
-    model = MarkovModel(marking, choice, _state_count(marking, bound))
-    if exact:
-        model.matrix, model.fractions, model.fraction_index = _assemble(
-            marking, choice, model.size, exact=True
-        )
-    return model
+    return MarkovModel(marking, choice, _state_count(marking, bound))
 
 
 def stationary_count(model: MarkovModel) -> int:
@@ -336,8 +328,7 @@ def essential_check(model: MarkovModel, core: frozenset[tuple[int, ...]]) -> boo
     core_idx = {model.index(x) for x in core}
     if not core_idx:
         return False
-    targets = model.matrix[sorted(core_idx)].indices
-    if not all(t in core_idx for t in targets.tolist()):
+    if not all(t in core_idx for r in core_idx for t in model.support[r].tolist()):
         return False
     return all(cls <= core_idx for cls in model.recurrent_class_indices())
 

@@ -94,7 +94,6 @@ class ReactionGroup:
         states: StateSet | Sequence,
         perms: Iterable[Sequence[int]],
         names: Sequence[str] | None = None,
-        bound: int = BOUND_GRP,
     ):
         if not isinstance(states, StateSet):
             states = StateSet(tuple(states))
@@ -104,9 +103,9 @@ class ReactionGroup:
         order = len(self.perms)
         if order == 0:
             raise ValidationError("group needs at least one element")
-        if order > bound:
+        if order > BOUND_GRP:
             raise BoundExceededError(
-                f"group order {order} exceeds the bound {bound}"
+                f"group order {order} exceeds the bound {BOUND_GRP}"
             )
         for p in self.perms:
             if sorted(p) != list(range(k)):
@@ -140,15 +139,9 @@ class ReactionGroup:
             table.append(tuple(row))
         self.table: tuple[tuple[int, ...], ...] = tuple(table)
 
-        inverse_index = [-1] * order
-        for i in range(order):
-            for j in range(order):
-                if self.table[i][j] == self.identity_index:
-                    inverse_index[i] = j
-                    break
-            if inverse_index[i] < 0:
-                raise ValidationError(f"element {self.names[i]} has no inverse")
-        self.inverse_index = tuple(inverse_index)
+        # A finite set of permutations closed under composition is a group,
+        # so every row of the table holds the identity.
+        self.inverse_index = tuple(row.index(self.identity_index) for row in table)
 
         self.involutive = all(
             self.table[i][i] == self.identity_index for i in range(order)

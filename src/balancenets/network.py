@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import inline_json, json_scalar, label_key, read_json
-from .errors import NonPotentialError, ValidationError
+from .errors import ValidationError
 from .groups import GroupElement, ReactionGroup, group_to_json, load_group
 
 
@@ -385,36 +385,6 @@ def star_marking(marking: Marking) -> StarMarking:
     for i, j, k in star.star_edges:
         values[(i, j, k)] = marking.mark(k, i).inverse() * marking.mark(k, j)
     return StarMarking(star, marking.group, values)
-
-
-def _pair_marks(marking: Marking) -> list[list[GroupElement]]:
-    """Mark u(i)^-1 * u(j) of every node pair, u the marking's potential.
-
-    On an edge this is the mark itself; a non-potential marking raises.
-    """
-    from . import potential as _potential
-
-    verdict = _potential.is_potential(marking)
-    if not verdict.ok:
-        raise NonPotentialError(
-            "complete extension needs a potential marking; "
-            f"cycle {verdict.witness_cycle_nodes} multiplies to "
-            f"{verdict.witness_product.name}"
-        )
-    u = verdict.potential.values
-    return [[u[i].inverse() * u[j] for j in range(len(u))] for i in range(len(u))]
-
-
-def complete_extension(marking: Marking) -> Marking:
-    """Extend a potential marking to the complete graph on the same nodes.
-
-    Every pair (i, j) gets u(i)^-1 * u(j) with u the potential function, so
-    existing marks are kept.
-    """
-    marks = _pair_marks(marking)
-    full = RelationGraph.complete(marking.graph.nodes)
-    values = {(i, j): marks[i][j] for i, j in full.directed_edges}
-    return Marking(full, marking.group, values)
 
 
 # -- JSON interchange --------------------------------------------------------

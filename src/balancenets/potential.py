@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import ValidationError
+from .errors import NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup, sign_group
 from .network import (
     Marking,
@@ -93,6 +93,34 @@ def is_potential(marking: Marking) -> PotentialVerdict:
         [range(len(graph))], edges, marking.group.identity
     )
     return PotentialVerdict(ok, potentials[0] if ok else None, *witness)
+
+
+def _pair_marks(marking: Marking) -> list[list[GroupElement]]:
+    """Mark u(i)^-1 * u(j) of every node pair, u the marking's potential.
+
+    On an edge this is the mark itself; a non-potential marking raises.
+    """
+    verdict = is_potential(marking)
+    if not verdict.ok:
+        raise NonPotentialError(
+            "complete extension needs a potential marking; "
+            f"cycle {verdict.witness_cycle_nodes} multiplies to "
+            f"{verdict.witness_product.name}"
+        )
+    u = verdict.potential.values
+    return [[u[i].inverse() * u[j] for j in range(len(u))] for i in range(len(u))]
+
+
+def complete_extension(marking: Marking) -> Marking:
+    """Extend a potential marking to the complete graph on the same nodes.
+
+    Every pair (i, j) gets u(i)^-1 * u(j) with u the potential function, so
+    existing marks are kept.
+    """
+    marks = _pair_marks(marking)
+    full = RelationGraph.complete(marking.graph.nodes)
+    values = {(i, j): marks[i][j] for i, j in full.directed_edges}
+    return Marking(full, marking.group, values)
 
 
 @dataclass(frozen=True)

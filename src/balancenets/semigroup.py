@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .config import lazy_module, trajectory_seed
 from .errors import BoundExceededError, NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup
-from .network import Marking, RelationGraph, _pair_marks, bipartition
+from .network import Marking, RelationGraph, bipartition
+from .potential import _pair_marks
 
 np = lazy_module("numpy")
 
@@ -504,10 +505,11 @@ def random_product_process(
     Once p_t is constant on every neighborhood N(i) the product has
     settled: p_{t+1}[i] is p_t's value on N(i) whichever neighbor is
     drawn, and p_{t+2} = p_t because i lies in N(j) for every j in N(i).
-    On a connected graph that happens exactly at the minimum rank, 1 or 2,
-    so it is tested only there; the remaining steps alternate the two maps
-    and draw nothing more.  Absorption is the first step whose rank
-    reaches min_rank.
+    That is p_t constant on each two-step component, which on a connected
+    graph happens exactly at the minimum rank: 1, or 2 on a bipartite graph,
+    where p_t sends each part into one part.  The remaining steps alternate
+    the two maps and draw nothing more.  Absorption is the first step whose
+    rank reaches min_rank.
     """
     if steps < 1:
         raise ValidationError("need at least one step")
@@ -524,8 +526,7 @@ def random_product_process(
             raise ValidationError(f"start entry {x!r} is not a state index in range({k})")
     start = tuple(start)
     pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
-    # Settled means every neighborhood reads the value of its first member.
-    same = [(pool[0], j) for pool in pools for j in pool[1:]]
+    settled = theorem1_min_rank(rg.graph)
     # reads[i][j]: the state node i holds after reading node j of start.
     reads = list(zip(*map(getitem, rg.reads, start)))
 
@@ -536,7 +537,7 @@ def random_product_process(
         pattern = tuple(pattern[pool[_draw_below(bits, len(pool))]] for pool in pools)
         states.append(tuple(map(getitem, reads, pattern)))
         ranks.append(len(set(pattern)))
-        if ranks[-1] <= 2 and all(pattern[a] == pattern[b] for a, b in same):
+        if ranks[-1] == settled:
             left = steps - t
             after = tuple(pattern[pool[0]] for pool in pools)
             states += ([tuple(map(getitem, reads, after)), states[-1]] * left)[:left]

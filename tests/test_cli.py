@@ -97,6 +97,29 @@ def test_markov_exact_rows(capsys, fixtures_dir):
         assert sum(Fraction(p) for p in row.values()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,assembled",
+    [
+        (["markov"], 0),
+        (["markov", "--exact"], 1),
+        (["analyze"], 0),
+        (["ideals"], 0),
+        (["absorb", "--runs", "4", "--steps", "16"], 0),
+        (["check-potential"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_only_exact_rows_assemble_the_chain(capsys, monkeypatch, fixtures_dir, argv, assembled):
+    from balancenets import dynamics
+
+    calls = []
+    real = dynamics._assemble
+    monkeypatch.setattr(dynamics, "_assemble", lambda *args: calls.append(args) or real(*args))
+    assert main(argv + ["--net", str(fixtures_dir / "k4_complete.json")]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert len(calls) == assembled
+
+
 def test_balance_verdicts(capsys, fixtures_dir):
     code, payload = run_cli(
         capsys, "balance", "--net", str(fixtures_dir / "gamma3_balanced.json")

@@ -22,7 +22,6 @@ from balancenets.dynamics import (
     TheoremBReport,
     _seeded_classes,
     _seeds,
-    _state_array,
     build_markov,
     core_set,
     essential_check,
@@ -70,7 +69,7 @@ ALL_E_SQUARE = _square({(0, 1): "e", (1, 2): "e", (2, 3): "e", (3, 0): "e"})
 # walked the marks.
 def state_space(marking, bound=BOUND_STATES):
     """All joint states as tuples of state indices, node-major lexicographic."""
-    return tuple(map(tuple, _state_array(marking, bound).tolist()))
+    return tuple(map(tuple, build_markov(marking, bound=bound).states.tolist()))
 
 
 def apply_F(marking, x):
@@ -170,10 +169,10 @@ def test_choice_distribution_validation():
 
 
 def test_build_markov_rows_are_probabilities():
-    model = build_markov(BALANCED, exact=True)
+    model = build_markov(BALANCED)
     assert model.matrix.shape == (8, 8)
     assert all(abs(row.sum() - 1.0) < 1e-12 for row in model.matrix)
-    assert all(sum(row.values()) == 1 for row in model.exact_rows)
+    assert all(sum(row.values()) == 1 for row in model.rows(model.fractions))
 
 
 def test_transition_row_matches_simulation():
@@ -358,7 +357,7 @@ def _essential_walk(g, core_idx):
 
 def _assert_matches_oracle(model, rows):
     assert scipy.sparse.issparse(model.matrix)
-    assert model.exact_rows == rows
+    assert model.rows(model.fractions) == rows
     m = model.matrix
     for r, row in enumerate(rows):
         cols = sorted(row)
@@ -372,7 +371,7 @@ def _assert_matches_oracle(model, rows):
 def test_sparse_markov_layer_matches_the_fraction_oracle(case, data):
     marking, choice = case
     rows = _fraction_rows(marking, choice)
-    model = build_markov(marking, choice, exact=True)
+    model = build_markov(marking, choice)
     k = len(marking.group.states)
     states = list(map(tuple, model.states.tolist()))
     assert states == list(itertools.product(range(k), repeat=len(marking.graph)))
@@ -525,27 +524,37 @@ def test_build_markov_assembles_values_only_when_asked(monkeypatch):
 
     assembled = []
     real = dynamics._assemble
-    monkeypatch.setattr(
-        dynamics, "_assemble", lambda *args, **kw: assembled.append(args) or real(*args, **kw)
-    )
-    model = build_markov(ALL_E_SQUARE)
-    assert stationary_count(model) == 3 and not limit_exists(model)
-    assert len(model.recurrent_classes()) == 3 and model.exact_rows is None
-    assert assembled == []
-    assert model.matrix.shape == (16, 16)
-    assert len(assembled) == 1
-    build_markov(ALL_E_SQUARE, exact=True)
-    assert len(assembled) == 2
+    monkeypatch.setattr(dynamics, "_assemble", lambda *args: assembled.append(args) or real(*args))
+    # ALL_E_SQUARE's probabilities are multiples of 1/16, so 16 values
+    # cover every distinct one.
+    views = {
+        "matrix": lambda m: m.matrix.shape == (16, 16),
+        "support": lambda m: len(m.support) == 16,
+        "fractions": lambda m: sum(m.fractions) > 0,
+        "rows": lambda m: len(m.rows([None] * 16)) == 16,
+    }
+    for first in views:
+        assembled.clear()
+        model = build_markov(ALL_E_SQUARE)
+        assert stationary_count(model) == 3 and not limit_exists(model)
+        assert len(model.recurrent_classes()) == 3 and len(model.states) == 16
+        assert assembled == []
+        assert views[first](model)
+        assert len(assembled) == 1
+        assert all(read(model) for read in views.values())
+        assert essential_check(model, frozenset().union(*model.recurrent_classes()))
+        assert len(assembled) == 1
 
 
 def test_exact_rows_hold_one_fraction_per_distinct_value():
     graph = BALANCED.graph
     choice = ChoiceDistribution(graph, {0: {1: 1, 2: 2}, 1: {0: 1, 2: 3}, 2: {0: 1, 1: 1}})
-    model = build_markov(BALANCED, choice, exact=True)
+    model = build_markov(BALANCED, choice)
     assert model.fractions == sorted(set(model.fractions))
-    values = [p for row in model.exact_rows for p in row.values()]
+    rows = model.rows(model.fractions)
+    values = [p for row in rows for p in row.values()]
     assert {id(p) for p in values} == {id(p) for p in model.fractions}
-    assert model.exact_rows == _fraction_rows(BALANCED, choice)
+    assert rows == _fraction_rows(BALANCED, choice)
 
 
 @pytest.mark.parametrize(
@@ -583,7 +592,7 @@ def test_denominators_past_int64_fall_back_to_python_ints():
     }
     choice = ChoiceDistribution(graph, weights)
     assert math.prod(choice.integer_weights(i)[0] for i in range(3)) > 2 ** 63
-    model = build_markov(marking, choice, exact=True)
+    model = build_markov(marking, choice)
     _assert_matches_oracle(model, _fraction_rows(marking, choice))
     uniform = build_markov(marking)
     assert model.recurrent_class_indices() == uniform.recurrent_class_indices()

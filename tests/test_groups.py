@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancenets.errors import GroupMismatchError, ValidationError
+from balancenets.errors import BoundExceededError, GroupMismatchError, ValidationError
 from balancenets.groups import (
     ReactionGroup,
     StateSet,
@@ -244,3 +244,10 @@ def test_group_requires_closure():
     # A set lacking the composite of its members is not a group.
     with pytest.raises(ValidationError):
         ReactionGroup(StateSet((0, 1, 2)), [(0, 1, 2), (1, 2, 0)])
+
+
+def test_group_order_past_the_bound_is_refused():
+    with pytest.raises(BoundExceededError, match="group order 5040 exceeds the bound 720") as info:
+        symmetric_group(7)
+    assert info.value.code == "bound-exceeded"
+

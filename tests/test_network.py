@@ -20,14 +20,13 @@ from balancenets.network import (
     StarPath,
     TwoStepGraph,
     bipartition,
-    complete_extension,
     load_network,
     network_to_json,
     star_marking,
     two_coloring,
     two_step,
 )
-from balancenets.potential import check_A1, is_potential
+from balancenets.potential import check_A1, complete_extension, is_potential
 from balancenets.semigroup import ReactionMatrix, theorem1_expected, theorem1_min_rank
 
 G2 = sign_group()
