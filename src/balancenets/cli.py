@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import REFERENCE_STEPS, RunConfig, label_order, label_texts, read_json
+from .config import REFERENCE_STEPS, RunConfig, label_order, label_texts, power_over, read_json
 from .dynamics import build_markov, core_set, limit_exists, stationary_count
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
 from .groups import load_group
@@ -136,10 +136,10 @@ def _cmd_check_potential(args, config: RunConfig) -> dict:
 
 def _cmd_gen_fields(args, config: RunConfig) -> dict:
     group = load_group(args.group) if args.group else None
-    count = 2 ** (args.nodes - 1)
-    if count > config.bound_states:
+    over = power_over(2, args.nodes - 1, config.bound_states)
+    if over:
         raise BoundExceededError(
-            f"{count} generated fields exceed the bound {config.bound_states}"
+            f"{over} generated fields exceed the bound {config.bound_states}"
         )
     fields = list(generate_potential_fields(args.nodes, group))
     return {
@@ -232,13 +232,7 @@ def _cmd_absorb(args, config: RunConfig) -> dict:
     rm = ReactionMatrix.from_marking(marking)
     min_rank = theorem1_min_rank(rm.graph)
     trajectories = [
-        random_product_process(
-            rm,
-            args.steps,
-            seed=config.seed,
-            index=i,
-            min_rank=min_rank,
-        )
+        random_product_process(rm, args.steps, seed=config.seed, index=i)
         for i in range(args.runs)
     ]
     absorbed = [t for t in trajectories if t.absorbed_at is not None]

@@ -33,6 +33,23 @@ BOUND_GRP = 720
 REFERENCE_STEPS = 2 ** 10
 
 
+def power_over(base: int, exp: int, bound: int) -> str | None:
+    """base**exp as text when it exceeds bound, else None.
+
+    base is at least 2**(b-1) for b = base.bit_length(), so at exp*(b-1)
+    bits the power is past any bound of fewer bits and past 64 bits; it is
+    built only below that, where it fits in twice those bits.  A count
+    past 64 bits is written as base**exp.
+    """
+    if exp * (base.bit_length() - 1) < max(bound.bit_length(), 64):
+        count = base ** exp
+        if count <= bound:
+            return None
+        if count < 2 ** 64:
+            return str(count)
+    return f"{base}**{exp}"
+
+
 def inline_json(source) -> bool:
     """Whether a source is JSON text, a string opening with ``{``, not a path."""
     return isinstance(source, str) and source.lstrip().startswith("{")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
-from .config import BOUND_STATES, lazy_module
+from .config import BOUND_STATES, lazy_module, power_over
 from .errors import BoundExceededError, ValidationError
 from .groups import (
     GroupElement,
@@ -40,12 +40,13 @@ if TYPE_CHECKING:
 
 def _state_count(marking: Marking, bound: int) -> int:
     """k**n, the number of joint states; BoundExceededError above bound."""
-    size = len(marking.group.states) ** len(marking.graph)
-    if size > bound:
+    k, n = len(marking.group.states), len(marking.graph)
+    over = power_over(k, n, bound)
+    if over:
         raise BoundExceededError(
-            f"state space has {size} elements, which exceeds the bound {bound}"
+            f"state space has {over} elements, which exceeds the bound {bound}"
         )
-    return size
+    return k ** n
 
 
 def _digits(codes: np.ndarray, marking: Marking) -> np.ndarray:
@@ -90,7 +91,7 @@ def _seeds(marking: Marking) -> np.ndarray:
     graph = marking.graph
     n, k = len(graph), len(marking.group.states)
     p, h = np.arange(n), np.tile(np.arange(k), (n, 1))
-    for cm in reversed(_contracting_word(graph, graph.parts)):
+    for cm in reversed(_contracting_word(graph)):
         c = np.array(cm.rowmap)
         marks = np.array([marking.mark(i, j).perm for i, j in enumerate(cm.rowmap)])
         p, h = p[c], np.take_along_axis(marks, h[c], axis=1)
@@ -303,9 +304,10 @@ def build_markov(
     The state bound is checked here; nothing is assembled until a value is
     first read.
     """
+    size = _state_count(marking, bound)
     if choice is None:
         choice = ChoiceDistribution.uniform(marking.graph)
-    return MarkovModel(marking, choice, _state_count(marking, bound))
+    return MarkovModel(marking, choice, size)
 
 
 def stationary_count(model: MarkovModel) -> int:
@@ -534,11 +536,12 @@ def max_nonergodicity_scan(
     from the marks, so no transition matrix is assembled.
     """
     slots = graph.undirected_edges if symmetric else graph.directed_edges
-    total = len(group) ** len(slots)
-    if total > max_fields:
+    over = power_over(len(group), len(slots), max_fields)
+    if over:
         raise BoundExceededError(
-            f"scan would enumerate {total} markings, above the cap {max_fields}"
+            f"scan would enumerate {over} markings, above the cap {max_fields}"
         )
+    total = len(group) ** len(slots)
     best: list[Marking] = []
     best_count = -1
     for assignment in itertools.product(range(len(group)), repeat=len(slots)):

@@ -12,8 +12,6 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import lazy_module, trajectory_seed
@@ -151,16 +149,6 @@ class ReactionMatrix:
     def entry(self, i: int, j: int) -> GroupElement:
         return self.entries[i][j]
 
-    @cached_property
-    def reads(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """reads[j][x]: the state each node i takes by reading node j in state
-        x, entry(i, j)(x), tabulated once per matrix."""
-        k = len(self.group.states)
-        return tuple(
-            tuple(tuple(row[j](x) for row in self.entries) for x in range(k))
-            for j in range(self.n)
-        )
-
     def is_potential(self) -> bool:
         return self._defect is None
 
@@ -236,15 +224,12 @@ def rho(word: Sequence[ControlMatrix], rg: ReactionMatrix, check: bool = True) -
 # -- minimal left ideals -------------------------------------------------------
 
 
-def _contracting_word(
-    graph: RelationGraph,
-    parts: tuple[frozenset[int], frozenset[int]] | None,
-) -> list[ControlMatrix]:
+def _contracting_word(graph: RelationGraph) -> list[ControlMatrix]:
     """A control word whose index map has the smallest image of any word.
 
     Contract: every node reads its BFS parent from node 0 and node 0 reads
     its smallest neighbor r; max-depth such steps squeeze the image onto
-    the edge {0, r}, the minimum on a bipartite graph (parts given).
+    the edge {0, r}, the minimum on a bipartite graph.
     Collapse, otherwise: the two image nodes step along neighbors in
     lockstep until they meet, which they do because an odd cycle gives an
     even walk between any two nodes of a connected graph.
@@ -261,7 +246,7 @@ def _contracting_word(
                 parent[v], depth[v] = u, depth[u] + 1
                 queue.append(v)
     word = [ControlMatrix(tuple(parent))] * max(depth)
-    if parts is not None:
+    if graph.parts is not None:
         return word
     # Breadth-first over unordered image pairs; each entry keeps its
     # predecessor pair and the step that moved the pair there.
@@ -335,10 +320,7 @@ def _closure(
     return frozenset(out)
 
 
-def _kernel(
-    rg: ReactionMatrix,
-    parts: tuple[frozenset[int], frozenset[int]] | None,
-) -> frozenset:
+def _kernel(rg: ReactionMatrix) -> frozenset:
     """Smallest two-sided ideal, as the two-sided closure of one operator.
 
     In a finite transformation semigroup the smallest ideal is exactly the
@@ -346,7 +328,7 @@ def _kernel(
     image size r has rank k**r on joint states, so any operator of the
     smallest pattern image generates the whole kernel.
     """
-    witness = rho(_contracting_word(rg.graph, parts), rg, check=False)
+    witness = rho(_contracting_word(rg.graph), rg, check=False)
     return _closure(
         witness,
         lambda op: itertools.chain(_left_children(op, rg), _right_children(op, rg)),
@@ -411,8 +393,7 @@ def enumerate_ideals(rg: ReactionMatrix) -> IdealEnumeration:
     (Green's L-relation), which for an operator means agreeing on the nodes
     its pattern reads, since every value is a bijection.
     """
-    parts = bipartition(rg.graph)
-    kernel = _kernel(rg, parts)
+    kernel = _kernel(rg)
     min_rank = min(op.rank for op in kernel)
     # Grouped in sort order, each ideal is met first at its smallest element,
     # so the list comes out sorted by it and each ideal's elements in order.
@@ -420,7 +401,7 @@ def enumerate_ideals(rg: ReactionMatrix) -> IdealEnumeration:
     for op in sorted(kernel, key=OperatorMatrix.sort_key):
         groups.setdefault(frozenset(op.pattern), []).append(op)
     ideals = [
-        LeftIdeal(elements, *_classify(elements, parts))
+        LeftIdeal(elements, *_classify(elements, rg.graph.parts))
         for elements in map(tuple, groups.values())
     ]
     expected = theorem1_expected(rg.graph) if rg.is_potential() else None
@@ -461,10 +442,10 @@ def final_states(
 
 @dataclass(frozen=True)
 class ProductTrajectory:
-    """One run of the random perception process with its operator trail."""
+    """One run of the random perception process: its rank trail and where
+    the product ends."""
 
     start: tuple[int, ...]
-    states: tuple[tuple[int, ...], ...]
     ranks: tuple[int, ...]
     absorbed_at: int | None
     final_state: tuple[int, ...]
@@ -488,9 +469,8 @@ def random_product_process(
     seed: int = 0,
     index: int = 0,
     start: tuple[int, ...] | None = None,
-    min_rank: int | None = None,
 ) -> ProductTrajectory:
-    """Multiply random one-step operators and track the state they drive.
+    """Multiply random one-step operators and read the state they drive to.
 
     Each trajectory draws from its own stream, derived from the root seed
     and the trajectory index, so batches are reproducible and independent
@@ -498,9 +478,9 @@ def random_product_process(
     a node reads, is _draw_below, which reads the same words as
     random.Random's randrange and choice.  On a potential matrix the
     operator product is the one-step operator of the composed index map
-    p_t, which is all that is carried: node i's state is what it reads off
-    start through that map, looked up in the matrix's ``reads`` table,
-    and the product's rank is the map's image size.
+    p_t, which is all that is carried: the product's rank is the map's
+    image size, and the final state is read once, off the final operator
+    applied to start.
 
     Once p_t is constant on every neighborhood N(i) the product has
     settled: p_{t+1}[i] is p_t's value on N(i) whichever neighbor is
@@ -508,8 +488,8 @@ def random_product_process(
     That is p_t constant on each two-step component, which on a connected
     graph happens exactly at the minimum rank: 1, or 2 on a bipartite graph,
     where p_t sends each part into one part.  The remaining steps alternate
-    the two maps and draw nothing more.  Absorption is the first step whose
-    rank reaches min_rank.
+    the two maps and draw nothing more.  Absorption is that settle step,
+    or None when the rank stays above the minimum for all steps.
     """
     if steps < 1:
         raise ValidationError("need at least one step")
@@ -527,32 +507,24 @@ def random_product_process(
     start = tuple(start)
     pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
     settled = theorem1_min_rank(rg.graph)
-    # reads[i][j]: the state node i holds after reading node j of start.
-    reads = list(zip(*map(getitem, rg.reads, start)))
 
     pattern = tuple(range(rg.n))
-    states = [start]
     ranks = []
+    absorbed = None
     for t in range(1, steps + 1):
         pattern = tuple(pattern[pool[_draw_below(bits, len(pool))]] for pool in pools)
-        states.append(tuple(map(getitem, reads, pattern)))
         ranks.append(len(set(pattern)))
         if ranks[-1] == settled:
-            left = steps - t
-            after = tuple(pattern[pool[0]] for pool in pools)
-            states += ([tuple(map(getitem, reads, after)), states[-1]] * left)[:left]
+            absorbed, left = t, steps - t
             ranks += ranks[-1:] * left
             if left % 2:
-                pattern = after
+                pattern = tuple(pattern[pool[0]] for pool in pools)
             break
-    absorbed = None
-    if min_rank is not None:
-        absorbed = next((t for t, r in enumerate(ranks, 1) if r <= min_rank), None)
+    final = star_product(pattern, rg)
     return ProductTrajectory(
         start=start,
-        states=tuple(states),
         ranks=tuple(ranks),
         absorbed_at=absorbed,
-        final_state=states[-1],
-        final_operator=star_product(pattern, rg),
+        final_state=final.apply(start),
+        final_operator=final,
     )

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import balancenets
+from balancenets import semigroup
 from balancenets.cli import _build_parser, main
-from balancenets.config import lazy_module
+from balancenets.config import lazy_module, power_over
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,45 @@ def test_gen_fields_counts(capsys):
     assert len(payload["fields"]) == 4
     code, payload = run_cli(capsys, "gen-fields", "--nodes", "4")
     assert payload["count"] == 8
+
+
+@pytest.mark.parametrize("nodes, count", [(14, "8192"), (100000001, "2**100000000")])
+def test_gen_fields_bound_writes_a_count_past_64_bits_as_a_power(capsys, nodes, count):
+    code, payload = run_cli(capsys, "gen-fields", "--nodes", str(nodes))
+    assert code == 2
+    assert payload["error"] == {
+        "type": "bound-exceeded",
+        "message": f"{count} generated fields exceed the bound 4096",
+    }
+
+
+class _NoPower(int):
+    def __pow__(self, exp):
+        raise AssertionError("built a power past the bound")
+
+
+def test_power_over_decides_from_the_exponent():
+    assert power_over(2, 12, 4096) is None
+    assert power_over(2, 13, 4096) == "8192"
+    assert power_over(2, 64, 2 ** 64) is None
+    assert power_over(2, 64, 4096) == "2**64"
+    assert power_over(2 ** 64 - 1, 1, 4096) == str(2 ** 64 - 1)
+    assert power_over(3, 40, 4096) == str(3 ** 40)
+    assert power_over(3, 41, 4096) == "3**41"
+    assert power_over(_NoPower(2), 10 ** 12, 4096) == "2**1000000000000"
+    assert power_over(_NoPower(6), 5700, 65536) == "6**5700"
+
+
+def test_ideals_closure_cap_reports_bound_exceeded(capsys, monkeypatch, fixtures_dir):
+    monkeypatch.setattr(semigroup, "_CLOSURE_CAP", 2)
+    code, payload = run_cli(
+        capsys, "ideals", "--net", str(fixtures_dir / "gamma3_balanced.json")
+    )
+    assert code == 2
+    assert payload["error"] == {
+        "type": "bound-exceeded",
+        "message": "operator closure exceeded the safety cap",
+    }
 
 
 def test_markov_summary(capsys, fixtures_dir):
@@ -561,9 +601,9 @@ def test_malformed_network_reports_validation(capsys, tmp_path):
     assert "reverse" in payload["error"]["message"]
 
 
-def _c8_network(tmp_path):
-    """A potential 8-cycle over the sign group."""
-    nodes = list(range(1, 9))
+def _cycle_network(tmp_path, n):
+    """A potential n-cycle over the sign group."""
+    nodes = list(range(1, n + 1))
     cycle = {
         "group": {
             "states": [1, -1],
@@ -573,17 +613,17 @@ def _c8_network(tmp_path):
         "nodes": nodes,
         "symmetric": True,
         "edges": [
-            {"from": a, "to": nodes[(i + 1) % 8], "reaction": "e"}
+            {"from": a, "to": nodes[(i + 1) % n], "reaction": "e"}
             for i, a in enumerate(nodes)
         ],
     }
-    net = tmp_path / "c8.json"
+    net = tmp_path / f"c{n}.json"
     net.write_text(json.dumps(cycle))
     return net
 
 
 def test_absorb_needs_no_semigroup_enumeration(capsys, tmp_path):
-    net = _c8_network(tmp_path)
+    net = _cycle_network(tmp_path, 8)
     code, payload = run_cli(
         capsys, "absorb", "--net", str(net), "--runs", "4", "--steps", "64"
     )
@@ -592,8 +632,20 @@ def test_absorb_needs_no_semigroup_enumeration(capsys, tmp_path):
     assert all(t["final_rank"] >= 2 for t in payload["trajectories"])
 
 
+def test_state_bound_writes_a_huge_state_count_as_a_power(capsys, tmp_path):
+    """2**15000 has more digits than Python writes out from an int."""
+    net = str(_cycle_network(tmp_path, 15000))
+    for command in ("markov", "analyze"):
+        code, payload = run_cli(capsys, command, "--net", net)
+        assert code == 2
+        assert payload["error"] == {
+            "type": "bound-exceeded",
+            "message": "state space has 2**15000 elements, which exceeds the bound 4096",
+        }
+
+
 def test_analyze_on_c8_meets_the_closed_forms(capsys, tmp_path):
-    code, payload = run_cli(capsys, "analyze", "--net", str(_c8_network(tmp_path)))
+    code, payload = run_cli(capsys, "analyze", "--net", str(_cycle_network(tmp_path, 8)))
     assert code == 0
     assert payload["potential"] is True
     # Voter-model closed form on a bipartite graph: k(k+1)/2 periodic classes.

@@ -897,3 +897,27 @@ def test_max_nonergodicity_scan_caps_enumeration():
     graph = RelationGraph.complete([1, 2, 3])
     with pytest.raises(BoundExceededError):
         max_nonergodicity_scan(graph, G2, max_fields=4)
+
+
+def test_max_nonergodicity_scan_writes_a_huge_count_as_a_power():
+    # K76 has 5700 directed edges; 6**5700 has more digits than Python
+    # writes out from an int.
+    graph = RelationGraph.complete(list(range(76)))
+    message = r"^scan would enumerate 6\*\*5700 markings, above the cap 65536$"
+    with pytest.raises(BoundExceededError, match=message):
+        max_nonergodicity_scan(graph, symmetric_group(3), symmetric=False)
+
+
+def test_assembly_refuses_a_row_that_misses_the_denominator(monkeypatch):
+    honest = ChoiceDistribution.integer_weights
+
+    def short(self, i):
+        d, weights = honest(self, i)
+        if i == 0:
+            weights = {j: w - (j == min(weights)) for j, w in weights.items()}
+        return d, weights
+
+    monkeypatch.setattr(ChoiceDistribution, "integer_weights", short)
+    model = build_markov(BALANCED)
+    with pytest.raises(ValidationError, match=r"^row 0 sums to 0\.5$"):
+        model.matrix

@@ -260,17 +260,19 @@ def _final_states_scan(rg, enumeration):
     )
 
 
-def _random_product_oracle(rg, steps, seed=0, index=0, start=None, min_rank=None):
+def _random_product_oracle(rg, steps, seed=0, index=0, start=None):
     """Random products by multiplying operators: one control matrix, one
-    operator product and one state update per step."""
+    operator product and one state update per step, drawing to the end.
+    Absorption is the first step at the minimum rank of the enumerated
+    kernel."""
     rng = random.Random(trajectory_seed(seed, index))
     k = len(rg.group.states)
     if start is None:
         start = tuple(rng.randrange(k) for _ in range(rg.n))
     pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
+    min_rank = enumerate_ideals(rg).min_rank
     acc = None
     x = start
-    states = [start]
     ranks = []
     absorbed = None
     for t in range(1, steps + 1):
@@ -278,11 +280,10 @@ def _random_product_oracle(rg, steps, seed=0, index=0, start=None, min_rank=None
         step_op = star_product(ControlMatrix(rowmap), rg)
         acc = step_op if acc is None else step_op * acc
         x = step_op.apply(x)
-        states.append(x)
         ranks.append(acc.rank)
-        if absorbed is None and min_rank is not None and acc.rank <= min_rank:
+        if absorbed is None and acc.rank <= min_rank:
             absorbed = t
-    return ProductTrajectory(start, tuple(states), tuple(ranks), absorbed, x, acc)
+    return ProductTrajectory(start, tuple(ranks), absorbed, x, acc)
 
 
 def _cubic_potential_defect(rg):
@@ -492,7 +493,7 @@ def test_contracting_word_reaches_the_theorem1_rank_on_the_atlas():
     graphs = list(_atlas_graphs(2, 7))
     assert len(graphs) == 995
     for graph in graphs:
-        word = _contracting_word(graph, bipartition(graph))
+        word = _contracting_word(graph)
         for cm in word:
             cm.validate_on(graph)
         rank = len(set(word_index_map(word)))
@@ -617,22 +618,20 @@ def test_random_product_process_is_reproducible():
     b = random_product_process(BALANCED_RM, steps=20, seed=7, index=3)
     assert a == b
     c = random_product_process(BALANCED_RM, steps=20, seed=7, index=4)
-    assert a.states != c.states or a.start != c.start
+    assert a != c
 
 
 def test_random_product_process_absorbs():
     enumeration = enumerate_ideals(BALANCED_RM)
     finals = final_states(BALANCED_RM, enumeration)
     for index in range(16):
-        run = random_product_process(
-            BALANCED_RM, steps=64, seed=11, index=index,
-            min_rank=enumeration.min_rank,
-        )
+        run = random_product_process(BALANCED_RM, steps=64, seed=11, index=index)
         assert run.absorbed_at is not None
+        assert run.ranks[run.absorbed_at - 1] == enumeration.min_rank
         assert all(r1 >= r2 for r1, r2 in zip(run.ranks, run.ranks[1:]))
         assert run.final_state in finals
         assert run.final_operator.rank == run.ranks[-1]
-        assert run.states[-1] == run.final_state
+        assert run.final_state == run.final_operator.apply(run.start)
 
 
 def test_random_product_process_validation():
@@ -658,7 +657,7 @@ def test_random_product_process_stores_a_list_start_as_a_tuple(fixtures_dir):
     from_list = random_product_process(rm, steps=8, seed=3, start=[1, 0, 1])
     from_tuple = random_product_process(rm, steps=8, seed=3, start=(1, 0, 1))
     assert from_list.start == (1, 0, 1) and type(from_list.start) is tuple
-    assert type(from_list.states[0]) is tuple
+    assert type(from_list.final_state) is tuple
     assert from_list == from_tuple
     assert hash(from_list) == hash(from_tuple)
 
@@ -672,22 +671,16 @@ def test_random_product_process_stores_a_list_start_as_a_tuple(fixtures_dir):
     st.integers(0, 1000),
     st.integers(1, 48),
     st.booleans(),
-    st.booleans(),
 )
 def test_random_product_process_matches_the_operator_oracle(
-    graph, group, data, seed, index, steps, drawn_start, absorbing
+    graph, group, data, seed, index, steps, drawn_start
 ):
     rm = _gauge_matrix(graph, group, lambda m: data.draw(st.integers(0, m - 1)))
     start = None
     if drawn_start:
         state = st.integers(0, len(group.states) - 1)
         start = tuple(data.draw(state) for _ in range(len(graph)))
-    kwargs = dict(
-        seed=seed,
-        index=index,
-        start=start,
-        min_rank=theorem1_min_rank(graph) if absorbing else None,
-    )
+    kwargs = dict(seed=seed, index=index, start=start)
     run = random_product_process(rm, steps, **kwargs)
     oracle = _random_product_oracle(rm, steps, **kwargs)
     for field in dataclasses.fields(ProductTrajectory):
@@ -696,23 +689,28 @@ def test_random_product_process_matches_the_operator_oracle(
 
 def test_random_product_process_multiplies_nothing(monkeypatch):
     """No control matrix, operator product or per-step operator: the one
-    star_product of a trajectory builds its final operator."""
-    kwargs = dict(seed=3, min_rank=2)
-    oracles = [_random_product_oracle(SQUARE_RM, 32, index=i, **kwargs) for i in range(4)]
-    built = []
+    star_product of a trajectory builds its final operator, and one read
+    of it gives the final state."""
+    oracles = [_random_product_oracle(SQUARE_RM, 32, seed=3, index=i) for i in range(4)]
+    built, read = [], []
 
     def counted_star_product(control, rg):
         built.append(control)
         return star_product(control, rg)
 
+    def counted_apply(op, x, apply=OperatorMatrix.apply):
+        read.append(x)
+        return apply(op, x)
+
     monkeypatch.setattr(ReactionGroup, "compose", _refuse)
     monkeypatch.setattr(OperatorMatrix, "__mul__", _refuse)
-    monkeypatch.setattr(OperatorMatrix, "apply", _refuse)
+    monkeypatch.setattr(OperatorMatrix, "apply", counted_apply)
     monkeypatch.setattr(ControlMatrix, "__init__", _refuse)
     monkeypatch.setattr(semigroup, "star_product", counted_star_product)
-    runs = [random_product_process(SQUARE_RM, 32, index=i, **kwargs) for i in range(4)]
+    runs = [random_product_process(SQUARE_RM, 32, seed=3, index=i) for i in range(4)]
     assert runs == oracles
-    assert len(built) == len(runs)
+    assert len(built) == len(read) == len(runs)
+    assert read == [run.start for run in runs]
 
 
 def test_random_product_process_matches_the_oracle_at_benchmark_scale():
@@ -727,9 +725,8 @@ def test_random_product_process_matches_the_oracle_at_benchmark_scale():
         (RelationGraph.complete(range(1, 8)), G2),
     ]:
         rm = _gauge_matrix(graph, group, choose)
-        min_rank = theorem1_min_rank(graph)
         for index in range(32):
-            kwargs = dict(seed=101, index=index, min_rank=min_rank)
+            kwargs = dict(seed=101, index=index)
             run = random_product_process(rm, 64, **kwargs)
             oracle = _random_product_oracle(rm, 64, **kwargs)
             for field in dataclasses.fields(ProductTrajectory):
@@ -758,12 +755,12 @@ def _assert_matches_the_oracle(rm, steps, **kwargs):
 
 def test_random_product_process_settles_k2_at_the_first_step():
     rm = _gauge_matrix(RelationGraph.complete([1, 2]), symmetric_group(3), random.Random(1).randrange)
-    for steps in range(1, 8):
-        for index in range(4):
-            run = _assert_matches_the_oracle(rm, steps, seed=5, index=index, min_rank=2)
+    for index in range(4):
+        first = random_product_process(rm, 1, seed=5, index=index).final_state
+        for steps in range(1, 8):
+            run = _assert_matches_the_oracle(rm, steps, seed=5, index=index)
             assert run.absorbed_at == 1
-            assert run.states[1::2] == (run.states[1],) * len(run.states[1::2])
-            assert run.states[2::2] == (run.start,) * len(run.states[2::2])
+            assert run.final_state == (first if steps % 2 else run.start)
 
 
 def test_random_product_process_draws_on_past_an_unsettled_rank_two():
@@ -771,14 +768,15 @@ def test_random_product_process_draws_on_past_an_unsettled_rank_two():
     the product has not settled there and the draws go on."""
     through_two = 0
     for index in range(64):
-        run = _assert_matches_the_oracle(BALANCED_RM, 24, seed=13, index=index, min_rank=1)
+        run = _assert_matches_the_oracle(BALANCED_RM, 24, seed=13, index=index)
         through_two += 2 in run.ranks and run.ranks[-1] == 1
     assert through_two > 16
 
 
 def test_random_product_process_fills_the_settled_tail_of_a_bipartite_graph():
     """Settling on the last step, then one to four steps more: odd and even
-    tails alternate the two maps of the settled period."""
+    tails alternate the two maps of the settled period, and with them the
+    final state."""
     rm = _gauge_matrix(
         RelationGraph.from_undirected(
             range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)]
@@ -788,12 +786,16 @@ def test_random_product_process_fills_the_settled_tail_of_a_bipartite_graph():
     )
     settled = set()
     for index in range(24):
-        kwargs = dict(seed=21, index=index, min_rank=2)
+        kwargs = dict(seed=21, index=index)
         at = _random_product_oracle(rm, 64, **kwargs).absorbed_at
         settled.add(at)
+        finals = []
         for steps in range(at, at + 5):
             run = _assert_matches_the_oracle(rm, steps, **kwargs)
             assert run.absorbed_at == at
+            assert run.ranks[at - 1:] == (2,) * (steps - at + 1)
+            finals.append(run.final_state)
+        assert finals[0::2] == finals[:1] * 3 and finals[1::2] == finals[1:2] * 2
     assert len(settled) > 3
 
 
@@ -810,12 +812,11 @@ class _CountedRandom(random.Random):
 )
 def test_random_product_process_stops_drawing_once_settled(monkeypatch, rm):
     monkeypatch.setattr(semigroup, "random", types.SimpleNamespace(Random=_CountedRandom))
-    min_rank = theorem1_min_rank(rm.graph)
     for index in range(8):
         calls = []
         for steps in (200, 2000):
             _CountedRandom.calls = 0
-            run = random_product_process(rm, steps, seed=17, index=index, min_rank=min_rank)
+            run = random_product_process(rm, steps, seed=17, index=index)
             calls.append(_CountedRandom.calls)
             assert run.absorbed_at < 200
         assert calls[0] == calls[1] < 200 * rm.n
