@@ -17,7 +17,10 @@ import math
 import sys
 from pathlib import Path
 
-from .config import REFERENCE_STEPS, RunConfig, label_order, label_texts, power_over, read_json
+from .config import (
+    BOUND_PRODUCT_STEPS, REFERENCE_STEPS, RunConfig, label_order, label_texts, power_over,
+    read_json,
+)
 from .dynamics import build_markov, core_set, limit_exists, stationary_count
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
 from .groups import load_group
@@ -228,6 +231,12 @@ def _cmd_absorb(args, config: RunConfig) -> dict:
         raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     if args.steps < 1:
         raise ValidationError(f"--steps must be at least 1, got {args.steps}")
+    if args.runs * args.steps > BOUND_PRODUCT_STEPS:
+        raise BoundExceededError(
+            f"absorb: --runs {args.runs} times --steps {args.steps} makes "
+            f"{args.runs * args.steps} product steps, which exceeds the bound "
+            f"{BOUND_PRODUCT_STEPS}"
+        )
     marking = load_network(args.net)
     rm = ReactionMatrix.from_marking(marking)
     min_rank = theorem1_min_rank(rm.graph)

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Mapping
 
 from .config import BOUND_STATES, lazy_module, power_over
@@ -30,7 +30,7 @@ from .groups import (
 )
 from .network import Marking, _tree_consistency
 from .potential import CharacteristicReactions, check_A2
-from .semigroup import _contracting_word
+from .semigroup import _image, _witness
 
 np = lazy_module("numpy")
 
@@ -81,23 +81,13 @@ def _successors(
     return rows, cols, nums
 
 
-def _seeds(marking: Marking) -> np.ndarray:
-    """Row codes of the image of the contracting word's map on joint states.
-
-    A control c acts as y_i = g(i, c_i)(x_{c_i}), and the word's last factor
-    acts first, so the composite reads node p[i] through h[i]: rank 1, or
-    rank 2 on a bipartite graph, the least of any word.
-    """
-    graph = marking.graph
-    n, k = len(graph), len(marking.group.states)
-    p, h = np.arange(n), np.tile(np.arange(k), (n, 1))
-    for cm in reversed(_contracting_word(graph)):
-        c = np.array(cm.rowmap)
-        marks = np.array([marking.mark(i, j).perm for i, j in enumerate(cm.rowmap)])
-        p, h = p[c], np.take_along_axis(marks, h[c], axis=1)
-    image, column = np.unique(p, return_inverse=True)
-    free = np.indices((k,) * len(image)).reshape(len(image), -1).T
-    return h[np.arange(n), free[:, column]] @ k ** np.arange(n - 1, -1, -1)
+def _seeds(marking: Marking) -> list[int]:
+    """Row codes of the image of the semigroup's word operator on joint
+    states: rank 1, or rank 2 on a bipartite graph, the least of any word.
+    It reads only the edge marks, so any marking has it."""
+    k = len(marking.group.states)
+    witness = _witness(marking.graph, marking.mark)
+    return [reduce(lambda code, s: code * k + s, x) for x in _image(witness, k)]
 
 
 _BLOCK = 1024
@@ -120,7 +110,7 @@ def _seeded_classes(marking: Marking) -> tuple[tuple[frozenset[int], ...], tuple
     level = np.full(size, -1)
     depth = 0
     classes, periods = [], []
-    for seed in _seeds(marking).tolist():
+    for seed in _seeds(marking):
         if level[seed] >= 0:
             continue
         first, period = depth, 0

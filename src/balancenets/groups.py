@@ -9,6 +9,7 @@ product the right factor is applied first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,7 +43,8 @@ class StateSet:
 
 
 class GroupElement:
-    """One permutation of the state set, tied to its owning group."""
+    """One permutation of the state set, built once by its owning group, so
+    equality is identity: equal groups built apart share no element."""
 
     __slots__ = ("group", "index")
 
@@ -72,16 +74,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.index == self.group.identity_index
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElement)
-            and other.group is self.group
-            and other.index == self.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.index))
-
     def __repr__(self) -> str:
         return f"GroupElement({self.name!r})"
 
@@ -103,10 +95,7 @@ class ReactionGroup:
         order = len(self.perms)
         if order == 0:
             raise ValidationError("group needs at least one element")
-        if order > BOUND_GRP:
-            raise BoundExceededError(
-                f"group order {order} exceeds the bound {BOUND_GRP}"
-            )
+        _check_order(order)
         for p in self.perms:
             if sorted(p) != list(range(k)):
                 raise ValidationError(f"{p!r} is not a permutation of {k} states")
@@ -147,11 +136,11 @@ class ReactionGroup:
             self.table[i][i] == self.identity_index for i in range(order)
         )
 
-    # -- element access -------------------------------------------------
+        # Every lookup and product returns one of these, never a copy.
+        self._elements = tuple(GroupElement(self, i) for i in range(order))
+        self.identity = self._elements[self.identity_index]
 
-    @property
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self.identity_index)
+    # -- element access -------------------------------------------------
 
     def element(self, key) -> GroupElement:
         if isinstance(key, GroupElement):
@@ -160,20 +149,20 @@ class ReactionGroup:
             return key
         if isinstance(key, str):
             try:
-                return GroupElement(self, self.names.index(key))
+                return self._elements[self.names.index(key)]
             except ValueError:
                 raise ValidationError(f"unknown element name {key!r}") from None
         if isinstance(key, int) and not isinstance(key, bool):
             if not (0 <= key < len(self.perms)):
                 raise ValidationError(f"element index {key} out of range")
-            return GroupElement(self, key)
+            return self._elements[key]
         raise ValidationError(f"cannot interpret {key!r} as a group element")
 
     def element_by_perm(self, perm: Sequence[int]) -> GroupElement:
         idx = self._index_of.get(tuple(perm))
         if idx is None:
             raise ValidationError(f"permutation {tuple(perm)} is not in the group")
-        return GroupElement(self, idx)
+        return self._elements[idx]
 
     def state_labels(self, state: Sequence[int]) -> tuple:
         """Labels of a joint state given as one state index per node."""
@@ -184,7 +173,7 @@ class ReactionGroup:
         return len(self.perms)
 
     def __iter__(self):
-        return (GroupElement(self, i) for i in range(len(self.perms)))
+        return iter(self._elements)
 
     # -- operations ------------------------------------------------------
 
@@ -196,16 +185,22 @@ class ReactionGroup:
         """Product g*h, the permutation applying h first and then g."""
         self._check(g)
         self._check(h)
-        return GroupElement(self, self.table[g.index][h.index])
+        return self._elements[self.table[g.index][h.index]]
 
     def inverse(self, g: GroupElement) -> GroupElement:
         self._check(g)
-        return GroupElement(self, self.inverse_index[g.index])
+        return self._elements[self.inverse_index[g.index]]
 
     def orbit_count(self, g: GroupElement) -> int:
         """Number of cycles of g on the state set, fixed points included."""
         self._check(g)
         return _cycle_count(g.perm)
+
+
+def _check_order(order: int, text: str | None = None) -> None:
+    """BoundExceededError when a group of this order is past BOUND_GRP."""
+    if order > BOUND_GRP:
+        raise BoundExceededError(f"group order {text or order} exceeds the bound {BOUND_GRP}")
 
 
 def _cycle_count(perm: Sequence[int]) -> int:
@@ -277,6 +272,7 @@ def sign_group() -> ReactionGroup:
 def cyclic_group(n: int) -> ReactionGroup:
     if n < 1:
         raise ValidationError("cyclic group order must be positive")
+    _check_order(n)
     perms = [tuple((s + shift) % n for s in range(n)) for shift in range(n)]
     names = ["e"] + [f"r{shift}" for shift in range(1, n)]
     return ReactionGroup(StateSet(tuple(range(n))), perms, names=names)
@@ -285,6 +281,9 @@ def cyclic_group(n: int) -> ReactionGroup:
 def symmetric_group(n: int) -> ReactionGroup:
     if n < 1:
         raise ValidationError("symmetric group degree must be positive")
+    # BOUND_GRP is below 20!, so 20! stands in for any larger n! and the
+    # order is written as n! once it no longer fits in 64 bits.
+    _check_order(math.factorial(min(n, 20)), None if n <= 20 else f"{n}!")
     perms = sorted(itertools.permutations(range(n)))
     names = []
     for p in perms:

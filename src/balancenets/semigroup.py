@@ -8,7 +8,9 @@ where the random process can end up.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -271,6 +273,24 @@ def _contracting_word(graph: RelationGraph) -> list[ControlMatrix]:
             queue.append(target)
 
 
+def _witness(graph: RelationGraph, mark: Callable[[int, int], GroupElement]) -> OperatorMatrix:
+    """Operator of the contracting word, node i reading its choice j through
+    mark(i, j), composed as rho composes: the last factor acts first."""
+    steps = (
+        OperatorMatrix(cm.rowmap, tuple(map(mark, itertools.count(), cm.rowmap)))
+        for cm in _contracting_word(graph)
+    )
+    return functools.reduce(operator.mul, steps)
+
+
+def _image(op: OperatorMatrix, k: int) -> list[tuple[int, ...]]:
+    """op applied to every assignment of the nodes its pattern reads, in
+    itertools.product order: the k**rank joint states op can reach."""
+    nodes = sorted(set(op.pattern))
+    assignments = itertools.product(range(k), repeat=len(nodes))
+    return [op.apply(dict(zip(nodes, y))) for y in assignments]
+
+
 def _left_children(op: OperatorMatrix, rg: ReactionMatrix) -> Iterator[OperatorMatrix]:
     """All g*op for one-step operators g; choices decouple per node."""
     options = []
@@ -328,9 +348,8 @@ def _kernel(rg: ReactionMatrix) -> frozenset:
     image size r has rank k**r on joint states, so any operator of the
     smallest pattern image generates the whole kernel.
     """
-    witness = rho(_contracting_word(rg.graph), rg, check=False)
     return _closure(
-        witness,
+        _witness(rg.graph, rg.entry),
         lambda op: itertools.chain(_left_children(op, rg), _right_children(op, rg)),
     )
 
@@ -418,23 +437,14 @@ def enumerate_ideals(rg: ReactionMatrix) -> IdealEnumeration:
 def final_states(
     rg: ReactionMatrix, enumeration: IdealEnumeration | None = None
 ) -> frozenset[tuple[int, ...]]:
-    """Joint states reachable under minimal-ideal operators from anywhere.
-
-    Every operator of an ideal reads only the ideal's nodes, so its image is
-    what it makes of every assignment to those nodes: k**rank states.
-    """
+    """Joint states reachable under minimal-ideal operators from anywhere:
+    the union of their images."""
     if enumeration is None:
         enumeration = enumerate_ideals(rg)
     k = len(rg.group.states)
-    out = set()
-    for ideal in enumeration.ideals:
-        for op in ideal.elements:
-            x = [0] * rg.n
-            for y in itertools.product(range(k), repeat=len(ideal.nodes)):
-                for node, value in zip(ideal.nodes, y):
-                    x[node] = value
-                out.add(op.apply(x))
-    return frozenset(out)
+    return frozenset(
+        x for ideal in enumeration.ideals for op in ideal.elements for x in _image(op, k)
+    )
 
 
 # -- random products -----------------------------------------------------------

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import balancenets
-from balancenets import semigroup
+from balancenets import cli, semigroup
 from balancenets.cli import _build_parser, main
-from balancenets.config import lazy_module, power_over
+from balancenets.config import BOUND_PRODUCT_STEPS, lazy_module, power_over
 
 
 def run_cli(capsys, *argv):
@@ -1023,6 +1023,38 @@ def test_absorb_rejects_steps_below_one(capsys, fixtures_dir, steps):
     assert code == 2
     assert payload["error"]["type"] == "validation"
     assert payload["error"]["message"] == f"--steps must be at least 1, got {steps}"
+
+
+def test_absorb_runs_at_the_product_step_bound(capsys, fixtures_dir):
+    code, payload = run_cli(
+        capsys, "absorb", "--net", str(fixtures_dir / "gamma3_balanced.json"),
+        "--runs", "1", "--steps", str(BOUND_PRODUCT_STEPS),
+    )
+    assert code == 0
+    assert payload["steps"] == BOUND_PRODUCT_STEPS
+    assert payload["absorbed"] == 1
+
+
+@pytest.mark.parametrize(
+    "runs, steps", [(1, BOUND_PRODUCT_STEPS + 1), (BOUND_PRODUCT_STEPS + 1, 1)]
+)
+def test_absorb_refuses_past_the_product_step_bound_before_any_draw(
+    capsys, monkeypatch, fixtures_dir, runs, steps
+):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("absorb drew past its bound")
+
+    monkeypatch.setattr(cli, "random_product_process", no_draws)
+    code, payload = run_cli(
+        capsys, "absorb", "--net", str(fixtures_dir / "gamma3_balanced.json"),
+        "--runs", str(runs), "--steps", str(steps),
+    )
+    assert code == 2
+    assert payload["error"] == {
+        "type": "bound-exceeded",
+        "message": f"absorb: --runs {runs} times --steps {steps} makes "
+        f"{BOUND_PRODUCT_STEPS + 1} product steps, which exceeds the bound {BOUND_PRODUCT_STEPS}",
+    }
 
 
 @pytest.mark.parametrize("steps", [1024.9, "1025", True], ids=["fraction", "string", "bool"])

@@ -42,6 +42,7 @@ from balancenets.groups import (
 )
 from balancenets.network import Marking, RelationGraph, bipartition
 from balancenets.potential import check_A1, check_A2
+from balancenets.semigroup import _contracting_word
 
 G2 = sign_group()
 
@@ -455,7 +456,7 @@ def _assert_seeded_classes_match_the_oracles(model, rows=None):
     # The seeds are the image of a minimum-rank word: k or k**2 states, each
     # in a closed class.
     k = len(model.marking.group.states)
-    seeds = _seeds(model.marking).tolist()
+    seeds = _seeds(model.marking)
     assert len(set(seeds)) == k ** (1 if model.marking.graph.parts is None else 2)
     assert all(any(s in c for c in closed) for s in seeds)
 
@@ -485,7 +486,36 @@ def test_seeds_of_complete_graphs_have_rank_one(n):
     # Composed first factor first, the word's map on K9 has rank 2.
     graph = RelationGraph.complete(list(range(n)))
     marks = {edge: "g" if edge == (0, 1) else "e" for edge in graph.undirected_edges}
-    assert len(set(_seeds(Marking.from_names(graph, G2, marks, symmetric=True)).tolist())) == 2
+    assert len(set(_seeds(Marking.from_names(graph, G2, marks, symmetric=True)))) == 2
+
+
+# Oracle for _seeds: the contracting word composed a second time, in numpy,
+# as _seeds did before it read the semigroup's word operator.
+def _numpy_seeds(marking):
+    """Row codes of the image of the contracting word's map on joint states.
+
+    A control c acts as y_i = g(i, c_i)(x_{c_i}), and the word's last factor
+    acts first, so the composite reads node p[i] through h[i].
+    """
+    graph = marking.graph
+    n, k = len(graph), len(marking.group.states)
+    p, h = np.arange(n), np.tile(np.arange(k), (n, 1))
+    for cm in reversed(_contracting_word(graph)):
+        c = np.array(cm.rowmap)
+        marks = np.array([marking.mark(i, j).perm for i, j in enumerate(cm.rowmap)])
+        p, h = p[c], np.take_along_axis(marks, h[c], axis=1)
+    image, column = np.unique(p, return_inverse=True)
+    free = np.indices((k,) * len(image)).reshape(len(image), -1).T
+    return h[np.arange(n), free[:, column]] @ k ** np.arange(n - 1, -1, -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_GRAPHS), st.sampled_from(GROUPS), st.data())
+def test_seeds_match_the_numpy_composition_in_order(graph, group, data):
+    # Random marks, mostly frustrated: the seeds read only the edge marks.
+    pick = st.integers(0, len(group) - 1).map(group.element)
+    marking = Marking(graph, group, {edge: data.draw(pick) for edge in graph.directed_edges})
+    assert _seeds(marking) == _numpy_seeds(marking).tolist()
 
 
 def test_periods_are_the_cycle_lengths_of_a_deterministic_map():

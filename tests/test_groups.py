@@ -1,6 +1,7 @@
 """Reaction groups: composition order, orbits and characteristic equations."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,36 @@ def test_elements_from_different_groups_do_not_mix():
     b = sign_group()
     with pytest.raises(GroupMismatchError):
         a.compose(a.identity, b.identity)
+
+
+@pytest.mark.parametrize("group", [sign_group(), cyclic_group(4), symmetric_group(3)])
+def test_every_lookup_returns_the_groups_one_element(group):
+    members = list(group)
+    assert len(set(map(id, members))) == len(group)
+    assert group.identity is members[group.identity_index]
+    for i, g in enumerate(members):
+        assert group.element(g.name) is g
+        assert group.element(i) is g
+        assert group.element(g) is g
+        assert group.element_by_perm(g.perm) is g
+        assert g.inverse() is group.inverse(g) is members[group.inverse_index[i]]
+        for j, h in enumerate(members):
+            assert g * h is group.compose(g, h) is members[group.table[i][j]]
+    assert all(a is b for a, b in zip(group, members))
+
+
+def test_elements_of_equal_groups_never_compare_equal():
+    a, b = symmetric_group(3), symmetric_group(3)
+    for g, h in zip(a, b):
+        assert g.perm == h.perm
+        assert g != h
+        with pytest.raises(GroupMismatchError):
+            g * h
+        with pytest.raises(GroupMismatchError):
+            b.inverse(g)
+        with pytest.raises(GroupMismatchError):
+            b.element(g)
+    assert len({*a, *b}) == 2 * len(a)
 
 
 def test_orbit_counts_match_cycle_structure():
@@ -250,4 +281,32 @@ def test_group_order_past_the_bound_is_refused():
     with pytest.raises(BoundExceededError, match="group order 5040 exceeds the bound 720") as info:
         symmetric_group(7)
     assert info.value.code == "bound-exceeded"
+
+
+@pytest.mark.parametrize(
+    "build, n, order",
+    [
+        (cyclic_group, 721, "721"),
+        (symmetric_group, 9, "362880"),
+        (symmetric_group, 20, "2432902008176640000"),
+        (symmetric_group, 21, "21!"),
+        (symmetric_group, 10 ** 9, "1000000000!"),
+    ],
+)
+def test_stock_groups_refuse_their_order_before_enumerating(monkeypatch, build, n, order):
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("a refused group was enumerated")
+
+    monkeypatch.setattr(itertools, "permutations", enumerate_nothing)
+    monkeypatch.setattr(ReactionGroup, "__init__", enumerate_nothing)
+    tracemalloc.start()
+    try:
+        message = rf"^group order {order} exceeds the bound 720$"
+        with pytest.raises(BoundExceededError, match=message):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # cyclic_group(721) would build 721 permutations of 721 states.
+    assert peak < 64 * 1024
 
