@@ -18,21 +18,15 @@ import sys
 from pathlib import Path
 
 from .config import (
-    BOUND_PRODUCT_STEPS, REFERENCE_STEPS, RunConfig, label_order, label_texts, power_over,
-    read_json,
+    BOUND_PRODUCT_STEPS, REFERENCE_STEPS, RunConfig, label_order, label_texts, lazy_module,
+    power_over, read_json,
 )
 from .dynamics import build_markov, core_set, limit_exists, stationary_count
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
 from .groups import load_group
 from .involution import InvolutionMatrix
 from .network import load_network, network_to_json, two_coloring
-from .potential import (
-    balance_signs,
-    check_A1,
-    check_A2,
-    generate_potential_fields,
-    is_potential,
-)
+from .potential import balance_signs, generate_potential_fields, is_potential
 from .report import run_full_analysis
 from .semigroup import (
     ReactionMatrix,
@@ -44,12 +38,14 @@ from .semigroup import (
 from .smoothfield import (
     InvolutionField,
     ParameterizedCurve,
+    _residuals,
     convergence_report,
     discretize,
-    infinitesimal_residual,
     load_embedding,
     pointwise,
 )
+
+np = lazy_module("numpy")
 
 # Named demonstration fields for the smooth subcommands.  The canonical
 # families compose a parameter map, in array form, with the standard
@@ -73,15 +69,6 @@ _FIELD_BUILDERS = {
         name="nonpotential",
     ),
 }
-
-
-def _field_by_name(name: str) -> InvolutionField:
-    try:
-        return _FIELD_BUILDERS[name]()
-    except KeyError:
-        raise ValidationError(
-            f"unknown field {name!r}; choose from {sorted(_FIELD_BUILDERS)}"
-        ) from None
 
 
 def _load_config(args) -> RunConfig:
@@ -116,14 +103,15 @@ def _load_curve(spec: str) -> ParameterizedCurve:
 def _cmd_check_potential(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
     verdict = is_potential(marking)
-    a1 = check_A1(marking)
-    a2 = check_A2(marking)
+    # A1 and A2 come off the core set's double-cover walks, as in analyze.
+    core = core_set(marking)
+    a2 = core.characteristic
     payload = {
         "nodes": len(marking.graph),
         "edges": len(marking.graph.undirected_edges),
         "potential": verdict.ok,
         "witness": None,
-        "a1": a1.ok,
+        "a1": core.a1_ok,
         "a2": a2 is not None,
     }
     if not verdict.ok:
@@ -279,35 +267,35 @@ def _cmd_smooth_check_residual(args, config: RunConfig) -> dict:
     h = args.h
     if not (0.0 < h < math.inf):
         raise ValidationError(f"--h must be a positive finite number, got {h!r}")
-    field = _field_by_name(args.field)
+    field = _FIELD_BUILDERS[args.field]()
     (x0, x1), (y0, y1) = field.domain
     pad = 2 * h + 1e-9
     if x0 + pad >= x1 - pad or y0 + pad >= y1 - pad:
         raise ValidationError(f"step {h} leaves no interior sample points")
-    worst = -1.0
-    argmax = None
     step_x = (x1 - x0 - 2 * pad) / max(args.grid - 1, 1)
     step_y = (y1 - y0 - 2 * pad) / max(args.grid - 1, 1)
-    for ix in range(args.grid):
-        for iy in range(args.grid):
-            x = x0 + pad + ix * step_x
-            y = y0 + pad + iy * step_y
-            report = infinitesimal_residual(field, (x, y), h)
-            if report.norm > worst:
-                worst = report.norm
-                argmax = (x, y)
+    # y varies fastest; the first maximal point in this order is reported,
+    # and a NaN norm is never maximal.
+    ix, iy = np.divmod(np.arange(args.grid * args.grid), args.grid)
+    xs, ys = x0 + pad + ix * step_x, y0 + pad + iy * step_y
+    norms = np.abs(_residuals(field, xs, ys, h)).max(axis=(1, 2))
+    norms[np.isnan(norms)] = -1.0
+    i = int(norms.argmax())
+    worst = norms[i].item()
+    if worst < 0:
+        raise ValidationError(f"step {h} gives a NaN residual at every sample point")
     return {
         "field": args.field,
         "grid": args.grid,
         "h": h,
         "max_residual": worst,
-        "argmax": [round(argmax[0], 12), round(argmax[1], 12)],
+        "argmax": [round(xs[i].item(), 12), round(ys[i].item(), 12)],
         "passes": worst <= config.tau_num * 100,
     }
 
 
 def _cmd_smooth_p_integral(args, config: RunConfig) -> dict:
-    field = _field_by_name(args.field)
+    field = _FIELD_BUILDERS[args.field]()
     curve = _load_curve(args.curve)
     report = convergence_report(field, curve, args.n, args.parity)
     matrix = report.value
@@ -324,7 +312,7 @@ def _cmd_smooth_p_integral(args, config: RunConfig) -> dict:
 
 def _cmd_smooth_discretize(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
-    field = _field_by_name(args.field)
+    field = _FIELD_BUILDERS[args.field]()
     embedding, rules = load_embedding(args.embedding, marking.graph)
     marks = discretize(field, embedding, rules, tol=config.tau_num)
     nodes = marking.graph.nodes

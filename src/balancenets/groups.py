@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -114,18 +115,12 @@ class ReactionGroup:
             raise ValidationError("group does not contain the identity permutation")
         self.identity_index = self._index_of[identity_perm]
 
-        table = []
-        for pg in self.perms:
-            row = []
-            for ph in self.perms:
-                comp = tuple(pg[ph[s]] for s in range(k))
-                idx = self._index_of.get(comp)
-                if idx is None:
-                    raise ValidationError(
-                        "element list is not closed under composition"
-                    )
-                row.append(idx)
-            table.append(tuple(row))
+        # pg after ph is itemgetter(*ph)(pg); on one state, itemgetter
+        # returns the item, and the one permutation composes to itself.
+        after = [operator.itemgetter(*ph) for ph in self.perms] if k > 1 else [tuple]
+        table = [tuple([self._index_of.get(h(pg)) for h in after]) for pg in self.perms]
+        if any(None in row for row in table):
+            raise ValidationError("element list is not closed under composition")
         self.table: tuple[tuple[int, ...], ...] = tuple(table)
 
         # A finite set of permutations closed under composition is a group,

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .config import lazy_module, trajectory_seed
 from .errors import BoundExceededError, NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup
-from .network import Marking, RelationGraph, bipartition
+from .network import Marking, RelationGraph
 from .potential import _pair_marks
 
 np = lazy_module("numpy")
@@ -237,7 +237,7 @@ def _contracting_word(graph: RelationGraph) -> list[ControlMatrix]:
     even walk between any two nodes of a connected graph.
     """
     n = len(graph)
-    nbrs = [sorted(graph.neighbors(i)) for i in range(n)]
+    nbrs = graph.adjacency
     parent = [nbrs[0][0]] + [-1] * (n - 1)
     depth = [0] * n
     queue = deque([0])
@@ -309,7 +309,7 @@ def _left_children(op: OperatorMatrix, rg: ReactionMatrix) -> Iterator[OperatorM
 def _right_children(op: OperatorMatrix, rg: ReactionMatrix) -> Iterator[OperatorMatrix]:
     """All op*g for one-step operators g; only choices on the image matter."""
     image = sorted(set(op.pattern))
-    pools = [sorted(rg.graph.neighbors(t)) for t in image]
+    pools = [rg.graph.neighbors(t) for t in image]
     for combo in itertools.product(*pools):
         dest = dict(zip(image, combo))
         pattern = tuple(dest[p] for p in op.pattern)
@@ -374,15 +374,14 @@ class IdealEnumeration:
 
 def theorem1_expected(graph: RelationGraph) -> int:
     """Predicted number of minimal left ideals for a potential matrix."""
-    parts = bipartition(graph)
-    if parts is None:
+    if graph.parts is None:
         return len(graph)
-    return len(parts[0]) * len(parts[1])
+    return len(graph.parts[0]) * len(graph.parts[1])
 
 
 def theorem1_min_rank(graph: RelationGraph) -> int:
     """Smallest operator rank in the semigroup: 2 on bipartite graphs, else 1."""
-    return 1 if bipartition(graph) is None else 2
+    return 1 if graph.parts is None else 2
 
 
 def _classify(
@@ -515,7 +514,7 @@ def random_product_process(
         if type(x) is not int or not 0 <= x < k:
             raise ValidationError(f"start entry {x!r} is not a state index in range({k})")
     start = tuple(start)
-    pools = [sorted(rg.graph.neighbors(i)) for i in range(rg.n)]
+    pools = rg.graph.adjacency
     settled = theorem1_min_rank(rg.graph)
 
     pattern = tuple(range(rg.n))

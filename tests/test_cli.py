@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import balancenets
-from balancenets import cli, semigroup
+from balancenets import cli, potential, semigroup
 from balancenets.cli import _build_parser, main
 from balancenets.config import BOUND_PRODUCT_STEPS, lazy_module, power_over
+from balancenets.groups import cyclic_group, sign_group, symmetric_group
+from balancenets.network import Marking, RelationGraph, network_to_json
 
 
 def run_cli(capsys, *argv):
@@ -1268,3 +1271,170 @@ def test_disconnected_network_reports_validation(capsys):
     code, payload = run_cli(capsys, "balance", "--net", net)
     assert code == 2
     assert payload["error"] == {"type": "validation", "message": "graph is not connected"}
+
+
+# -- check-potential reads A1 and A2 off the core set -------------------------
+
+
+@pytest.mark.parametrize("net", ["k4_complete.json", "gamma3_allg.json", "gamma3_ex1.json"])
+def test_check_potential_makes_one_core_set_and_no_star_marking(
+    capsys, derivation_calls, fixtures_dir, net
+):
+    assert main(["check-potential", "--net", str(fixtures_dir / net)]) == 0
+    capsys.readouterr()
+    # core_set decides A2 once and reads A1 off its own walks.
+    assert derivation_calls == {
+        "star_marking": 0, "check_A1": 0, "check_A2": 1, "core_set": 1,
+    }
+
+
+def _star_criteria_oracle(marking) -> dict:
+    """check-potential's document from the star-marking walk of check_A1
+    and from check_A2, as the handler built it before it read the core set."""
+    verdict = potential.is_potential(marking)
+    a1, a2 = potential.check_A1(marking), potential.check_A2(marking)
+    nodes = marking.graph.nodes
+    doc = {
+        "nodes": len(nodes),
+        "edges": len(marking.graph.undirected_edges),
+        "potential": verdict.ok,
+        "witness": None,
+        "a1": a1.ok,
+        "a2": a2 is not None,
+    }
+    if not verdict.ok:
+        doc["witness"] = {
+            "cycle": [nodes[i] for i in verdict.witness_cycle_nodes],
+            "product": verdict.witness_product.name,
+        }
+    if a2 is not None:
+        doc["characteristic"] = {str(nodes[i]): el.name for i, el in sorted(a2.values.items())}
+    return doc
+
+
+def _random_markings(seed):
+    """Gauge markings, the same with one directed edge remarked, A2-symmetric
+    and random markings of complete, cycle and complete bipartite graphs
+    over three groups."""
+    rng = random.Random(seed)
+    shapes = [
+        RelationGraph.complete(range(1, 9)),
+        RelationGraph.cycle(range(1, 7)),
+        RelationGraph.cycle(range(1, 8)),
+        RelationGraph.from_undirected(range(1, 6), [(a, b) for a in (1, 2) for b in (3, 4, 5)]),
+    ]
+    for group in (sign_group(), cyclic_group(3), symmetric_group(3)):
+        elements = list(group)
+        for graph in shapes:
+            gauge = [rng.choice(elements) for _ in graph.nodes]
+            values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
+            yield Marking(graph, group, values)
+            i, j = graph.undirected_edges[0]
+            yield Marking(graph, group, {**values, (i, j): rng.choice(elements)})
+            a = {i: rng.choice(elements) for i in range(len(graph))}
+            # g(j, i) = g(i, j)^-1 * a_i keeps the round trips neighbor-free.
+            sym = {}
+            for i, j in graph.undirected_edges:
+                sym[(i, j)] = rng.choice(elements)
+                sym[(j, i)] = sym[(i, j)].inverse() * a[i]
+            yield Marking(graph, group, sym)
+            yield Marking(
+                graph, group, {e: rng.choice(elements) for e in graph.directed_edges}
+            )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_potential_matches_the_star_criteria_oracle(capsys, seed):
+    for marking in _random_markings(seed):
+        net = json.dumps(network_to_json(marking))
+        code, payload = run_cli(capsys, "check-potential", "--net", net)
+        assert code == 0
+        assert payload == _star_criteria_oracle(marking)
+
+
+# sha256 of the default stdout of each command on each fixture, recorded
+# before check-potential read A1 and A2 off the core set.  The documents
+# hold integers and strings only, so the digests hold on every platform.
+_FIXTURE_DIGESTS = [
+    ("gamma3_allg.json", "check-potential", 0, "86fd54d001ffa3e0b059af8497d53e619fefe127f236209d98e54a854d22e64c"),
+    ("gamma3_allg.json", "balance", 0, "7c815ca58f9b3ee9b7eb3023105e5485f7d93dfed4b0b5beb7fbc86a8d792881"),
+    ("gamma3_allg.json", "markov", 0, "a7d93b10bd0a68783785e4dfc97cf99792bde924966cf56ffd292bcbf6ecd848"),
+    ("gamma3_allg.json", "markov --exact", 0, "164e94fac436ba89903fe2c21c8095e8442e0d332b3543304d24d0f93e613353"),
+    ("gamma3_allg.json", "ideals", 2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_allg.json", "absorb --seed 0", 2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_allg.json", "analyze", 0, "4a7b00f6ca5c0a0b538b4e6ee61011f18ef4b6109db1f93da03d7f628501ffa4"),
+    ("gamma3_balanced.json", "check-potential", 0, "eb11116e5534f28d204d82af717486ccaa0ae44342e5ca154f1def8243f6cc11"),
+    ("gamma3_balanced.json", "balance", 0, "2f268cb7742f7f4e085c14462b4b6baadf090787f0369b706b16d805ce85118c"),
+    ("gamma3_balanced.json", "markov", 0, "651f46b0d783b8a7a91485b6d9c49b022951f17cc8da1b759f4b9bc7c0ff12af"),
+    ("gamma3_balanced.json", "markov --exact", 0, "6d1c413c5e227dba616dd264ed8f26d280dbf1c00a8870f5a187573205a21fae"),
+    ("gamma3_balanced.json", "ideals", 0, "0f9e4dfd095aa68212fbf14af2b1aaba1271242c8dbd89e1658ca7fb2a1adc88"),
+    ("gamma3_balanced.json", "absorb --seed 0", 0, "73190935d53db183ff55f1165bd45140a1ad42fb7709fffed9d1b189436d051c"),
+    ("gamma3_balanced.json", "analyze", 0, "be86562d849c55cebf2149f0e4a5012f424d79df4a6470db09a2a8c110ff286b"),
+    ("gamma3_ex1.json", "check-potential", 0, "86fd54d001ffa3e0b059af8497d53e619fefe127f236209d98e54a854d22e64c"),
+    ("gamma3_ex1.json", "balance", 0, "40ef86873704f73f0f631660b22c264cb74f1a5b6a19beb4e9b709d8a67cb46c"),
+    ("gamma3_ex1.json", "markov", 0, "f4327537bb211cd9208f8a5b575d53db324cd921dad2da6da714c7758dc2d05d"),
+    ("gamma3_ex1.json", "markov --exact", 0, "5d3d0dee679dcc452fbbceb2d3b3242e500da068d9c4bbd30f65bf863d809614"),
+    ("gamma3_ex1.json", "ideals", 2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_ex1.json", "absorb --seed 0", 2, "6bc3826b93a02ff6452be4dedf45df01bdb87647b6cd07d7f378d09507cd549c"),
+    ("gamma3_ex1.json", "analyze", 0, "79c2334bda7634d8f6ae4565889469cacd89d32430d84ba4dd8611da09cf5eac"),
+    ("k4_complete.json", "check-potential", 0, "7ad2302834b5812f02fe20a19d243857ba150a59d006c26ea0624152ec2a3dc2"),
+    ("k4_complete.json", "balance", 0, "3b130846cc87bbb26b589da5a6925e58a5bd2b35314ba9cc354317cb9c87ac44"),
+    ("k4_complete.json", "markov", 0, "48986c0700b3729f39e4e637e053e3d8de241c38b4c2abb516a9e3b54900e05d"),
+    ("k4_complete.json", "markov --exact", 0, "2048d2d0080bd56a4cfc9dcb5d7d79db6e9cf114b155cc92a11076056ee834e8"),
+    ("k4_complete.json", "ideals", 0, "bfd23663052ef33b864bdbf636045789746b2b58fafde0bbdebd874918ebc552"),
+    ("k4_complete.json", "absorb --seed 0", 0, "314a6721bc4829bb7cb2ed22f00520090c0e24e753bd8fc9e98cc259334fd602"),
+    ("k4_complete.json", "analyze", 0, "0c5678f6a661b52d5e6387f9e84d8cdc49237d437029cd88995be6acb876725d"),
+    ("k4_embedding.json", "check-potential", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("k4_embedding.json", "balance", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("k4_embedding.json", "markov", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("k4_embedding.json", "markov --exact", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("k4_embedding.json", "ideals", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("k4_embedding.json", "absorb --seed 0", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("k4_embedding.json", "analyze", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("sign_group.json", "check-potential", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("sign_group.json", "balance", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("sign_group.json", "markov", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("sign_group.json", "markov --exact", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("sign_group.json", "ideals", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("sign_group.json", "absorb --seed 0", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+    ("sign_group.json", "analyze", 2, "14986b913315737b75dbe101ac05fd09d624937821088fd9438f5d2f903a910d"),
+]
+
+
+@pytest.mark.parametrize("net,command,code,digest", _FIXTURE_DIGESTS)
+def test_default_stdout_is_unchanged_on_every_fixture(
+    capsys, fixtures_dir, net, command, code, digest
+):
+    assert main(command.split() + ["--net", str(fixtures_dir / net)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_discretize_of_the_nonpotential_field_keeps_its_message(capsys, fixtures_dir):
+    code, payload = run_cli(
+        capsys, "smooth", "discretize", "--field", "nonpotential",
+        "--net", str(fixtures_dir / "k4_complete.json"),
+        "--embedding", str(fixtures_dir / "k4_embedding.json"),
+    )
+    assert code == 2
+    assert payload == {
+        "error": {
+            "type": "non-potential",
+            "message": "field residual 1.530e+03 exceeds 1e-4; cycle products "
+            "would not close up",
+        }
+    }
+
+
+# 4 * h * h underflows to zero, so every mixed difference is 0 / 0, which
+# numpy warns about.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_check_residual_refuses_a_step_whose_residuals_are_all_nan(capsys):
+    code, payload = run_cli(
+        capsys, "smooth", "check-residual", "--field", "constant", "--h", "1e-200"
+    )
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": "step 1e-200 gives a NaN residual at every sample point",
+    }

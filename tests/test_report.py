@@ -1,16 +1,12 @@
 """Analysis reports and run configuration round trips."""
 
-import collections
-import functools
 import json
 import math
-import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balancenets import dynamics, network, potential
 from balancenets.config import RunConfig, label_order, trajectory_seed
 from balancenets.errors import ValidationError
 from balancenets.groups import sign_group, symmetric_group
@@ -63,36 +59,12 @@ def test_analyze_marking_cross_check_passes_on_bipartite_graphs(group, graph):
     assert report.cross_check == "pass"
 
 
-def test_analyze_marking_derives_artefacts_once_per_core_set(monkeypatch):
-    calls = collections.Counter()
-    targets = {
-        "star_marking": network.star_marking,
-        "check_A1": potential.check_A1,
-        "check_A2": potential.check_A2,
-        "core_set": dynamics.core_set,
-    }
-
-    def counted(name, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    # Patch every module that looks the name up, as callers inside the
-    # package resolve it through their own module globals.
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] != "balancenets":
-            continue
-        for name, fn in targets.items():
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
+def test_analyze_marking_derives_artefacts_once_per_core_set(derivation_calls):
     analyze_marking(_balanced_marking(), digest="d" * 64)
     # analyze_marking and theoremB_verify each take one CoreSet; each
     # core_set decides A2 once and reads A1 off its own walks, with no
     # star marking.
-    assert {name: calls[name] for name in targets} == {
+    assert derivation_calls == {
         "star_marking": 0, "check_A1": 0, "check_A2": 2, "core_set": 2,
     }
 

@@ -722,7 +722,7 @@ def _residual_oracle(evaluate, point, h):
 
 
 @pytest.mark.parametrize("name", BUILT_IN)
-def test_residual_matches_the_nine_call_oracle_byte_for_byte(name, capsys, monkeypatch):
+def test_residual_matches_the_nine_call_oracle_byte_for_byte(name, capsys):
     field, scalar = _FIELD_BUILDERS[name](), SCALAR_FIELDS[name]
     for h in (1e-3, 1e-2):
         for point in ((0.4, 0.35), (0.02, 0.97), (0.5, 0.5)):
@@ -731,20 +731,113 @@ def test_residual_matches_the_nine_call_oracle_byte_for_byte(name, capsys, monke
             assert got.matrix.tobytes() == want.matrix.tobytes()
             assert (got.point, got.h, got.norm) == (want.point, want.h, want.norm)
 
-    def check_residual(grid):
+    def oracle_document(grid, h=1e-3, ulps=0):
+        # The handler as a loop over grid points, each norm from nine scalar
+        # calls; ulps moves the maximum that many floats up.
+        (x0, x1), (y0, y1) = field.domain
+        pad = 2 * h + 1e-9
+        step_x = (x1 - x0 - 2 * pad) / max(grid - 1, 1)
+        step_y = (y1 - y0 - 2 * pad) / max(grid - 1, 1)
+        worst, argmax = -1.0, None
+        for ix in range(grid):
+            for iy in range(grid):
+                x, y = x0 + pad + ix * step_x, y0 + pad + iy * step_y
+                norm = _residual_oracle(scalar, (x, y), h).norm
+                if norm > worst:
+                    worst, argmax = norm, (x, y)
+        for _ in range(ulps):
+            worst = math.nextafter(worst, math.inf)
+        doc = {
+            "field": name,
+            "grid": grid,
+            "h": h,
+            "max_residual": worst,
+            "argmax": [round(argmax[0], 12), round(argmax[1], 12)],
+            "passes": worst <= TAU_NUM * 100,
+        }
+        return json.dumps(doc, indent=2) + "\n"
+
+    for grid in (1, 3, 17):
         argv = ["smooth", "check-residual", "--field", name, "--grid", str(grid)]
         assert cli.main(argv) == 0
-        return capsys.readouterr().out
+        got = capsys.readouterr().out
+        assert got == oracle_document(grid)
+        assert got != oracle_document(grid, ulps=1)
 
-    for grid in (3, 17):
-        got = check_residual(grid)
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                cli,
-                "infinitesimal_residual",
-                lambda field, point, h: _residual_oracle(scalar, point, h),
-            )
-            assert check_residual(grid) == got
+
+def _signed_evaluator(x, y):
+    """The elliptic field with b and c times the sign of x, so a sample at
+    -0.0 differs from one at +0.0."""
+    s = math.copysign(1.0, x)
+    return math.cos(x + y), s * math.sin(x + y), s * math.sin(x + y)
+
+
+SIGNED = InvolutionField(_signed_evaluator, domain=((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def test_residual_stack_matches_the_nine_call_oracle_point_by_point():
+    # x itself, not x + 0.0, sits at the zero offsets, so -0.0 keeps its sign.
+    points = [(-0.0, 0.5), (0.0, 0.5), (-0.0, -0.0), (0.3, -0.2), (-0.5, 0.7)]
+    xs, ys = (np.array(v) for v in zip(*points))
+    for h in (1e-3, 1e-2):
+        got = smoothfield._residuals(SIGNED, xs, ys, h)
+        for res, point in zip(got, points):
+            want = _residual_oracle(_signed_evaluator, point, h)
+            assert res.tobytes() == want.matrix.tobytes()
+            assert infinitesimal_residual(SIGNED, point, h).matrix.tobytes() == res.tobytes()
+
+
+def _first_error(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_residual_stack_fails_as_the_point_loop():
+    def loop(field, xs, ys, h):
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            infinitesimal_residual(field, (x, y), h)
+
+    def raising_at(bad):
+        def evaluator(x, y):
+            if (x, y) == bad:
+                raise ValueError(f"no sample at {bad}")
+            return math.cos(x), math.sin(x), math.sin(x)
+
+        return InvolutionField(evaluator)
+
+    h = 1e-2
+    xs, ys = np.array([0.2, 0.4, 0.999, 0.6]), np.array([0.5, 0.5, 0.5, 0.5])
+    # The third point leaves no margin; a failing sample of the second
+    # point comes first, a failing sample of the fourth never.
+    kinds = []
+    for field in (WAVE, raising_at((0.4 + h, 0.5)), raising_at((0.6, 0.5))):
+        failure = _first_error(smoothfield._residuals, field, xs, ys, h)
+        assert failure == _first_error(loop, field, xs, ys, h)
+        kinds.append(failure[0])
+    assert kinds == [FieldDomainError, ValueError, FieldDomainError]
+    assert failure[1].startswith("point (0.999, 0.5) does not keep margin")
+
+
+def test_check_residual_and_discretize_sample_in_one_call(monkeypatch, capsys, fixtures_dir):
+    calls = []
+
+    def counted(field, xs, ys):
+        calls.append(len(xs))
+        return samples(field, xs, ys)
+
+    samples = smoothfield._samples
+    monkeypatch.setattr(smoothfield, "_samples", counted)
+    assert cli.main(["smooth", "check-residual", "--grid", "17"]) == 0
+    assert calls == [9 * 17 * 17]
+    calls.clear()
+    argv = ["smooth", "discretize", "--net", str(fixtures_dir / "k4_complete.json")]
+    argv += ["--embedding", str(fixtures_dir / "k4_embedding.json")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # The 4 x 4 residual spot check, then the blocked edge products.
+    assert calls[0] == 9 * 4 * 4
+    assert all(n <= _BLOCK for n in calls[1:])
 
 
 def test_residual_validation():
