@@ -18,12 +18,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Mapping
+from typing import Iterator, Mapping
 
 from .config import BOUND_STATES, lazy_module, power_over
 from .errors import BoundExceededError, ValidationError
 from .groups import (
     GroupElement,
+    ReactionGroup,
     pair_orbit_count,
     solve_characteristic,
     solve_characteristic_pair,
@@ -33,9 +34,6 @@ from .potential import CharacteristicReactions, check_A2
 from .semigroup import _image, _witness
 
 np = lazy_module("numpy")
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 
 def _state_count(marking: Marking, bound: int) -> int:
@@ -179,8 +177,8 @@ class MarkovModel:
 
     ``states`` is the (k**n, n) array of joint states, so row r is r
     written in base k.  Closed classes need no values.  The first read of
-    ``matrix``, ``support``, ``fractions`` or ``rows`` assembles the chain
-    once, in integers, and every one of them reads that assembly.
+    ``support``, ``fractions`` or ``rows`` assembles the chain once, in
+    integers, and every one of them reads that assembly.
     """
 
     marking: Marking
@@ -194,15 +192,6 @@ class MarkovModel:
     @cached_property
     def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         return _assemble(self.marking, self.choice, self.size)
-
-    @cached_property
-    def matrix(self) -> csr_array:
-        """The float CSR, with the columns of each row in increasing order."""
-        from scipy.sparse import csr_array
-
-        indptr, cols, nums, D = self._chain
-        data = np.asarray(nums / D, dtype=np.float64)
-        return csr_array((data, cols, indptr), shape=(self.size, self.size))
 
     def index(self, x: tuple[int, ...]) -> int:
         """Row of joint state x, its base-k number; ValueError for a non-state."""
@@ -330,24 +319,61 @@ def essential_check(model: MarkovModel, core: frozenset[tuple[int, ...]]) -> boo
 
 @dataclass(frozen=True)
 class CoreSet:
-    """States where the one-step image is a single state.
+    """States where the one-step image is a single state, from the marks.
 
-    When the induced marks are potential, ``components`` (the two-step
-    components, each rooted at its smallest node) and ``transport``
-    parameterize the closed form; ``characteristic`` holds the A2
-    reactions, or None when A2 fails.
+    ``walks`` are ``_core_walk``'s walks of ``parts``, and ``characteristic``
+    holds the A2 reactions, or None when A2 fails.  The verdicts and
+    ``transport`` are read off these; ``states`` and ``closed`` build the
+    product of the walks when first read.
     """
 
-    states: frozenset[tuple[int, ...]]
-    closed: bool
-    a1_ok: bool
-    a2_ok: bool
-    bipartite: bool
-    closed_form: frozenset[tuple[int, ...]] | None
-    matches_closed_form: bool | None
-    transport: dict[int, GroupElement] | None
-    components: tuple[frozenset[int], ...] | None
+    group: ReactionGroup
+    parts: tuple[frozenset[int], ...]
+    walks: list[list[dict[int, int] | None]]
     characteristic: CharacteristicReactions | None
+
+    @property
+    def a1_ok(self) -> bool:
+        # Every walk succeeds exactly when each cycle's product fixes every
+        # state, and distinct group elements are distinct permutations.
+        return all(u is not None for w in self.walks for u in w)
+
+    @property
+    def a2_ok(self) -> bool:
+        return self.characteristic is not None
+
+    @property
+    def matches_closed_form(self) -> bool | None:
+        # Under A1 and A2 the closed form is the product of the walks.
+        return True if self.a1_ok and self.a2_ok else None
+
+    @cached_property
+    def transport(self) -> dict[int, GroupElement] | None:
+        """x_j = transport[j](t) carries the root state t of j's part to
+        node j; None unless A1 holds."""
+        if not self.a1_ok:
+            return None
+        return {
+            j: self.group.element_by_perm([u[j] for u in w])
+            for part, w in zip(self.parts, self.walks)
+            for j in part
+        }
+
+    def _pairs(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each core state, from one successful walk per part, and its one
+        successor."""
+        n = sum(map(len, self.parts))
+        for pieces in itertools.product(*([u for u in w if u is not None] for w in self.walks)):
+            u = {v: s for piece in pieces for v, s in piece.items()}
+            yield tuple(u[v] for v in range(n)), tuple(u[v] for v in range(n, 2 * n))
+
+    @cached_property
+    def states(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(x for x, _ in self._pairs())
+
+    @cached_property
+    def closed(self) -> bool:
+        return all(y in self.states for _, y in self._pairs())
 
 
 def _core_walk(
@@ -372,60 +398,23 @@ def _core_walk(
     for part in parts:
         nodes = {*part, *(n + c for p in part for c in graph.neighbors(p))}
         tails = [e for e in edges if e[0] in nodes]
-        walks.append([])
-        for t in range(len(marking.group.states)):
-            u, _ = _tree_consistency(
-                nodes, tails, min(part), t, lambda s, perm: perm[s], operator.eq
-            )
-            walks[-1].append(u)
+        walks.append([
+            _tree_consistency(nodes, tails, min(part), t, lambda s, perm: perm[s], operator.eq)[0]
+            for t in range(len(marking.group.states))
+        ])
     return walks
 
 
 def core_set(marking: Marking) -> CoreSet:
-    """Find the single-image states, and the closed form, from the marks.
+    """The core's walks and the A2 reactions, read off the marks.
 
-    The closed form parameterizes the core by one free state per two-step
-    component, the root state t that walk t starts from.  The induced marks
-    are potential (A1) exactly when every walk succeeds: a cycle's product
-    is then the identity permutation on every state, and group elements are
-    distinct permutations.  The form applies when the round-trip marks are
-    also neighbor-independent (A2), so both verdicts ride along.
+    The closed form parameterizes the core by one free state per part, the
+    root state t that walk t starts from.  It applies when the induced marks
+    are potential (A1) and the round-trip marks neighbor-independent (A2),
+    so both verdicts ride along.  No joint state is built here.
     """
-    graph = marking.graph
-    n = len(graph)
-    parts = graph.parts or (frozenset(range(n)),)
-    walks = _core_walk(marking, parts)
-    pairs = []
-    for pieces in itertools.product(*([u for u in w if u is not None] for w in walks)):
-        u = {v: s for piece in pieces for v, s in piece.items()}
-        pairs.append((tuple(u[v] for v in range(n)), tuple(u[v] for v in range(n, 2 * n))))
-    found = frozenset(x for x, _ in pairs)
-
-    a1 = all(u is not None for w in walks for u in w)
-    a2 = check_A2(marking)
-    transport = None
-    components = None
-    if a1:
-        # x_j = transport[j](t) carries the root parameter t to node j.
-        transport = {
-            j: marking.group.element_by_perm([u[j] for u in w])
-            for part, w in zip(parts, walks)
-            for j in part
-        }
-        components = parts
-    both = a1 and a2 is not None
-    return CoreSet(
-        states=found,
-        closed=all(y in found for _, y in pairs),
-        a1_ok=a1,
-        a2_ok=a2 is not None,
-        bipartite=graph.parts is not None,
-        closed_form=found if both else None,
-        matches_closed_form=True if both else None,
-        transport=transport,
-        components=components,
-        characteristic=a2,
-    )
+    parts = marking.graph.parts or (frozenset(range(len(marking.graph))),)
+    return CoreSet(marking.group, parts, _core_walk(marking, parts), check_A2(marking))
 
 
 # -- characteristic equation verification -------------------------------------
@@ -465,12 +454,12 @@ def theoremB_verify(marking: Marking) -> TheoremBReport:
     """
     core = core_set(marking)
     group = marking.group
-    bip = core.bipartite
+    bip = marking.graph.parts is not None
     # None unless both A1 and A2 hold.
     if not core.matches_closed_form:
         return TheoremBReport(ok=False, bipartite=bip, a1_ok=core.a1_ok, a2_ok=core.a2_ok)
 
-    roots = [min(comp) for comp in core.components]
+    roots = [min(part) for part in core.parts]
     reads = (1, 0) if bip else (0,)
     first = [marking.graph.neighbors(r)[0] for r in roots]
     realized = tuple(marking.mark(r, p) * core.transport[p] for r, p in zip(roots, first))

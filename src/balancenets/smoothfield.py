@@ -742,7 +742,7 @@ def solve_ode_field(
     The canonical family matching the sign of C2*C3 makes A*A_y equal the
     plane matrix C(y) with A anti-commuting with C.  The product C2*C3
     must keep one sign over the y range; the construction is checked by
-    finite differences on a sample grid.
+    finite differences on a sample grid.  The integral needs scipy.
     """
     from scipy import integrate
 
@@ -1042,7 +1042,8 @@ def discretize(
 def project_point_to_section(
     family: ConicSectionFamily, point: tuple[float, float, float]
 ) -> tuple[float, float, float]:
-    """Nearest point of the section in Euclidean (a, b, c) coordinates."""
+    """Nearest point of the section in Euclidean (a, b, c) coordinates,
+    found with scipy."""
     from scipy import optimize
 
     target = np.array(point, dtype=float)

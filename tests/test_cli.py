@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -1438,3 +1439,72 @@ def test_check_residual_refuses_a_step_whose_residuals_are_all_nan(capsys):
         "type": "validation",
         "message": "step 1e-200 gives a NaN residual at every sample point",
     }
+
+
+def test_check_potential_stays_flat_in_the_group_order(capsys, tmp_path):
+    # A gauge K3,3 over C120: its core has 120**2 states, about 4.4 MB to
+    # build, which the verdicts never read.  The digest is the stdout of the
+    # code that built them.
+    group = cyclic_group(120)
+    graph = RelationGraph.from_undirected(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
+    gauge = [group.element((7 * i + 3) % 120) for i in range(6)]
+    values = {(i, j): gauge[i].inverse() * gauge[j] for i, j in graph.directed_edges}
+    net = tmp_path / "k33_c120.json"
+    net.write_text(json.dumps(network_to_json(Marking(graph, group, values))))
+    tracemalloc.start()
+    try:
+        code = main(["check-potential", "--net", str(net)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert peak < 1_000_000
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ab5a18f089eb73b943de9456466a314723c2d839788a5a5fb73b458675267bbf"
+    )
+
+
+def test_every_command_prints_the_same_without_scipy(capsys, fixtures_dir):
+    net = str(fixtures_dir / "k4_complete.json")
+    embedding = str(fixtures_dir / "k4_embedding.json")
+    line = '{"type": "line", "from": [0.2, 0.3], "to": [0.7, 0.6]}'
+    commands = [
+        [*command.split(), "--net", net]
+        for command in ("check-potential", "balance", "markov", "markov --exact", "ideals",
+                        "absorb --seed 0", "analyze")
+    ] + [
+        ["gen-fields", "--nodes", "4"],
+        ["smooth", "check-residual", "--grid", "17"],
+        ["smooth", "p-integral", "--curve", line, "--n", "256"],
+        ["smooth", "discretize", "--net", net, "--embedding", embedding],
+    ]
+    # None in sys.modules makes every import of scipy raise.
+    result = _probe(
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from balancenets.cli import main\n"
+        "from balancenets.smoothfield import PlaneCoefficients, solve_ode_field\n"
+        "outs = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        outs.append([main(argv), buf.getvalue()])\n"
+        "try:\n"
+        "    solve_ode_field(PlaneCoefficients(0.0, 1.0, 1.0), lambda x: x)\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    outs.append([exc.name, str(exc)])\n"
+        "print(json.dumps(outs))\n"
+    )
+    *outs, missing = json.loads(result.stdout)
+    assert missing[0] == "scipy" and "scipy" in missing[1]
+    digests = {
+        (command, code): digest
+        for name, command, code, digest in _FIXTURE_DIGESTS
+        if name == "k4_complete.json"
+    }
+    for argv, (code, out) in zip(commands, outs):
+        assert main(argv) == code
+        assert capsys.readouterr().out == out
+        if argv[-1] == net:
+            key = (" ".join(argv[:-2]), code)
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[key]

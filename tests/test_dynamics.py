@@ -65,6 +65,14 @@ def _square(marks):
 ALL_E_SQUARE = _square({(0, 1): "e", (1, 2): "e", (2, 3): "e", (3, 0): "e"})
 
 
+def _float_csr(model: MarkovModel) -> scipy.sparse.csr_array:
+    """The float CSR the model once held, rebuilt from its integer parts,
+    with the columns of each row in increasing order."""
+    indptr, cols, nums, D = model._chain
+    data = np.asarray(nums / D, dtype=np.float64)
+    return scipy.sparse.csr_array((data, cols, indptr), shape=(model.size, model.size))
+
+
 # Oracles for core_set: the one-step image scan over every joint state, and
 # the read of single-successor chain rows that core_set made before it
 # walked the marks.
@@ -93,46 +101,58 @@ def _closed_form_state(
     return tuple(x[j] for j in range(len(x)))
 
 
-def _chain_core_set(model: MarkovModel) -> CoreSet:
+def _chain_core_set(model: MarkovModel) -> dict:
     """Read the single-image states off the model and reconcile with the
-    closed form."""
+    closed form: what core_set should report, field by field.  The parts
+    are the two-step components of check_A1 when A1 holds, else the sides
+    of the bipartition, or all nodes."""
     marking = model.marking
-    m = model.matrix
+    m = _float_csr(model)
     single = np.flatnonzero(np.diff(m.indptr) == 1)
     found = frozenset(map(tuple, model.states[single].tolist()))
     closed = bool(np.isin(m.indices[m.indptr[single]], single).all())
 
     a1 = check_A1(marking)
     a2 = check_A2(marking)
-    bip = bipartition(marking.graph) is not None
+    parts = bipartition(marking.graph) or (frozenset(range(len(marking.graph))),)
     transport = None
-    components = None
-    closed_form = None
     matches = None
     if a1.ok:
         transport = {
             j: u.inverse() for pot in a1.potentials for j, u in pot.values.items()
         }
-        components = tuple(frozenset(pot.values) for pot in a1.potentials)
+        parts = tuple(frozenset(pot.values) for pot in a1.potentials)
     if a1.ok and a2 is not None:
         k = len(marking.group.states)
         closed_form = frozenset(
-            _closed_form_state(transport, components, params)
-            for params in itertools.product(range(k), repeat=len(components))
+            _closed_form_state(transport, parts, params)
+            for params in itertools.product(range(k), repeat=len(parts))
         )
         matches = closed_form == found
-    return CoreSet(
-        states=found,
-        closed=closed,
-        a1_ok=a1.ok,
-        a2_ok=a2 is not None,
-        bipartite=bip,
-        closed_form=closed_form,
-        matches_closed_form=matches,
-        transport=transport,
-        components=components,
-        characteristic=a2,
-    )
+    return {
+        "states": found,
+        "closed": closed,
+        "a1_ok": a1.ok,
+        "a2_ok": a2 is not None,
+        "matches_closed_form": matches,
+        "transport": transport,
+        "parts": parts,
+        "characteristic": a2,
+    }
+
+
+def _core_fields(core: CoreSet) -> dict:
+    """The fields _chain_core_set predicts, read off a CoreSet."""
+    return {
+        "states": core.states,
+        "closed": core.closed,
+        "a1_ok": core.a1_ok,
+        "a2_ok": core.a2_ok,
+        "matches_closed_form": core.matches_closed_form,
+        "transport": core.transport,
+        "parts": core.parts,
+        "characteristic": core.characteristic,
+    }
 
 
 def test_state_space_enumeration():
@@ -171,15 +191,16 @@ def test_choice_distribution_validation():
 
 def test_build_markov_rows_are_probabilities():
     model = build_markov(BALANCED)
-    assert model.matrix.shape == (8, 8)
-    assert all(abs(row.sum() - 1.0) < 1e-12 for row in model.matrix)
+    m = _float_csr(model)
+    assert m.shape == (8, 8)
+    assert all(abs(row.sum() - 1.0) < 1e-12 for row in m)
     assert all(sum(row.values()) == 1 for row in model.rows(model.fractions))
 
 
 def test_transition_row_matches_simulation():
     model = build_markov(BALANCED)
     x = (0, 0, 0)
-    row = model.matrix[model.index(x)]
+    row = _float_csr(model)[model.index(x)]
     rng = random.Random(20240817)
     trials = 20000
     counts = collections.Counter()
@@ -230,7 +251,7 @@ def test_core_set_balanced():
     assert core.states == frozenset({(0, 1, 1), (1, 0, 0)})
     assert core.closed
     assert core.a1_ok and core.a2_ok
-    assert not core.bipartite
+    assert core.parts == (frozenset({0, 1, 2}),)
     assert core.matches_closed_form
     # The transport of the root parameter reproduces each member.
     t0 = core.transport[0]
@@ -248,7 +269,7 @@ def test_core_set_oscillating():
 
 def test_core_set_square_is_bipartite():
     core = core_set(ALL_E_SQUARE)
-    assert core.bipartite
+    assert core.parts == (frozenset({0, 2}), frozenset({1, 3}))
     # Two free parameters, one per part: all states constant on each part.
     assert core.states == frozenset(
         {(t, r, t, r) for t in range(2) for r in range(2)}
@@ -301,7 +322,10 @@ def test_core_set_matches_the_apply_F_scan(case):
     core = core_set(marking)
     assert core.states == scan
     assert core.closed == all(next(iter(apply_F(marking, x))) in scan for x in scan)
-    assert core == _chain_core_set(build_markov(marking, choice))
+    want = _chain_core_set(build_markov(marking, choice))
+    assert _core_fields(core) == want
+    # One state more or less is a different core.
+    assert _core_fields(core) != {**want, "states": want["states"] ^ {state_space(marking)[0]}}
 
 
 def _fraction_rows(marking, choice=None):
@@ -357,9 +381,8 @@ def _essential_walk(g, core_idx):
 
 
 def _assert_matches_oracle(model, rows):
-    assert scipy.sparse.issparse(model.matrix)
     assert model.rows(model.fractions) == rows
-    m = model.matrix
+    m = _float_csr(model)
     for r, row in enumerate(rows):
         cols = sorted(row)
         lo, hi = m.indptr[r], m.indptr[r + 1]
@@ -407,7 +430,7 @@ def _csr_recurrent_class_indices(model: MarkovModel) -> tuple[frozenset[int], ..
     """
     from scipy.sparse.csgraph import connected_components
 
-    m = model.matrix
+    m = _float_csr(model)
     count, labels = connected_components(m, directed=True, connection="strong")
     sources = labels[np.repeat(np.arange(len(model.states)), np.diff(m.indptr))]
     leaves = np.zeros(count, dtype=bool)
@@ -428,7 +451,7 @@ def _csr_limit_exists(model: MarkovModel) -> bool:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import shortest_path
 
-    m = model.matrix
+    m = _float_csr(model)
     position = np.zeros(len(model.states), dtype=np.int64)
     for cls in _csr_recurrent_class_indices(model):
         members = np.array(sorted(cls))
@@ -558,7 +581,6 @@ def test_build_markov_assembles_values_only_when_asked(monkeypatch):
     # ALL_E_SQUARE's probabilities are multiples of 1/16, so 16 values
     # cover every distinct one.
     views = {
-        "matrix": lambda m: m.matrix.shape == (16, 16),
         "support": lambda m: len(m.support) == 16,
         "fractions": lambda m: sum(m.fractions) > 0,
         "rows": lambda m: len(m.rows([None] * 16)) == 16,
@@ -640,7 +662,7 @@ def test_build_markov_at_the_state_bound_stays_sparse():
     converges = limit_exists(model)
     elapsed = time.perf_counter() - started
     assert len(model.states) == BOUND_STATES
-    assert scipy.sparse.issparse(model.matrix)
+    assert scipy.sparse.issparse(_float_csr(model))
     # Bipartite closed form: two consensus states and the alternating pair.
     assert classes == (
         frozenset({(0,) * 12}),
@@ -694,6 +716,20 @@ def test_theoremB_reports_failed_criteria():
     assert not report.a1_ok
 
 
+@pytest.mark.parametrize(
+    "marking,ok",
+    [(BALANCED, True), (ONE_HOSTILE, True), (ALL_E_SQUARE, True),
+     (_square({(0, 1): "g", (1, 2): "e", (2, 3): "e", (3, 0): "e"}), False)],
+)
+def test_theoremB_never_builds_the_core_states(monkeypatch, marking, ok):
+    # Only states and closed walk the product of the walks, k**parts states.
+    def refuse(self):
+        raise AssertionError("the core states were built")
+
+    monkeypatch.setattr(CoreSet, "_pairs", refuse)
+    assert theoremB_verify(marking).ok is ok
+
+
 # The two-branch replay theoremB_verify had before its one loop over the
 # core parameters, and its failure report, verbatim: the oracle for its
 # reports.
@@ -725,20 +761,20 @@ def _theoremB_oracle(model: MarkovModel) -> TheoremBReport:
     """
     core = _chain_core_set(model)
     group = model.marking.group
-    bip = core.bipartite
-    if not core.a1_ok or not core.a2_ok:
-        return _fail_report(bip, core.a1_ok, core.a2_ok)
-    if not core.matches_closed_form:
+    bip = bipartition(model.marking.graph) is not None
+    if not core["a1_ok"] or not core["a2_ok"]:
+        return _fail_report(bip, core["a1_ok"], core["a2_ok"])
+    if not core["matches_closed_form"]:
         return _fail_report(bip, True, True)
 
-    a2 = core.characteristic
-    roots = [min(comp) for comp in core.components]
+    a2 = core["characteristic"]
+    roots = [min(comp) for comp in core["parts"]]
     k = len(group.states)
 
     def z(params: tuple[int, ...]) -> tuple[int, ...]:
-        return _closed_form_state(core.transport, core.components, params)
+        return _closed_form_state(core["transport"], core["parts"], params)
 
-    m = model.matrix
+    m = _float_csr(model)
 
     def successor(x: tuple[int, ...]) -> tuple[int, ...]:
         # Core states have exactly one successor.
@@ -857,12 +893,12 @@ def test_core_set_reads_A1_and_the_closed_form_off_its_walks(model):
     assert core.transport == {
         j: u.inverse() for pot in a1.potentials for j, u in pot.values.items()
     }
-    assert core.components == tuple(frozenset(pot.values) for pot in a1.potentials)
+    assert core.parts == tuple(frozenset(pot.values) for pot in a1.potentials)
     if core.a2_ok:
         k = len(marking.group.states)
         assert core.states == frozenset(
-            _closed_form_state(core.transport, core.components, params)
-            for params in itertools.product(range(k), repeat=len(core.components))
+            _closed_form_state(core.transport, core.parts, params)
+            for params in itertools.product(range(k), repeat=len(core.parts))
         )
 
 
@@ -950,4 +986,4 @@ def test_assembly_refuses_a_row_that_misses_the_denominator(monkeypatch):
     monkeypatch.setattr(ChoiceDistribution, "integer_weights", short)
     model = build_markov(BALANCED)
     with pytest.raises(ValidationError, match=r"^row 0 sums to 0\.5$"):
-        model.matrix
+        model.support

@@ -1120,3 +1120,37 @@ def test_project_field_to_plane():
     assert abs(inv.b + inv.c) < 1e-9
     assert abs(inv.a ** 2 + inv.b * inv.c - 1.0) < 1e-9
     assert proj.name == "projected(constant)"
+
+
+def test_check_residual_memory_does_not_grow_with_the_grid(capsys):
+    # All 300**2 points in one _residuals call peak at about 60 MiB; blocks
+    # of _BLOCK points stay under 1 MiB.
+    tracemalloc.start()
+    try:
+        assert cli.main(["smooth", "check-residual", "--grid", "300"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", sorted(_FIELD_BUILDERS))
+def test_check_residual_blocks_print_what_one_call_prints(monkeypatch, capsys, name):
+    # 33**2 = _BLOCK + 65 points: two blocks.  The constant field ties at
+    # every point, so the first point must win across blocks too.
+    calls = []
+
+    def counted(field, xs, ys):
+        calls.append(len(xs))
+        return samples(field, xs, ys)
+
+    samples = smoothfield._samples
+    monkeypatch.setattr(smoothfield, "_samples", counted)
+    argv = ["smooth", "check-residual", "--field", name, "--grid", "33"]
+    assert cli.main(argv) == 0
+    blocked = capsys.readouterr().out
+    assert calls == [9 * _BLOCK, 9 * (33 * 33 - _BLOCK)]
+    monkeypatch.setattr(cli, "_BLOCK", 33 * 33)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == blocked
