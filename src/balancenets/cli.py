@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 from pathlib import Path
 
 from .config import (
-    BOUND_PRODUCT_STEPS, REFERENCE_STEPS, RunConfig, label_order, label_texts, lazy_module,
-    power_over, read_json,
+    BOUND_PRODUCT_STEPS, REFERENCE_STEPS, RunConfig, json_text, label_order, label_texts,
+    lazy_module, power_over, read_json,
 )
 from .dynamics import build_markov, core_set, limit_exists, stationary_count
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
@@ -444,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    text = json_text(payload) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:

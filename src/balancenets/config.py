@@ -10,6 +10,7 @@ exactly, in integers.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import math
@@ -92,6 +93,53 @@ def label_text(label) -> str:
     """JSON object key of a node label: a string is its own key, any other
     label its JSON spelling (``1``, ``2.5``, ``true``, ``null``)."""
     return label if isinstance(label, str) else json.dumps(label)
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The C encoder of json.dumps for a container of scalars at depth: its
+    items are split as indent=2 splits them there, without the brackets'
+    own line breaks."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + "  " * (depth + 1), False, False, True,
+    )
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: its label text, quoted."""
+    if not json_scalar(key):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return json.encoder.encode_basestring_ascii(label_text(key))
+
+
+def json_text(value, depth: int = 0) -> str:
+    """value as ``json.dumps(value, indent=2)`` writes it, nested depth deep.
+
+    ``indent`` forces json's pure-Python encoder, so only containers that
+    hold containers are walked here; every container of scalars goes to
+    the C encoder whole, and its brackets are put on their own lines.
+    """
+    if not isinstance(value, _CONTAINERS) or not value:
+        return "".join(_flat_encoder(depth)(value, 0))
+    inner = "  " * (depth + 1)
+    is_dict = isinstance(value, dict)
+    # The distinct item types, found at C speed, are few.
+    types = set(map(type, value.values() if is_dict else value))
+    if any(issubclass(t, _CONTAINERS) for t in types):
+        items = (
+            (f"{_key_text(k)}: {json_text(v, depth + 1)}" for k, v in value.items())
+            if is_dict
+            else (json_text(v, depth + 1) for v in value)
+        )
+        body = (",\n" + inner).join(items)
+    else:
+        body = "".join(_flat_encoder(depth)(value, 0))[1:-1]
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}\n{inner}{body}\n{'  ' * depth}{brackets[1]}"
 
 
 def label_texts(labels, what: str) -> dict[str, int]:

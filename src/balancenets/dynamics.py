@@ -61,7 +61,6 @@ def _successors(
     Node i moves to s with weight table[r, s], the sum of weights[i][j] over
     the neighbors j whose mark sends x_j to s.  Expanding node by node and
     dropping zeros keeps each state's successors in increasing code order.
-    With boolean weights this is the support alone.
     """
     k = len(marking.group.states)
     x = _digits(codes, marking)
@@ -88,7 +87,37 @@ def _seeds(marking: Marking) -> list[int]:
     return [reduce(lambda code, s: code * k + s, x) for x in _image(witness, k)]
 
 
-_BLOCK = 1024
+# The most booleans a block of frontier rows by k**n states may hold: at the
+# default bound, 1,024 rows.
+_MASK_CELLS = 2 ** 22
+
+
+def _hits(marking: Marking, codes: np.ndarray) -> np.ndarray:
+    """Mask over all k**n row codes of the states one step from codes.
+
+    Every choice weight is positive, so a state's successors are the
+    product set of S_i(x) = {g(i, j)(x_j) : j a neighbor of i}.  Per block
+    of rows, the per-node membership tables are ANDed by broadcasting into
+    (rows, k, ..., k), node 0 first as in the row codes, and ORed over rows.
+    """
+    graph = marking.graph
+    n, k = len(graph), len(marking.group.states)
+    size = k ** n
+    perms = {(i, j): np.array(marking.mark(i, j).perm) for i, j in graph.directed_edges}
+    x = _digits(codes, marking)
+    hit = np.zeros(size, dtype=bool)
+    block = max(1, _MASK_CELLS // size)
+    for a in range(0, len(codes), block):
+        xb = x[a : a + block]
+        at = np.arange(len(xb))
+        mask = np.ones((len(xb), 1), dtype=bool)
+        for i in range(n):
+            table = np.zeros((len(xb), k), dtype=bool)
+            for j in graph.neighbors(i):
+                table[at, perms[i, j][xb[:, j]]] = True
+            mask = (mask[:, :, None] & table[:, None, :]).reshape(len(xb), -1)
+        hit |= mask.any(axis=0)
+    return hit
 
 
 def _seeded_classes(marking: Marking) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
@@ -104,7 +133,6 @@ def _seeded_classes(marking: Marking) -> tuple[tuple[frozenset[int], ...], tuple
     states are the frontier and a class is every state from its first level.
     """
     size = len(marking.group.states) ** len(marking.graph)
-    weights = [dict.fromkeys(marking.graph.neighbors(i), True) for i in range(len(marking.graph))]
     level = np.full(size, -1)
     depth = 0
     classes, periods = [], []
@@ -117,12 +145,9 @@ def _seeded_classes(marking: Marking) -> tuple[tuple[frozenset[int], ...], tuple
         # Once every state is placed and the period is 1, no edge can
         # change either.
         while frontier.size and (period != 1 or (level < 0).any()):
-            hit = np.zeros(size, dtype=bool)
-            for a in range(0, len(frontier), _BLOCK):
-                hit[_successors(marking, frontier[a : a + _BLOCK], weights, bool)[1]] = True
             # Every frontier state sits at depth, so its edges need only the
             # levels of the states they reach.
-            reached = np.flatnonzero(hit)
+            reached = np.flatnonzero(_hits(marking, frontier))
             level[reached[level[reached] < 0]] = depth + 1
             period = math.gcd(period, int(np.gcd.reduce(depth + 1 - level[reached])))
             depth += 1

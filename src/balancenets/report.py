@@ -13,7 +13,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .config import RunConfig, inline_json, label_order
+from .config import RunConfig, inline_json, json_text, label_order
 from .dynamics import build_markov, core_set, limit_exists, stationary_count, theoremB_verify
 from .errors import ValidationError
 from .network import Marking, load_network
@@ -51,7 +51,7 @@ class AnalysisReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return json_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":

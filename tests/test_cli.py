@@ -10,11 +10,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import balancenets
 from balancenets import cli, potential, semigroup
 from balancenets.cli import _build_parser, main
-from balancenets.config import BOUND_PRODUCT_STEPS, lazy_module, power_over
+from balancenets.config import BOUND_PRODUCT_STEPS, json_text, lazy_module, power_over
 from balancenets.groups import cyclic_group, sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph, network_to_json
 
@@ -139,6 +141,56 @@ def test_markov_exact_rows(capsys, fixtures_dir):
 
     for row in rows:
         assert sum(Fraction(p) for p in row.values()) == 1
+
+
+def test_out_writes_the_bytes_of_stdout(capsys, tmp_path, fixtures_dir):
+    argv = ["markov", "--exact", "--net", str(fixtures_dir / "k4_complete.json")]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "markov.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2 ** 80), 2 ** 80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(alphabet=st.sampled_from('[]{},:"\\\n\t\x00 aZé€😀')),
+    st.text(),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_writes_the_bytes_of_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), [1, object()], {"a": [object()]}, [[1], {"b": object()}], {(1,): 1}, {(1,): [1]}],
+    ids=["scalar", "flat list", "nested", "deep", "flat key", "nested key"],
+)
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        json_text(value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -14,14 +16,17 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balancenets import dynamics
 from balancenets.config import BOUND_STATES
 from balancenets.dynamics import (
     ChoiceDistribution,
     CoreSet,
     MarkovModel,
     TheoremBReport,
+    _hits,
     _seeded_classes,
     _seeds,
+    _successors,
     build_markov,
     core_set,
     essential_check,
@@ -502,6 +507,38 @@ def test_seeded_classes_of_frustrated_complete_graphs(n, hostile):
     }
     model = build_markov(Marking.from_names(graph, G2, marks, symmetric=True))
     _assert_seeded_classes_match_the_oracles(model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_markings_with_choice(), st.data())
+def test_hits_are_the_union_of_the_boolean_expansion(case, data):
+    marking, _ = case
+    size = len(marking.group.states) ** len(marking.graph)
+    codes = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True)))
+    weights = [dict.fromkeys(marking.graph.neighbors(i), True) for i in range(len(marking.graph))]
+    want = np.zeros(size, dtype=bool)
+    want[_successors(marking, codes, weights, bool)[1]] = True
+    # One row per block, a few rows per block, and every row in one block.
+    cells = data.draw(st.sampled_from([1, 3 * size, dynamics._MASK_CELLS]))
+    with mock.patch.object(dynamics, "_MASK_CELLS", cells):
+        assert (_hits(marking, codes) == want).all()
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_frustrated_complete_graphs_are_one_aperiodic_class(n):
+    graph = RelationGraph.complete(list(range(n)))
+    marks = {edge: "g" if edge == (0, 1) else "e" for edge in graph.undirected_edges}
+    marking = Marking.from_names(graph, G2, marks, symmetric=True)
+    tracemalloc.start()
+    try:
+        classes, periods = _seeded_classes(marking)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classes == (frozenset(range(2 ** n)),)
+    assert periods == (1,)
+    # The boolean expansion peaked at 140 MB on K12.
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [9, 10])
