@@ -30,8 +30,8 @@ TAU_FLD = 1e-9
 
 BOUND_STATES = 4096
 BOUND_GRP = 720
-# The most runs * steps that absorb takes: each run keeps one rank per step
-# until the output is written.
+# The most steps of one random product, and of absorb's runs * steps: each
+# run keeps one rank per step until the output is written.
 BOUND_PRODUCT_STEPS = 2 ** 20
 
 REFERENCE_STEPS = 2 ** 10

@@ -66,7 +66,9 @@ class GroupElement:
         return self.perm[state]
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.compose(self, other)
+        if other.group is not self.group:
+            raise GroupMismatchError("elements belong to different groups")
+        return self.group._elements[self.group.table[self.index][other.index]]
 
     def inverse(self) -> "GroupElement":
         return self.group.inverse(self)
@@ -179,8 +181,7 @@ class ReactionGroup:
     def compose(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """Product g*h, the permutation applying h first and then g."""
         self._check(g)
-        self._check(h)
-        return self._elements[self.table[g.index][h.index]]
+        return g * h
 
     def inverse(self, g: GroupElement) -> GroupElement:
         self._check(g)

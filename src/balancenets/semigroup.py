@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .config import lazy_module, trajectory_seed
+from .config import BOUND_PRODUCT_STEPS, lazy_module, trajectory_seed
 from .errors import BoundExceededError, NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup
 from .network import Marking, RelationGraph
@@ -483,13 +483,12 @@ def random_product_process(
 
     Each trajectory draws from its own stream, derived from the root seed
     and the trajectory index, so batches are reproducible and independent
-    of evaluation order.  Every draw, of a start entry or of the neighbor
-    a node reads, is _draw_below, which reads the same words as
-    random.Random's randrange and choice.  On a potential matrix the
-    operator product is the one-step operator of the composed index map
-    p_t, which is all that is carried: the product's rank is the map's
-    image size, and the final state is read once, off the final operator
-    applied to start.
+    of evaluation order.  Draws read random.Random's words for randrange
+    and choice: _draw_below per start entry, its rule inline per step, one
+    getrandbits call per word, widths computed once per run.  On a potential
+    matrix the product is the one-step operator of the composed index map
+    p_t, all that is carried: its rank is the map's image size, and the
+    final state is one read of the final operator at start.
 
     Once p_t is constant on every neighborhood N(i) the product has
     settled: p_{t+1}[i] is p_t's value on N(i) whichever neighbor is
@@ -502,6 +501,10 @@ def random_product_process(
     """
     if steps < 1:
         raise ValidationError("need at least one step")
+    if steps > BOUND_PRODUCT_STEPS:
+        raise BoundExceededError(
+            f"random products: {steps} steps exceed the bound {BOUND_PRODUCT_STEPS}"
+        )
     if not rg.is_potential():
         raise NonPotentialError(f"random products need a potential matrix: {rg._defect}")
     bits = random.Random(trajectory_seed(seed, index)).getrandbits
@@ -514,20 +517,26 @@ def random_product_process(
         if type(x) is not int or not 0 <= x < k:
             raise ValidationError(f"start entry {x!r} is not a state index in range({k})")
     start = tuple(start)
-    pools = rg.graph.adjacency
+    widths = [(pool, len(pool), len(pool).bit_length()) for pool in rg.graph.adjacency]
     settled = theorem1_min_rank(rg.graph)
 
     pattern = tuple(range(rg.n))
     ranks = []
     absorbed = None
     for t in range(1, steps + 1):
-        pattern = tuple(pattern[pool[_draw_below(bits, len(pool))]] for pool in pools)
+        drawn = []
+        for pool, m, b in widths:
+            r = bits(b)
+            while r >= m:
+                r = bits(b)
+            drawn.append(pattern[pool[r]])
+        pattern = tuple(drawn)
         ranks.append(len(set(pattern)))
         if ranks[-1] == settled:
             absorbed, left = t, steps - t
             ranks += ranks[-1:] * left
             if left % 2:
-                pattern = tuple(pattern[pool[0]] for pool in pools)
+                pattern = tuple(pattern[pool[0]] for pool, _, _ in widths)
             break
     final = star_product(pattern, rg)
     return ProductTrajectory(

@@ -83,6 +83,27 @@ def test_every_lookup_returns_the_groups_one_element(group):
     assert all(a is b for a, b in zip(group, members))
 
 
+@pytest.mark.parametrize(
+    "group", [sign_group(), cyclic_group(5), symmetric_group(3)], ids=["sign", "C5", "S3"]
+)
+def test_the_product_reads_the_table_without_compose(monkeypatch, group):
+    """g * h is compose's element, found by one table lookup of its own;
+    compose stays the checked public method, for a foreign factor on
+    either side."""
+    members = list(group)
+    products = {(g, h): group.compose(g, h) for g in members for h in members}
+    for (g, h), gh in products.items():
+        assert all(gh(x) == g(h(x)) for x in range(len(group.states)))
+    foreign = sign_group().identity
+    for g in members:
+        for args in ((g, foreign), (foreign, g)):
+            with pytest.raises(GroupMismatchError):
+                group.compose(*args)
+    monkeypatch.setattr(ReactionGroup, "compose", None)
+    for (g, h), gh in products.items():
+        assert g * h is gh
+
+
 def test_elements_of_equal_groups_never_compare_equal():
     a, b = symmetric_group(3), symmetric_group(3)
     for g, h in zip(a, b):

@@ -13,9 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balancenets import semigroup
-from balancenets.config import trajectory_seed
-from balancenets.errors import NonPotentialError, ValidationError
-from balancenets.groups import ReactionGroup, cyclic_group, sign_group, symmetric_group
+from balancenets.config import BOUND_PRODUCT_STEPS, trajectory_seed
+from balancenets.errors import BoundExceededError, NonPotentialError, ValidationError
+from balancenets.groups import (
+    GroupElement,
+    ReactionGroup,
+    cyclic_group,
+    sign_group,
+    symmetric_group,
+)
 from balancenets.network import Marking, RelationGraph, bipartition, load_network
 from balancenets.semigroup import (
     ControlMatrix,
@@ -703,6 +709,7 @@ def test_random_product_process_multiplies_nothing(monkeypatch):
         return apply(op, x)
 
     monkeypatch.setattr(ReactionGroup, "compose", _refuse)
+    monkeypatch.setattr(GroupElement, "__mul__", _refuse)
     monkeypatch.setattr(OperatorMatrix, "__mul__", _refuse)
     monkeypatch.setattr(OperatorMatrix, "apply", counted_apply)
     monkeypatch.setattr(ControlMatrix, "__init__", _refuse)
@@ -733,6 +740,69 @@ def test_random_product_process_matches_the_oracle_at_benchmark_scale():
                 assert getattr(run, field.name) == getattr(oracle, field.name), (
                     len(group), index, field.name
                 )
+
+
+# Widths where choice rejects up to half its words: degree 1 (path ends and
+# star leaves), 5 (K6) and 8 (the star's centre).
+WIDE_GRAPHS = (
+    RelationGraph.from_undirected(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5)]),
+    RelationGraph.complete(range(1, 7)),
+    RelationGraph.from_undirected(range(1, 10), [(1, j) for j in range(2, 10)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(WIDE_GRAPHS),
+    st.sampled_from([G2, symmetric_group(3)]),
+    st.data(),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 1000),
+    st.integers(1, 64),
+    st.booleans(),
+)
+def test_random_product_process_matches_the_oracle_on_wide_and_narrow_pools(
+    graph, group, data, seed, index, steps, given_start
+):
+    rm = _gauge_matrix(graph, group, lambda m: data.draw(st.integers(0, m - 1)))
+    start = None
+    if given_start:
+        state = st.integers(0, len(group.states) - 1)
+        start = tuple(data.draw(state) for _ in range(len(graph)))
+    _assert_matches_the_oracle(rm, steps, seed=seed, index=index, start=start)
+
+
+def test_random_product_process_draws_a_start_entry_through_draw_below_only(monkeypatch):
+    """_draw_below draws the n start entries of a run and nothing else: the
+    step loop reads its rule inline, one getrandbits call per word."""
+    calls = []
+
+    def counted_draw_below(getrandbits, m, draw_below=semigroup._draw_below):
+        calls.append(m)
+        return draw_below(getrandbits, m)
+
+    monkeypatch.setattr(semigroup, "_draw_below", counted_draw_below)
+    for rm in (SQUARE_RM, CHAIN_RM, _gauge_matrix(WIDE_GRAPHS[2], G2, random.Random(2).randrange)):
+        for index in range(8):
+            calls.clear()
+            random_product_process(rm, 64, seed=19, index=index)
+            assert calls == [len(rm.group.states)] * rm.n
+            calls.clear()
+            random_product_process(rm, 64, seed=19, index=index, start=(0,) * rm.n)
+            assert calls == []
+
+
+def test_random_product_process_refuses_steps_past_the_bound_before_seeding(monkeypatch):
+    """A direct call is bounded as absorb is: past BOUND_PRODUCT_STEPS it
+    raises before any stream is seeded, where 2**40 steps could not finish."""
+    with monkeypatch.context() as patched:
+        patched.setattr(semigroup, "random", types.SimpleNamespace(Random=_refuse))
+        for steps in (BOUND_PRODUCT_STEPS + 1, 2**40):
+            message = f"random products: {steps} steps exceed the bound {BOUND_PRODUCT_STEPS}"
+            with pytest.raises(BoundExceededError, match=message):
+                random_product_process(BALANCED_RM, steps)
+    run = random_product_process(BALANCED_RM, BOUND_PRODUCT_STEPS, seed=2)
+    assert len(run.ranks) == BOUND_PRODUCT_STEPS and run.absorbed_at is not None
 
 
 @pytest.mark.parametrize("m", range(1, 10))

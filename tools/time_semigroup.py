@@ -1,0 +1,100 @@
+"""Time the semigroup rungs of the reference ladder, in process.
+
+Each rung is one call of ``balancenets.cli.main`` on an inline network with
+a random gauge marking (g(i, j) = s_i^-1 * s_j, so potential):
+
+- ``absorb`` with 256 runs of 64 steps on K7 over the sign group and on
+  K3,4 over S3;
+- ``ideals`` on K5, K6 and K7 over S3.
+
+The program is imported from this checkout's ``src/``.  Every rung runs
+once untimed, then ``--repeat`` times; the last line of stdout is one JSON
+object with the min of each rung in seconds and the line count of
+``src/``.  A rung that exits nonzero stops the script with its output.
+
+    python tools/time_semigroup.py --repeat 7
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from balancenets import cli  # noqa: E402
+from balancenets.groups import group_to_json, sign_group, symmetric_group  # noqa: E402
+
+
+def _gauge_network(group, n: int, edges, rng: random.Random) -> str:
+    """Inline network JSON on nodes 1..n, both directions of every edge."""
+    gauge = [rng.choice(list(group)) for _ in range(n)]
+    return json.dumps({
+        "group": group_to_json(group),
+        "nodes": list(range(1, n + 1)),
+        "edges": [
+            {"from": a + 1, "to": b + 1, "reaction": (gauge[a].inverse() * gauge[b]).name}
+            for i, j in edges
+            for a, b in ((i, j), (j, i))
+        ],
+    })
+
+
+def _complete(n: int):
+    return list(itertools.combinations(range(n), 2))
+
+
+def rungs() -> dict[str, list[str]]:
+    rng = random.Random(0)
+    g2, s3 = sign_group(), symmetric_group(3)
+    absorb = ["absorb", "--runs", "256", "--steps", "64", "--seed", "1", "--net"]
+    k34 = [(i, j) for i in range(3) for j in range(3, 7)]
+    out = {
+        "absorb K7 sign": absorb + [_gauge_network(g2, 7, _complete(7), rng)],
+        "absorb K3,4 S3": absorb + [_gauge_network(s3, 7, k34, rng)],
+    }
+    for n in (5, 6, 7):
+        out[f"ideals K{n} S3"] = ["ideals", "--net", _gauge_network(s3, n, _complete(n), rng)]
+    return out
+
+
+def _run(argv: list[str]) -> float:
+    buf = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    elapsed = time.perf_counter() - t0
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}: {buf.getvalue()}")
+    return elapsed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7, help="timed runs per rung (min is reported)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    ladder = rungs()
+    for cmd in ladder.values():
+        _run(cmd)
+    best = {name: min(_run(cmd) for _ in range(args.repeat)) for name, cmd in ladder.items()}
+    src_lines = sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py"))
+    print(json.dumps({
+        "repeat": args.repeat,
+        "min_s": {name: round(t, 6) for name, t in best.items()},
+        "src_lines": src_lines,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
