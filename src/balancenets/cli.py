@@ -20,31 +20,18 @@ from .config import (
     BOUND_PRODUCT_STEPS, REFERENCE_STEPS, RunConfig, json_text, label_order, label_texts,
     lazy_module, power_over, read_json,
 )
-from .dynamics import build_markov, core_set, limit_exists, stationary_count
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
 from .groups import load_group
-from .involution import InvolutionMatrix
 from .network import load_network, network_to_json, two_coloring
 from .potential import balance_signs, generate_potential_fields, is_potential
-from .report import run_full_analysis
-from .semigroup import (
-    ReactionMatrix,
-    enumerate_ideals,
-    final_states,
-    random_product_process,
-    theorem1_min_rank,
-)
-from .smoothfield import (
-    _BLOCK,
-    InvolutionField,
-    ParameterizedCurve,
-    _residuals,
-    convergence_report,
-    discretize,
-    load_embedding,
-    pointwise,
-)
 
+# Modules that only some commands use, numpy among them, run on their first
+# attribute read: a command runs only the modules it reads.
+dynamics = lazy_module(f"{__package__}.dynamics")
+involution = lazy_module(f"{__package__}.involution")
+report = lazy_module(f"{__package__}.report")
+semigroup = lazy_module(f"{__package__}.semigroup")
+smoothfield = lazy_module(f"{__package__}.smoothfield")
 np = lazy_module("numpy")
 
 # Named demonstration fields for the smooth subcommands.  The canonical
@@ -52,17 +39,19 @@ np = lazy_module("numpy")
 # one-parameter solutions; "nonpotential" deliberately fails the residual
 # test.
 _FIELD_BUILDERS = {
-    "elliptic": lambda: InvolutionField.from_parameter(
+    "elliptic": lambda: smoothfield.InvolutionField.from_parameter(
         lambda x, y: x + y, "elliptic", name="elliptic"
     ),
-    "elliptic-wave": lambda: InvolutionField.from_parameter(
-        lambda x, y: pointwise(math.sin, x) + y * y, "elliptic", name="elliptic-wave"
+    "elliptic-wave": lambda: smoothfield.InvolutionField.from_parameter(
+        lambda x, y: smoothfield.pointwise(math.sin, x) + y * y, "elliptic", name="elliptic-wave"
     ),
-    "hyperbolic": lambda: InvolutionField.from_parameter(
+    "hyperbolic": lambda: smoothfield.InvolutionField.from_parameter(
         lambda x, y: x + y, "hyperbolic", name="hyperbolic"
     ),
-    "constant": lambda: InvolutionField.constant(InvolutionMatrix(0.0, 1.0, 1.0)),
-    "nonpotential": lambda: InvolutionField.from_components(
+    "constant": lambda: smoothfield.InvolutionField.constant(
+        involution.InvolutionMatrix(0.0, 1.0, 1.0)
+    ),
+    "nonpotential": lambda: smoothfield.InvolutionField.from_components(
         lambda x, y: x * y,
         lambda x, y: math.sqrt(1.0 - (x * y) ** 2),
         lambda x, y: math.sqrt(1.0 - (x * y) ** 2),
@@ -79,7 +68,7 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _load_curve(spec: str) -> ParameterizedCurve:
+def _load_curve(spec: str) -> smoothfield.ParameterizedCurve:
     """Curve from an inline JSON object or a path to one.
 
     Shapes: {"type": "line", "from": [x, y], "to": [x, y]} and
@@ -93,8 +82,8 @@ def _load_curve(spec: str) -> ParameterizedCurve:
         if key not in payload:
             raise ValidationError(f"curve spec of type {kind!r} is missing {key!r}")
     if kind == "line":
-        return ParameterizedCurve.line(payload["from"], payload["to"])
-    return ParameterizedCurve.polyline(payload["points"])
+        return smoothfield.ParameterizedCurve.line(payload["from"], payload["to"])
+    return smoothfield.ParameterizedCurve.polyline(payload["points"])
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -104,7 +93,7 @@ def _cmd_check_potential(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
     verdict = is_potential(marking)
     # A1 and A2 come off the core set's double-cover walks, as in analyze.
-    core = core_set(marking)
+    core = dynamics.core_set(marking)
     a2 = core.characteristic
     payload = {
         "nodes": len(marking.graph),
@@ -142,13 +131,13 @@ def _cmd_gen_fields(args, config: RunConfig) -> dict:
 
 def _cmd_markov(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
-    model = build_markov(marking, bound=config.bound_states)
-    core = core_set(marking)
+    model = dynamics.build_markov(marking, bound=config.bound_states)
+    core = dynamics.core_set(marking)
     classes = model.recurrent_class_indices()
     payload = {
         "states": model.size,
-        "stationary_count": stationary_count(model),
-        "limit_exists": limit_exists(model),
+        "stationary_count": dynamics.stationary_count(model),
+        "limit_exists": dynamics.limit_exists(model),
         "W0": sorted(map(marking.group.state_labels, core.states), key=label_order),
         "recurrent_class_sizes": [len(cls) for cls in classes],
         "core": {
@@ -191,9 +180,9 @@ def _cmd_balance(args, config: RunConfig) -> dict:
 
 def _cmd_ideals(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
-    rm = ReactionMatrix.from_marking(marking)
-    enumeration = enumerate_ideals(rm)
-    reachable = final_states(rm, enumeration)
+    rm = semigroup.ReactionMatrix.from_marking(marking)
+    enumeration = semigroup.enumerate_ideals(rm)
+    reachable = semigroup.final_states(rm, enumeration)
     nodes = rm.graph.nodes
     return {
         "ideal_count": len(enumeration.ideals),
@@ -226,10 +215,10 @@ def _cmd_absorb(args, config: RunConfig) -> dict:
             f"{BOUND_PRODUCT_STEPS}"
         )
     marking = load_network(args.net)
-    rm = ReactionMatrix.from_marking(marking)
-    min_rank = theorem1_min_rank(rm.graph)
+    rm = semigroup.ReactionMatrix.from_marking(marking)
+    min_rank = semigroup.theorem1_min_rank(rm.graph)
     trajectories = [
-        random_product_process(rm, args.steps, seed=config.seed, index=i)
+        semigroup.random_product_process(rm, args.steps, seed=config.seed, index=i)
         for i in range(args.runs)
     ]
     absorbed = [t for t in trajectories if t.absorbed_at is not None]
@@ -277,11 +266,11 @@ def _cmd_smooth_check_residual(args, config: RunConfig) -> dict:
     # y varies fastest; the first maximal point in this order is reported,
     # and a NaN norm is never maximal.  Blocks of points keep memory flat.
     worst, at = -1.0, None
-    size = args.grid * args.grid
-    for lo in range(0, size, _BLOCK):
-        ix, iy = np.divmod(np.arange(lo, min(lo + _BLOCK, size)), args.grid)
+    size, block = args.grid * args.grid, smoothfield._BLOCK
+    for lo in range(0, size, block):
+        ix, iy = np.divmod(np.arange(lo, min(lo + block, size)), args.grid)
         xs, ys = x0 + pad + ix * step_x, y0 + pad + iy * step_y
-        norms = np.abs(_residuals(field, xs, ys, h)).max(axis=(1, 2))
+        norms = np.abs(smoothfield._residuals(field, xs, ys, h)).max(axis=(1, 2))
         norms[np.isnan(norms)] = -1.0
         i = int(norms.argmax())
         if norms[i] > worst:
@@ -301,8 +290,8 @@ def _cmd_smooth_check_residual(args, config: RunConfig) -> dict:
 def _cmd_smooth_p_integral(args, config: RunConfig) -> dict:
     field = _FIELD_BUILDERS[args.field]()
     curve = _load_curve(args.curve)
-    report = convergence_report(field, curve, args.n, args.parity)
-    matrix = report.value
+    refined = smoothfield.convergence_report(field, curve, args.n, args.parity)
+    matrix = refined.value
     det = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
     return {
         "field": args.field,
@@ -310,15 +299,15 @@ def _cmd_smooth_p_integral(args, config: RunConfig) -> dict:
         "parity": args.parity,
         "matrix": matrix.tolist(),
         "det": det,
-        "refinement_difference": report.difference,
+        "refinement_difference": refined.difference,
     }
 
 
 def _cmd_smooth_discretize(args, config: RunConfig) -> dict:
     marking = load_network(args.net)
     field = _FIELD_BUILDERS[args.field]()
-    embedding, rules = load_embedding(args.embedding, marking.graph)
-    marks = discretize(field, embedding, rules, tol=config.tau_num)
+    embedding, rules = smoothfield.load_embedding(args.embedding, marking.graph)
+    marks = smoothfield.discretize(field, embedding, rules, tol=config.tau_num)
     nodes = marking.graph.nodes
     return {
         "field": args.field,
@@ -336,7 +325,7 @@ def _cmd_smooth_discretize(args, config: RunConfig) -> dict:
 
 
 def _cmd_analyze(args, config: RunConfig) -> dict:
-    docs = [run_full_analysis(p, config, args.timing).to_dict() for p in args.net]
+    docs = [report.run_full_analysis(p, config, args.timing).to_dict() for p in args.net]
     if len(docs) == 1:
         return docs[0]
     return {"reports": docs}

@@ -16,9 +16,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .config import BOUND_STATES, lazy_module, power_over
 from .errors import BoundExceededError, ValidationError
@@ -31,9 +30,12 @@ from .groups import (
 )
 from .network import Marking, _tree_consistency
 from .potential import CharacteristicReactions, check_A2
-from .semigroup import _image, _witness
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 np = lazy_module("numpy")
+semigroup = lazy_module(f"{__package__}.semigroup")
 
 
 def _state_count(marking: Marking, bound: int) -> int:
@@ -83,8 +85,8 @@ def _seeds(marking: Marking) -> list[int]:
     states: rank 1, or rank 2 on a bipartite graph, the least of any word.
     It reads only the edge marks, so any marking has it."""
     k = len(marking.group.states)
-    witness = _witness(marking.graph, marking.mark)
-    return [reduce(lambda code, s: code * k + s, x) for x in _image(witness, k)]
+    witness = semigroup._witness(marking.graph, marking.mark)
+    return [reduce(lambda code, s: code * k + s, x) for x in semigroup._image(witness, k)]
 
 
 # The most booleans a block of frontier rows by k**n states may hold: at the
@@ -162,6 +164,9 @@ class ChoiceDistribution:
     """Per-node probabilities over neighbors, kept as exact fractions."""
 
     def __init__(self, graph, weights: Mapping[int, Mapping[int, object]]):
+        # Only a Markov chain needs fractions; commands that build none skip it.
+        from fractions import Fraction
+
         self.graph = graph
         self._q: dict[int, dict[int, Fraction]] = {}
         for i in range(len(graph)):
@@ -237,6 +242,8 @@ class MarkovModel:
     @cached_property
     def fractions(self) -> list[Fraction]:
         """Each distinct probability once, in increasing order."""
+        from fractions import Fraction
+
         D = self._chain[3]
         return [Fraction(a, D) for a in self._distinct[0].tolist()]
 
@@ -294,7 +301,7 @@ def _assemble(
     bad = np.flatnonzero(sums != D)
     if bad.size:
         r = int(bad[0])
-        raise ValidationError(f"row {r} sums to {float(Fraction(int(sums[r]), D))!r}")
+        raise ValidationError(f"row {r} sums to {int(sums[r]) / D!r}")
     return indptr, cols, nums, D
 
 

@@ -783,6 +783,98 @@ def test_numpy_run_by_a_command_is_the_one_numpy(fixtures_dir):
     assert result.stderr.strip() == "2"
 
 
+# The package's modules that have run.  A module that lazy_module left as a
+# stub has another type until it runs, and type() reads no attribute.
+_RAN = (
+    "sorted(k.split('.', 1)[1] for k, m in sys.modules.items()"
+    " if k.startswith('balancenets.') and type(m) is types.ModuleType)"
+)
+_PARSE = ["cli", "config", "errors", "groups", "network", "potential"]
+_SMOOTH = ["involution", "smoothfield"]
+
+
+def test_importing_the_package_runs_no_module():
+    result = _probe(
+        "import sys, types, balancenets\n"
+        "names = set(dir(balancenets))\n"
+        f"print({_RAN}, set(balancenets.__all__) <= names)\n"
+    )
+    assert result.stdout.strip() == "[] True"
+
+
+def test_importing_the_cli_leaves_every_traced_layer_a_stub_in_sys_modules():
+    result = _probe(
+        "import sys, types, balancenets.cli\n"
+        f"print({_RAN})\n"
+        "print(sorted(k.split('.', 1)[1] for k in sys.modules if k.startswith('balancenets.')))\n"
+    )
+    ran, keys = result.stdout.splitlines()
+    assert ran == str(_PARSE)
+    assert keys == str(sorted(_PARSE + ["dynamics", "report", "semigroup"] + _SMOOTH))
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        pytest.param(["check-potential", "--net", "k4_complete.json"], ["dynamics"],
+                     id="check-potential"),
+        pytest.param(["balance", "--net", "k4_complete.json"], [], id="balance"),
+        pytest.param(["gen-fields", "--nodes", "4"], [], id="gen-fields"),
+        pytest.param(["ideals", "--net", "k4_complete.json"], ["semigroup"], id="ideals"),
+        pytest.param(["absorb", "--runs", "4", "--steps", "16", "--net", "k4_complete.json"],
+                     ["semigroup"], id="absorb"),
+        pytest.param(["markov", "--net", "k4_complete.json"], ["dynamics", "semigroup"],
+                     id="markov"),
+        pytest.param(["analyze", "--net", "k4_complete.json"],
+                     ["dynamics", "report", "semigroup"], id="analyze"),
+        pytest.param(["smooth", "check-residual", "--grid", "3"], _SMOOTH,
+                     id="smooth-check-residual"),
+        pytest.param(["smooth", "p-integral", "--n", "64", "--curve",
+                      '{"type": "line", "from": [0.2, 0.3], "to": [0.7, 0.6]}'], _SMOOTH,
+                     id="smooth-p-integral"),
+        pytest.param(["smooth", "discretize", "--net", "k4_complete.json",
+                      "--embedding", "k4_embedding.json"], _SMOOTH, id="smooth-discretize"),
+    ],
+)
+def test_a_command_runs_only_the_modules_it_uses(fixtures_dir, argv, extra):
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+    result = _probe(
+        "import sys, types\n"
+        "from balancenets.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print({_RAN}, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    assert json.loads(result.stdout)
+    assert result.stderr.strip() == str(sorted(_PARSE + extra))
+
+
+def test_public_names_resolve_to_what_their_home_module_defines():
+    import importlib
+    import types
+
+    from balancenets import config, involution
+
+    for name in balancenets.__all__:
+        value = getattr(balancenets, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"balancenets.{name}")
+        elif name in ("E2", "Z_SWAP"):
+            assert value.tolist() == getattr(involution, name).tolist()
+        elif hasattr(value, "__module__"):
+            assert value.__module__.startswith("balancenets.")
+            assert getattr(sys.modules[value.__module__], name) is value
+        else:
+            assert getattr(config, name) is value
+    namespace: dict = {}
+    exec("from balancenets import *", namespace)
+    assert set(balancenets.__all__) <= set(namespace)
+    assert set(balancenets.__all__) <= set(dir(balancenets))
+    with pytest.raises(AttributeError) as info:
+        balancenets.no_such_name
+    assert str(info.value) == "module 'balancenets' has no attribute 'no_such_name'"
+
+
 def test_lazy_module_returns_a_module_already_imported():
     import numpy
 
@@ -1100,7 +1192,7 @@ def test_absorb_refuses_past_the_product_step_bound_before_any_draw(
     def no_draws(*args, **kwargs):
         raise AssertionError("absorb drew past its bound")
 
-    monkeypatch.setattr(cli, "random_product_process", no_draws)
+    monkeypatch.setattr(semigroup, "random_product_process", no_draws)
     code, payload = run_cli(
         capsys, "absorb", "--net", str(fixtures_dir / "gamma3_balanced.json"),
         "--runs", str(runs), "--steps", str(steps),

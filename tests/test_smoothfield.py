@@ -1151,6 +1151,6 @@ def test_check_residual_blocks_print_what_one_call_prints(monkeypatch, capsys, n
     assert cli.main(argv) == 0
     blocked = capsys.readouterr().out
     assert calls == [9 * _BLOCK, 9 * (33 * 33 - _BLOCK)]
-    monkeypatch.setattr(cli, "_BLOCK", 33 * 33)
+    monkeypatch.setattr(smoothfield, "_BLOCK", 33 * 33)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == blocked

@@ -1,16 +1,24 @@
-"""Time the semigroup rungs of the reference ladder, in process.
+"""Time the semigroup rungs of the reference ladder, and a cold CLI call.
 
-Each rung is one call of ``balancenets.cli.main`` on an inline network with
-a random gauge marking (g(i, j) = s_i^-1 * s_j, so potential):
+Each semigroup rung is one call of ``balancenets.cli.main``, in process, on
+an inline network with a random gauge marking (g(i, j) = s_i^-1 * s_j, so
+potential):
 
 - ``absorb`` with 256 runs of 64 steps on K7 over the sign group and on
   K3,4 over S3;
 - ``ideals`` on K5, K6 and K7 over S3.
 
-The program is imported from this checkout's ``src/``.  Every rung runs
-once untimed, then ``--repeat`` times; the last line of stdout is one JSON
-object with the min of each rung in seconds and the line count of
-``src/``.  A rung that exits nonzero stops the script with its output.
+The cold rungs run fresh interpreters: ``python -m balancenets.cli
+check-potential`` on an inline K4 over the sign group, and ``python -c
+"import balancenets.cli"``.
+
+The program is imported from this checkout's ``src/``.  Every semigroup
+rung runs once untimed, then ``--repeat`` times, and reports its min; each
+cold rung runs ``--repeat`` times and reports its median.  The last line
+of stdout is one JSON object with those seconds, the line count of
+``src/`` and whether Python writes bytecode: a ``__pycache__`` left by an
+earlier run takes the compile out of a cold call.  A rung that exits
+nonzero stops the script with its output.
 
     python tools/time_semigroup.py --repeat 7
 """
@@ -22,7 +30,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import random
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -66,6 +77,27 @@ def rungs() -> dict[str, list[str]]:
     return out
 
 
+def cold_rungs() -> dict[str, list[str]]:
+    k4 = _gauge_network(sign_group(), 4, _complete(4), random.Random(0))
+    return {
+        "check-potential K4": ["-m", "balancenets.cli", "check-potential", "--net", k4],
+        "import balancenets.cli": ["-c", "import balancenets.cli"],
+    }
+
+
+def _cold(argv: list[str]) -> float:
+    """Seconds for a fresh interpreter to run ``python *argv``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    )}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"{argv[:2]} exited {proc.returncode}: {proc.stdout}{proc.stderr}")
+    return elapsed
+
+
 def _run(argv: list[str]) -> float:
     buf = io.StringIO()
     t0 = time.perf_counter()
@@ -79,7 +111,7 @@ def _run(argv: list[str]) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=7, help="timed runs per rung (min is reported)")
+    parser.add_argument("--repeat", type=int, default=7, help="timed runs per rung")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -87,10 +119,18 @@ def main(argv=None) -> int:
     for cmd in ladder.values():
         _run(cmd)
     best = {name: min(_run(cmd) for _ in range(args.repeat)) for name, cmd in ladder.items()}
+    # The cold rungs take turns, so a change in machine load reaches both.
+    colds = cold_rungs()
+    cold = {name: [] for name in colds}
+    for _ in range(args.repeat):
+        for name, cmd in colds.items():
+            cold[name].append(_cold(cmd))
     src_lines = sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py"))
     print(json.dumps({
         "repeat": args.repeat,
         "min_s": {name: round(t, 6) for name, t in best.items()},
+        "cold_median_s": {name: round(statistics.median(t), 6) for name, t in cold.items()},
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "src_lines": src_lines,
     }))
     return 0
