@@ -34,7 +34,7 @@ _EXPORTS = {
         check_A2 complete_extension gamma3_solution_family generate_potential_fields
         is_potential partition_from_signs product_integral product_integral_star
         sign_by_identity""",
-    "report": "AnalysisReport analyze_marking run_full_analysis",
+    "report": "analyze_marking run_full_analysis",
     "semigroup": """ControlMatrix IdealEnumeration LeftIdeal OperatorMatrix ProductTrajectory
         ReactionMatrix control_matrices enumerate_ideals final_states
         random_product_process rho star_product theorem1_expected theorem1_min_rank

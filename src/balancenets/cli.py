@@ -325,7 +325,7 @@ def _cmd_smooth_discretize(args, config: RunConfig) -> dict:
 
 
 def _cmd_analyze(args, config: RunConfig) -> dict:
-    docs = [report.run_full_analysis(p, config, args.timing).to_dict() for p in args.net]
+    docs = [report.run_full_analysis(p, config, args.timing) for p in args.net]
     if len(docs) == 1:
         return docs[0]
     return {"reports": docs}

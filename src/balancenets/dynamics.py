@@ -208,11 +208,12 @@ class MarkovModel:
     ``states`` is the (k**n, n) array of joint states, so row r is r
     written in base k.  Closed classes need no values.  The first read of
     ``support``, ``fractions`` or ``rows`` assembles the chain once, in
-    integers, and every one of them reads that assembly.
+    integers, and every one of them reads that assembly.  A ``choice`` of
+    None is the uniform law, built by that first read.
     """
 
     marking: Marking
-    choice: ChoiceDistribution
+    choice: ChoiceDistribution | None
     size: int
 
     @cached_property
@@ -221,7 +222,8 @@ class MarkovModel:
 
     @cached_property
     def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        return _assemble(self.marking, self.choice, self.size)
+        choice = self.choice or ChoiceDistribution.uniform(self.marking.graph)
+        return _assemble(self.marking, choice, self.size)
 
     def index(self, x: tuple[int, ...]) -> int:
         """Row of joint state x, its base-k number; ValueError for a non-state."""
@@ -312,13 +314,10 @@ def build_markov(
 ) -> MarkovModel:
     """The chain of the perception process on a marking.
 
-    The state bound is checked here; nothing is assembled until a value is
-    first read.
+    The state bound is checked here; nothing is assembled, the uniform
+    choice law included, until a value is first read.
     """
-    size = _state_count(marking, bound)
-    if choice is None:
-        choice = ChoiceDistribution.uniform(marking.graph)
-    return MarkovModel(marking, choice, size)
+    return MarkovModel(marking, choice, _state_count(marking, bound))
 
 
 def stationary_count(model: MarkovModel) -> int:

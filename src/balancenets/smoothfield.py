@@ -25,8 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .involution import InvolutionMatrix, check_quadric
-from .network import RelationGraph, _tree_consistency
-from .potential import partition_from_signs
+from .network import RelationGraph, _tree_consistency, two_coloring
 
 np = lazy_module("numpy")
 
@@ -924,7 +923,7 @@ def valid_parity_assignment(
         if key not in parities:
             raise ValidationError(f"edge ({i}, {j}) has no parity tag")
         signs[(i, j)] = -1 if parities[key] == "odd" else 1
-    return partition_from_signs(graph, signs) is not None
+    return two_coloring(graph, signs)[0] is not None
 
 
 @dataclass(frozen=True)

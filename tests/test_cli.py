@@ -19,6 +19,7 @@ from balancenets.cli import _build_parser, main
 from balancenets.config import BOUND_PRODUCT_STEPS, json_text, lazy_module, power_over
 from balancenets.groups import cyclic_group, sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph, network_to_json
+from balancenets.report import run_full_analysis
 
 
 def run_cli(capsys, *argv):
@@ -627,6 +628,36 @@ def test_analyze_timing_flag(capsys, fixtures_dir):
     assert payload["timing_seconds"] >= 0.0
 
 
+def _stdout(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("net", ["gamma3_balanced.json", "gamma3_allg.json", "k4_complete.json"])
+def test_analyze_prints_what_run_full_analysis_returns(capsys, fixtures_dir, net):
+    path = fixtures_dir / net
+    out = _stdout(capsys, "analyze", "--net", str(path))
+    assert out == json_text(run_full_analysis(path)) + "\n"
+
+
+def test_analyze_timing_replaces_only_the_timing_line(capsys, fixtures_dir):
+    net = str(fixtures_dir / "gamma3_allg.json")
+    plain = _stdout(capsys, "analyze", "--net", net).splitlines()
+    timed = _stdout(capsys, "analyze", "--net", net, "--timing").splitlines()
+    assert len(timed) == len(plain)
+    changed = [i for i, (a, b) in enumerate(zip(plain, timed)) if a != b]
+    assert changed == [plain.index('  "timing_seconds": null')]
+    key, value = timed[changed[0]].split(": ")
+    assert key == '  "timing_seconds"' and float(value) >= 0.0
+
+
+def test_analyze_many_networks_prints_the_single_documents(capsys, fixtures_dir):
+    nets = [str(fixtures_dir / n) for n in ("k4_complete.json", "gamma3_allg.json")]
+    singles = [json.loads(_stdout(capsys, "analyze", "--net", n)) for n in nets]
+    both = _stdout(capsys, "analyze", "--net", nets[0], "--net", nets[1])
+    assert both == json_text({"reports": singles}) + "\n"
+
+
 def test_missing_file_reports_io_error(capsys):
     code, payload = run_cli(capsys, "analyze", "--net", "no-such-file.json")
     assert code == 2
@@ -909,7 +940,7 @@ def test_lazy_module_raises_like_import_for_a_missing_module():
 
 def test_public_names_are_unchanged():
     assert balancenets.__all__ == """
-    AnalysisReport BOUND_GRP BOUND_STATES BalanceNetsError BalancePartition
+    BOUND_GRP BOUND_STATES BalanceNetsError BalancePartition
     BoundExceededError CharacteristicReactions ChoiceDistribution ConicSectionFamily
     ControlMatrix ConvergenceReport CoreSet DegeneratePlaneError E2
     EdgeQuadratureRule FieldDomainError GraphEmbedding GroupElement

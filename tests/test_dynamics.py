@@ -194,6 +194,23 @@ def test_choice_distribution_validation():
         ChoiceDistribution(graph, weights)
 
 
+def test_the_uniform_choice_law_is_built_by_the_first_chain_read(monkeypatch):
+    built = []
+    uniform = ChoiceDistribution.uniform.__func__
+    monkeypatch.setattr(
+        ChoiceDistribution, "uniform",
+        classmethod(lambda cls, graph: built.append(graph) or uniform(cls, graph)),
+    )
+    model = build_markov(BALANCED)
+    # Closed classes read no choice law.
+    assert stationary_count(model) == 2 and limit_exists(model)
+    assert built == []
+    model.support
+    assert built == [BALANCED.graph]
+    model.fractions  # reads the same assembly
+    assert built == [BALANCED.graph]
+
+
 def test_build_markov_rows_are_probabilities():
     model = build_markov(BALANCED)
     m = _float_csr(model)

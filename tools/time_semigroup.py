@@ -1,18 +1,22 @@
-"""Time the semigroup rungs of the reference ladder, and a cold CLI call.
+"""Time the semigroup and chain rungs of the reference ladder, and a cold
+CLI call.
 
-Each semigroup rung is one call of ``balancenets.cli.main``, in process, on
-an inline network with a random gauge marking (g(i, j) = s_i^-1 * s_j, so
+Each in-process rung is one call of ``balancenets.cli.main`` on an inline
+network with a random gauge marking (g(i, j) = s_i^-1 * s_j, so
 potential):
 
 - ``absorb`` with 256 runs of 64 steps on K7 over the sign group and on
   K3,4 over S3;
-- ``ideals`` on K5, K6 and K7 over S3.
+- ``ideals`` on K5, K6 and K7 over S3;
+- ``markov`` and ``analyze`` on K11 over the sign group (2048 states),
+  gauge and with one edge frustrated (its mark times g, so not
+  potential), and on C6 over S3 (729 states).
 
 The cold rungs run fresh interpreters: ``python -m balancenets.cli
 check-potential`` on an inline K4 over the sign group, and ``python -c
 "import balancenets.cli"``.
 
-The program is imported from this checkout's ``src/``.  Every semigroup
+The program is imported from this checkout's ``src/``.  Every in-process
 rung runs once untimed, then ``--repeat`` times, and reports its min; each
 cold rung runs ``--repeat`` times and reports its median.  The last line
 of stdout is one JSON object with those seconds, the line count of
@@ -45,17 +49,23 @@ from balancenets import cli  # noqa: E402
 from balancenets.groups import group_to_json, sign_group, symmetric_group  # noqa: E402
 
 
-def _gauge_network(group, n: int, edges, rng: random.Random) -> str:
-    """Inline network JSON on nodes 1..n, both directions of every edge."""
+def _gauge_network(group, n: int, edges, rng: random.Random, frustrate: bool = False) -> str:
+    """Inline network JSON on nodes 1..n, both directions of every edge.
+
+    ``frustrate`` multiplies both marks of the first edge by the same
+    element of order two, which a sign group has."""
     gauge = [rng.choice(list(group)) for _ in range(n)]
+    marks = {
+        (a, b): gauge[a].inverse() * gauge[b] for i, j in edges for a, b in ((i, j), (j, i))
+    }
+    if frustrate:
+        i, j = edges[0]
+        flip = group.element("g")
+        marks[i, j], marks[j, i] = marks[i, j] * flip, marks[j, i] * flip
     return json.dumps({
         "group": group_to_json(group),
         "nodes": list(range(1, n + 1)),
-        "edges": [
-            {"from": a + 1, "to": b + 1, "reaction": (gauge[a].inverse() * gauge[b]).name}
-            for i, j in edges
-            for a, b in ((i, j), (j, i))
-        ],
+        "edges": [{"from": a + 1, "to": b + 1, "reaction": g.name} for (a, b), g in marks.items()],
     })
 
 
@@ -74,6 +84,14 @@ def rungs() -> dict[str, list[str]]:
     }
     for n in (5, 6, 7):
         out[f"ideals K{n} S3"] = ["ideals", "--net", _gauge_network(s3, n, _complete(n), rng)]
+    chains = {
+        "K11 sign": _gauge_network(g2, 11, _complete(11), rng),
+        "K11 sign frustrated": _gauge_network(g2, 11, _complete(11), rng, frustrate=True),
+        "C6 S3": _gauge_network(s3, 6, [(i, (i + 1) % 6) for i in range(6)], rng),
+    }
+    for command in ("markov", "analyze"):
+        for name, net in chains.items():
+            out[f"{command} {name}"] = [command, "--net", net]
     return out
 
 
