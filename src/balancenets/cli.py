@@ -2,7 +2,10 @@
 
 Every subcommand prints a single JSON document to stdout (or ``--out``)
 and exits 0; failures exit nonzero after printing a machine-readable
-``{"error": {"type": ..., "message": ...}}`` document.  Output for a
+``{"error": {"type": ..., "message": ...}}`` document.  Every error an
+input can cause is raised before the first byte is written; the document
+is written as its pieces come, so one raised after that (a full disk, a
+closed pipe) leaves it cut short and exits 1 with a traceback.  Output for a
 fixed input file and seed is byte-identical between runs; wall-clock
 timing is attached only when ``--timing`` is passed.
 """
@@ -14,11 +17,10 @@ import dataclasses
 import functools
 import math
 import sys
-from pathlib import Path
 
 from .config import (
-    BOUND_PRODUCT_STEPS, REFERENCE_STEPS, RunConfig, json_text, label_order, label_texts,
-    lazy_module, power_over, read_json,
+    BOUND_PRODUCT_STEPS, REFERENCE_STEPS, RawJson, RunConfig, json_pieces, label_order,
+    label_texts, lazy_module, power_over, read_json,
 )
 from .errors import BalanceNetsError, BoundExceededError, ValidationError
 from .groups import load_group
@@ -147,10 +149,48 @@ def _cmd_markov(args, config: RunConfig) -> dict:
         },
     }
     if args.exact:
-        # Rows are keyed by target position in the lexicographic state order,
-        # written as JSON strings; each distinct probability is formatted once.
-        payload["exact_rows"] = model.rows([str(p) for p in model.fractions])
+        payload["exact_rows"] = _exact_rows(model)
     return payload
+
+
+def _exact_rows(model) -> RawJson:
+    """The chain's rows as json_text writes them at depth 1, a block of rows
+    at a time: row r is {c: "p"} over its nonzeros (r, c) in column order,
+    with the target's position in the lexicographic state order as key and
+    the probability p as a JSON string.
+
+    Each column's key text is made once per call and each distinct
+    probability's text once per value; a block's pieces interleave the two
+    by indexing, with the separator or the row opener in front of each key.
+    The choice law is checked here, before any block is written.
+    """
+    from fractions import Fraction
+
+    D, blocks = model.blocks()
+    keys = [f'"{c}": ' for c in range(model.size)]
+    after = np.array([",\n      " + key for key in keys], dtype=object)
+    opening = np.array(["\n    },\n    {\n      " + key for key in keys], dtype=object)
+    texts: dict[int, str] = {}
+
+    def pieces():
+        yield "[\n    {"
+        for span, indptr, cols, nums in blocks:
+            distinct, at = np.unique(nums, return_inverse=True)
+            distinct = distinct.tolist()
+            for a in distinct:
+                if a not in texts:
+                    texts[a] = f'"{Fraction(a, D)}"'
+            out = np.empty(2 * len(cols), dtype=object)
+            out[0::2] = after[cols]
+            starts = indptr[:-1]
+            out[2 * starts] = opening[cols[starts]]
+            if span.start == 0:
+                out[0] = "\n      " + keys[cols[0]]
+            out[1::2] = np.array([texts[a] for a in distinct], dtype=object)[at]
+            yield "".join(out.tolist())
+        yield "\n    }\n  ]"
+
+    return RawJson(pieces())
 
 
 def _cmd_balance(args, config: RunConfig) -> dict:
@@ -432,11 +472,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json_text(payload) + "\n"
+    """Write the document's pieces as they come, then a newline."""
     if out_path:
-        Path(out_path).write_text(text)
+        with open(out_path, "w") as out:
+            out.writelines(json_pieces(payload))
+            out.write("\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(json_pieces(payload))
+        sys.stdout.write("\n")
 
 
 def main(argv=None) -> int:

@@ -111,35 +111,78 @@ def _flat_encoder(depth: int):
 
 def _key_text(key) -> str:
     """A dict key as json.dumps writes it: its label text, quoted."""
-    if not json_scalar(key):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return json.encoder.encode_basestring_ascii(label_text(key))
+    if not isinstance(key, str):
+        if not json_scalar(key):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = label_text(key)
+    return json.encoder.encode_basestring_ascii(key)
 
 
-def json_text(value, depth: int = 0) -> str:
-    """value as ``json.dumps(value, indent=2)`` writes it, nested depth deep.
+class RawJson:
+    """JSON text already written for its place in a document, as an
+    iterable of string pieces; ``json_pieces`` passes them on as they are."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces):
+        self.pieces = pieces
+
+
+# Item types that keep a container from going to the C encoder whole.
+_NESTED = (*_CONTAINERS, RawJson)
+
+
+def json_pieces(value, depth: int = 0):
+    """Pieces of value as ``json.dumps(value, indent=2)`` writes it, nested
+    depth deep: each ``RawJson`` inside goes out as its own pieces, and the
+    text before, between and after them as one piece each.
 
     ``indent`` forces json's pure-Python encoder, so only containers that
     hold containers are walked here; every container of scalars goes to
     the C encoder whole, and its brackets are put on their own lines.
     """
-    if not isinstance(value, _CONTAINERS) or not value:
-        return "".join(_flat_encoder(depth)(value, 0))
-    inner = "  " * (depth + 1)
-    is_dict = isinstance(value, dict)
-    # The distinct item types, found at C speed, are few.
-    types = set(map(type, value.values() if is_dict else value))
-    if any(issubclass(t, _CONTAINERS) for t in types):
-        items = (
-            (f"{_key_text(k)}: {json_text(v, depth + 1)}" for k, v in value.items())
-            if is_dict
-            else (json_text(v, depth + 1) for v in value)
-        )
-        body = (",\n" + inner).join(items)
-    else:
-        body = "".join(_flat_encoder(depth)(value, 0))[1:-1]
-    brackets = "{}" if is_dict else "[]"
-    return f"{brackets[0]}\n{inner}{body}\n{'  ' * depth}{brackets[1]}"
+    parts: list = []
+    raw_at: list[int] = []
+
+    def walk(value, depth: int) -> None:
+        if not isinstance(value, _CONTAINERS) or not value:
+            if isinstance(value, RawJson):
+                raw_at.append(len(parts))
+                parts.append(value)
+            else:
+                parts.extend(_flat_encoder(depth)(value, 0))
+            return
+        inner = "  " * (depth + 1)
+        is_dict = isinstance(value, dict)
+        opener, closer = "{}" if is_dict else "[]"
+        # The distinct item types, found at C speed, are few.
+        types = set(map(type, value.values() if is_dict else value))
+        if not any(issubclass(t, _NESTED) for t in types):
+            body = "".join(_flat_encoder(depth)(value, 0))[1:-1]
+            parts.append(f"{opener}\n{inner}{body}\n{'  ' * depth}{closer}")
+            return
+        separator, comma = f"{opener}\n{inner}", ",\n" + inner
+        for k, v in value.items() if is_dict else enumerate(value):
+            parts.append(f"{separator}{_key_text(k)}: " if is_dict else separator)
+            walk(v, depth + 1)
+            separator = comma
+        parts.append(f"\n{'  ' * depth}{closer}")
+
+    walk(value, depth)
+    start = 0
+    for at in raw_at:
+        yield "".join(parts[start:at])
+        yield from parts[at].pieces
+        start = at + 1
+    del parts[:start]
+    yield "".join(parts)
+
+
+def json_text(value, depth: int = 0) -> str:
+    """value as ``json.dumps(value, indent=2)`` writes it, nested depth deep."""
+    return "".join(json_pieces(value, depth))
 
 
 def label_texts(labels, what: str) -> dict[str, int]:

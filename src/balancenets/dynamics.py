@@ -5,9 +5,9 @@ neighbor's state pushed through the mark on the connecting edge.  The
 one-step law is a row-stochastic matrix over the product state space,
 enumerated in lexicographic node-major order.  Its closed classes and
 their periods are searched from the image of one minimum-rank control
-word, with no matrix; the values are assembled once, in integers over a
-common denominator, when one is first read.  The core and Theorem B need
-no chain: they follow from the marks alone.
+word, with no matrix; the values are assembled in integers over a common
+denominator, a block of rows at a time, when they are read.  The core and
+Theorem B need no chain: they follow from the marks alone.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .potential import CharacteristicReactions, check_A2
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    # A block of rows: their range, CSR row pointers from 0, the columns of
+    # each row in increasing order and their integer numerators.
+    Block = tuple[range, np.ndarray, np.ndarray, np.ndarray]
 
 np = lazy_module("numpy")
 semigroup = lazy_module(f"{__package__}.semigroup")
@@ -206,10 +210,10 @@ class MarkovModel:
     """One-step law of the perception process over the joint state space.
 
     ``states`` is the (k**n, n) array of joint states, so row r is r
-    written in base k.  Closed classes need no values.  The first read of
-    ``support``, ``fractions`` or ``rows`` assembles the chain once, in
-    integers, and every one of them reads that assembly.  A ``choice`` of
-    None is the uniform law, built by that first read.
+    written in base k.  Closed classes need no values.  ``blocks`` assembles
+    the chain in integers, a block of rows at a time; the first read of
+    ``support`` keeps one such assembly whole.  A ``choice`` of None is the
+    uniform law, built by each assembly.
     """
 
     marking: Marking
@@ -220,10 +224,24 @@ class MarkovModel:
     def states(self) -> np.ndarray:
         return _digits(np.arange(self.size), self.marking)
 
-    @cached_property
-    def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    def blocks(self) -> tuple[int, Iterator[Block]]:
+        """The common denominator D and the chain's row blocks, assembled
+        as they are read; a bad choice law raises here, before any block."""
         choice = self.choice or ChoiceDistribution.uniform(self.marking.graph)
         return _assemble(self.marking, choice, self.size)
+
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """CSR row pointers, columns and numerators of the whole chain, and D."""
+        D, blocks = self.blocks()
+        _, indptrs, cols, nums = zip(*blocks)
+        starts = np.cumsum([0, *map(len, cols)])
+        indptr = np.concatenate([p[:-1] + s for p, s in zip(indptrs, starts)] + [starts[-1:]])
+        # Each field's blocks are dropped once joined, so the columns and the
+        # numerators are never held twice at once.
+        cols = np.concatenate(cols)
+        nums = np.concatenate(nums)
+        return indptr, cols, nums, D
 
     def index(self, x: tuple[int, ...]) -> int:
         """Row of joint state x, its base-k number; ValueError for a non-state."""
@@ -235,28 +253,6 @@ class MarkovModel:
         """Sorted target columns of each row."""
         indptr, cols, _, _ = self._chain
         return np.split(cols, indptr[1:-1])
-
-    @cached_property
-    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct numerators, and each nonzero's position among them."""
-        return np.unique(self._chain[2], return_inverse=True)
-
-    @cached_property
-    def fractions(self) -> list[Fraction]:
-        """Each distinct probability once, in increasing order."""
-        from fractions import Fraction
-
-        D = self._chain[3]
-        return [Fraction(a, D) for a in self._distinct[0].tolist()]
-
-    def rows(self, values: list) -> list[dict[int, object]]:
-        """Row r as {c: values[i]} over its nonzeros (r, c), where i is the
-        position of the nonzero's probability in ``fractions``."""
-        indptr, cols, _, _ = self._chain
-        keys = cols.tolist()
-        picked = np.asarray(values, dtype=object)[self._distinct[1]].tolist()
-        bounds = indptr.tolist()
-        return [dict(zip(keys[a:b], picked[a:b])) for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
     def _seeded(self) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
@@ -274,11 +270,16 @@ class MarkovModel:
         )
 
 
+# Rows per assembled block: a K8 chain over two states (256 rows, 63K
+# nonzeros) is one block, and a block of K12 holds about 1M nonzeros.
+_BLOCK_ROWS = 256
+
+
 def _assemble(
     marking: Marking, choice: ChoiceDistribution, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The one-step law in integers: CSR row pointers, columns, numerators
-    and their common denominator D.
+) -> tuple[int, Iterator[Block]]:
+    """The one-step law in integers: the common denominator D and the
+    blocks of rows, each assembled when it is read.
 
     Per-node next-state distributions are independent given the current
     state, so each row is the Kronecker product of n small distributions.
@@ -291,20 +292,27 @@ def _assemble(
     # Below 2**53 every numerator and D are exact float64 values, so num / D
     # is the correctly rounded quotient; above it, Python ints take over.
     dtype = np.int64 if D < 2 ** 53 else object
-    # State indices fit in int32: a state array past 2**31 rows would not
-    # fit in memory, and narrower index arrays cut the peak at the bound.
-    rows, cols, nums = _successors(
-        marking, np.arange(size, dtype=np.int32), [w for _, w in weights], dtype
-    )
+    return D, _blocks(marking, [w for _, w in weights], D, dtype, size)
 
-    # Every node has a neighbor with positive weight, so no row is empty.
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
-    sums = np.add.reduceat(nums, indptr[:-1])
-    bad = np.flatnonzero(sums != D)
-    if bad.size:
-        r = int(bad[0])
-        raise ValidationError(f"row {r} sums to {int(sums[r]) / D!r}")
-    return indptr, cols, nums, D
+
+def _blocks(
+    marking: Marking, weights: list[dict[int, int]], D: int, dtype, size: int
+) -> Iterator[Block]:
+    for lo in range(0, size, _BLOCK_ROWS):
+        span = range(lo, min(lo + _BLOCK_ROWS, size))
+        # State indices fit in int32: a state array past 2**31 rows would
+        # not fit in memory, and narrower index arrays cut the peak.
+        rows, cols, nums = _successors(
+            marking, np.arange(span.start, span.stop, dtype=np.int32), weights, dtype
+        )
+        # Every node has a neighbor with positive weight, so no row is empty.
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(span)))))
+        sums = np.add.reduceat(nums, indptr[:-1])
+        bad = np.flatnonzero(sums != D)
+        if bad.size:
+            r = int(bad[0])
+            raise ValidationError(f"row {span[r]} sums to {int(sums[r]) / D!r}")
+        yield span, indptr, cols, nums
 
 
 def build_markov(

@@ -13,11 +13,12 @@ import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balancenets import dynamics
-from balancenets.config import BOUND_STATES
+from balancenets.cli import _exact_rows
+from balancenets.config import BOUND_STATES, json_text
 from balancenets.dynamics import (
     ChoiceDistribution,
     CoreSet,
@@ -76,6 +77,29 @@ def _float_csr(model: MarkovModel) -> scipy.sparse.csr_array:
     indptr, cols, nums, D = model._chain
     data = np.asarray(nums / D, dtype=np.float64)
     return scipy.sparse.csr_array((data, cols, indptr), shape=(model.size, model.size))
+
+
+# The exact-row oracle: the whole chain read at once, as dicts of values,
+# against which the row blocks that markov --exact writes are checked.
+def _distinct(model: MarkovModel) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct numerators, and each nonzero's position among them."""
+    return np.unique(model._chain[2], return_inverse=True)
+
+
+def _chain_fractions(model: MarkovModel) -> list[Fraction]:
+    """Each distinct probability once, in increasing order."""
+    D = model._chain[3]
+    return [Fraction(a, D) for a in _distinct(model)[0].tolist()]
+
+
+def _chain_rows(model: MarkovModel, values: list) -> list[dict[int, object]]:
+    """Row r as {c: values[i]} over its nonzeros (r, c), where i is the
+    position of the nonzero's probability in ``_chain_fractions``."""
+    indptr, cols, _, _ = model._chain
+    keys = cols.tolist()
+    picked = np.asarray(values, dtype=object)[_distinct(model)[1]].tolist()
+    bounds = indptr.tolist()
+    return [dict(zip(keys[a:b], picked[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 # Oracles for core_set: the one-step image scan over every joint state, and
@@ -207,7 +231,7 @@ def test_the_uniform_choice_law_is_built_by_the_first_chain_read(monkeypatch):
     assert built == []
     model.support
     assert built == [BALANCED.graph]
-    model.fractions  # reads the same assembly
+    _chain_fractions(model)  # reads the same assembly
     assert built == [BALANCED.graph]
 
 
@@ -216,7 +240,7 @@ def test_build_markov_rows_are_probabilities():
     m = _float_csr(model)
     assert m.shape == (8, 8)
     assert all(abs(row.sum() - 1.0) < 1e-12 for row in m)
-    assert all(sum(row.values()) == 1 for row in model.rows(model.fractions))
+    assert all(sum(row.values()) == 1 for row in _chain_rows(model, _chain_fractions(model)))
 
 
 def test_transition_row_matches_simulation():
@@ -403,7 +427,7 @@ def _essential_walk(g, core_idx):
 
 
 def _assert_matches_oracle(model, rows):
-    assert model.rows(model.fractions) == rows
+    assert _chain_rows(model, _chain_fractions(model)) == rows
     m = _float_csr(model)
     for r, row in enumerate(rows):
         cols = sorted(row)
@@ -636,8 +660,8 @@ def test_build_markov_assembles_values_only_when_asked(monkeypatch):
     # cover every distinct one.
     views = {
         "support": lambda m: len(m.support) == 16,
-        "fractions": lambda m: sum(m.fractions) > 0,
-        "rows": lambda m: len(m.rows([None] * 16)) == 16,
+        "fractions": lambda m: sum(_chain_fractions(m)) > 0,
+        "rows": lambda m: len(_chain_rows(m, [None] * 16)) == 16,
     }
     for first in views:
         assembled.clear()
@@ -656,10 +680,11 @@ def test_exact_rows_hold_one_fraction_per_distinct_value():
     graph = BALANCED.graph
     choice = ChoiceDistribution(graph, {0: {1: 1, 2: 2}, 1: {0: 1, 2: 3}, 2: {0: 1, 1: 1}})
     model = build_markov(BALANCED, choice)
-    assert model.fractions == sorted(set(model.fractions))
-    rows = model.rows(model.fractions)
+    fractions = _chain_fractions(model)
+    assert fractions == sorted(set(fractions))
+    rows = _chain_rows(model, fractions)
     values = [p for row in rows for p in row.values()]
-    assert {id(p) for p in values} == {id(p) for p in model.fractions}
+    assert {id(p) for p in values} == {id(p) for p in fractions}
     assert rows == _fraction_rows(BALANCED, choice)
 
 
@@ -684,7 +709,8 @@ def test_index_is_the_row_of_a_state_and_rejects_non_states(marking):
             model.index(bad)
 
 
-def test_denominators_past_int64_fall_back_to_python_ints():
+def _past_int64():
+    """A marking and a choice law whose common denominator D is past 2**63."""
     graph = RelationGraph.complete([1, 2, 3])
     marking = Marking.from_names(
         graph, symmetric_group(3), {(0, 1): "s102", (0, 2): "s021", (1, 2): "e"},
@@ -696,13 +722,32 @@ def test_denominators_past_int64_fall_back_to_python_ints():
             for j in graph.neighbors(i)}
         for i in range(3)
     }
-    choice = ChoiceDistribution(graph, weights)
+    return marking, ChoiceDistribution(graph, weights)
+
+
+def test_denominators_past_int64_fall_back_to_python_ints():
+    marking, choice = _past_int64()
     assert math.prod(choice.integer_weights(i)[0] for i in range(3)) > 2 ** 63
     model = build_markov(marking, choice)
     _assert_matches_oracle(model, _fraction_rows(marking, choice))
     uniform = build_markov(marking)
     assert model.recurrent_class_indices() == uniform.recurrent_class_indices()
     assert limit_exists(model) == limit_exists(uniform)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_markings_with_choice())
+@example(_past_int64())
+def test_streamed_exact_rows_are_the_text_of_the_chain_oracle(case):
+    marking, choice = case
+    model = build_markov(marking, choice)
+    want = json_text(_chain_rows(model, [str(p) for p in _chain_fractions(model)]), 1)
+    # One row a block, blocks that divide no k**n, and the default.
+    for rows_per_block in (1, 5, dynamics._BLOCK_ROWS):
+        with mock.patch.object(dynamics, "_BLOCK_ROWS", rows_per_block):
+            assert json_text(_exact_rows(model), 1) == want
+            split = build_markov(marking, choice)._chain
+        assert all(np.array_equal(a, b) for a, b in zip(split, model._chain))
 
 
 def test_build_markov_at_the_state_bound_stays_sparse():

@@ -14,15 +14,20 @@ potential):
 
 The cold rungs run fresh interpreters: ``python -m balancenets.cli
 check-potential`` on an inline K4 over the sign group, and ``python -c
-"import balancenets.cli"``.
+"import balancenets.cli"``.  The exact rungs run ``python -m
+balancenets.cli markov --exact --out`` to the null device, each in a fresh
+interpreter, on K10, K11 and K12 over the sign group (1024 to 4096
+states; K12 writes about 681 MB of JSON).
 
 The program is imported from this checkout's ``src/``.  Every in-process
 rung runs once untimed, then ``--repeat`` times, and reports its min; each
-cold rung runs ``--repeat`` times and reports its median.  The last line
-of stdout is one JSON object with those seconds, the line count of
-``src/`` and whether Python writes bytecode: a ``__pycache__`` left by an
-earlier run takes the compile out of a cold call.  A rung that exits
-nonzero stops the script with its output.
+cold and exact rung runs ``--repeat`` times and reports its median
+seconds, and an exact rung also the median of its own peak resident
+memory (the child's ``ru_maxrss``).  The last line of stdout is one JSON
+object with those numbers, the line count of ``src/`` and whether Python
+writes bytecode: a ``__pycache__`` left by an earlier run takes the
+compile out of a cold call.  A rung that exits nonzero stops the script
+with its output.
 
     python tools/time_semigroup.py --repeat 7
 """
@@ -103,17 +108,36 @@ def cold_rungs() -> dict[str, list[str]]:
     }
 
 
-def _cold(argv: list[str]) -> float:
-    """Seconds for a fresh interpreter to run ``python *argv``."""
+def exact_rungs() -> dict[str, list[str]]:
+    rng = random.Random(0)
+    exact = ["-m", "balancenets.cli", "markov", "--exact", "--out", os.devnull, "--net"]
+    return {
+        f"markov --exact K{n} sign": exact + [_gauge_network(sign_group(), n, _complete(n), rng)]
+        for n in (10, 11, 12)
+    }
+
+
+def _cold(argv: list[str]) -> tuple[float, float]:
+    """Seconds for a fresh interpreter to run ``python *argv``, and its own
+    peak resident memory in MB (``ru_maxrss``, kilobytes on Linux)."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     )}
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    proc = subprocess.Popen(
+        [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True,
+    )
+    with proc.stdout:
+        output = proc.stdout.read()
+    # wait4 reaps the child with its own resource usage; proc is given the
+    # exit code, so it does not wait for the child again.
+    _, status, usage = os.wait4(proc.pid, 0)
     elapsed = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
-        raise SystemExit(f"{argv[:2]} exited {proc.returncode}: {proc.stdout}{proc.stderr}")
-    return elapsed
+        raise SystemExit(f"{argv[:2]} exited {proc.returncode}: {output}")
+    return elapsed, usage.ru_maxrss / 1024
 
 
 def _run(argv: list[str]) -> float:
@@ -142,12 +166,21 @@ def main(argv=None) -> int:
     cold = {name: [] for name in colds}
     for _ in range(args.repeat):
         for name, cmd in colds.items():
-            cold[name].append(_cold(cmd))
+            cold[name].append(_cold(cmd)[0])
+    exacts = exact_rungs()
+    exact = {name: [_cold(cmd) for _ in range(args.repeat)] for name, cmd in exacts.items()}
     src_lines = sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py"))
     print(json.dumps({
         "repeat": args.repeat,
         "min_s": {name: round(t, 6) for name, t in best.items()},
         "cold_median_s": {name: round(statistics.median(t), 6) for name, t in cold.items()},
+        "exact_median": {
+            name: {
+                "s": round(statistics.median(t for t, _ in runs), 6),
+                "peak_rss_mb": round(statistics.median(m for _, m in runs), 1),
+            }
+            for name, runs in exact.items()
+        },
         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "src_lines": src_lines,
     }))
