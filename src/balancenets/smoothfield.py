@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .config import (
     REFERENCE_STEPS, TAU_FLD, TAU_NUM, label_text, label_texts, lazy_module, read_json
@@ -320,21 +320,16 @@ class EdgeQuadratureRule:
         return EdgeQuadratureRule(self.parity, steps)
 
 
-# Steps sampled, checked and folded together. A block is large enough to
-# spread the cost of its numpy calls and small enough that the samples of a
-# long product never sit in memory all at once.
+# Steps sampled and checked together, and residual points evaluated
+# together. A block is large enough to spread the cost of its numpy calls
+# and small enough that the samples of a long product never sit in memory
+# all at once.
 _BLOCK = 1024
 
 
-def _involution_stack(a, b, c) -> np.ndarray:
-    """The matrices [[a, b], [c, -a]] of the columns a, b and c."""
-    stack = np.empty((len(a), 2, 2), np.result_type(a, b, c))
-    stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0], stack[:, 1, 1] = a, b, c, -a
-    return stack
-
-
-def _samples(field: InvolutionField, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The checked field matrices at the points (xs, ys), as a stack.
+def _samples(field: InvolutionField, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """The checked entries a, b and c of the field at the points (xs, ys),
+    as arrays.
 
     If any point leaves the domain, makes the evaluator raise or breaks
     bc = 1 - a**2, the points are taken again one by one through ``field``,
@@ -352,77 +347,51 @@ def _samples(field: InvolutionField, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
         for x, y in zip(xs.tolist(), ys.tolist()):
             field(x, y)
         raise
-    return _involution_stack(a, b, c)
+    return a, b, c
 
 
-def _fold(field: InvolutionField, jobs: Sequence[tuple]) -> list[np.ndarray]:
-    """The products of _p_integrals, all at once; any failure raises."""
-    from functools import reduce
+def _mul(x: Sequence, y: Sequence) -> tuple:
+    """The 2x2 product x @ y of matrices given by their entries (p, q, r, t),
+    row by row.
 
-    rules = [EdgeQuadratureRule(parity, n) for _, n, parity in jobs]
-    # Longest first, so the products still running are always a prefix.
-    order = sorted(range(len(jobs)), key=lambda j: -rules[j].steps)
-    runs = [(jobs[j][0], rules[j].steps) for j in order]
-    longest = runs[0][1] if runs else 0
-    buf = np.empty((min(_BLOCK, longest), len(runs), 2, 2))
-    acc = np.array([np.eye(2)] * len(runs))
-    done = [None] * len(runs)
-    for lo in range(0, longest, _BLOCK):
-        hi = min(lo + _BLOCK, longest)
-        for j, (curve, n) in enumerate(runs[: sum(n > lo for _, n in runs)]):
-            h = (curve.s1 - curve.s0) / n
-            s = curve.s0 + (np.arange(lo, min(hi, n)) + 0.5) * h
-            try:
-                xs, ys = curve.points(s)
-            except Exception:
-                # The step-by-step loop: the first failing step raises.
-                for v in s.tolist():
-                    field(*curve.point(v))
-                raise
-            stack = _samples(field, xs, ys)
-            if np.result_type(buf, stack) != buf.dtype:
-                if len(runs) > 1:
-                    raise TypeError("the lockstep fold takes real samples only")
-                buf = buf.astype(np.result_type(buf, stack))
-            buf[: len(s), j] = stack
-        k = lo
-        while k < hi:
-            live = sum(n > k for _, n in runs)
-            # Products that ended at step k leave the stack.
-            done[live : len(acc)], acc = acc[live:], acc[:live]
-            block = buf[k - lo : min(hi, runs[live - 1][1]) - lo, :live]
-            if live == 1:
-                # np.dot is the gemm of acc @ m, with less dispatch.
-                acc = reduce(np.dot, block[:, 0], acc[0])[np.newaxis]
-            else:
-                acc = reduce(np.matmul, block, acc)
-            k += len(block)
-    done[: len(acc)] = acc
-    by_job = dict(zip(order, done))
-    return [by_job[j] for j in range(len(jobs))]
-
-
-def _p_integrals(field: InvolutionField, jobs: Sequence[tuple]) -> Iterator[np.ndarray]:
-    """The p-integrals of (curve, n, parity) jobs, in job order.
-
-    Each block of _BLOCK steps samples every running product into one
-    reused (_BLOCK, m, 2, 2) buffer. The running products fold in lockstep,
-    one np.matmul per step on the stack, and a lone product with np.dot.
-    Each product gets the same acc @ m calls in the same order as on its
-    own, and none is padded with the identity: acc @ I can turn -0.0 into
-    +0.0.
-
-    If anything fails, or a block of several products is not real, the
-    jobs run again one at a time as the iterator is read, so the first
-    failing job raises its own error where a loop of p_integral calls
-    would raise it.
+    Entries may be numbers or arrays of them. Each entry of the product is
+    p*a + q*c in that order, one rounding per multiply and per add, so it
+    has the same bits on every machine; a BLAS product may fuse the
+    multiply into the add, depending on the CPU it finds.
     """
-    try:
-        return iter(_fold(field, jobs))
-    except Exception:
-        if len(jobs) == 1:
+    p, q, r, t = x
+    a, b, c, d = y
+    return (p * a + q * c, p * b + q * d, r * a + t * c, r * b + t * d)
+
+
+def _fold(field: InvolutionField, curve: ParameterizedCurve, n: int, parity: str) -> tuple:
+    """The entries (p, q, r, t) of the p-integral, as Python numbers.
+
+    Each block of _BLOCK midpoints is sampled and checked as arrays, then
+    folded step by step in Python floats, or complex numbers from the first
+    block with a complex sample on. The fold starts from the identity and
+    multiplies by [[a, b], [c, -a]] as ``_mul`` does, with q*(-a) written
+    -(q*a), which has the same bits. Starting from the identity is part of
+    the result: the first step computes 1*a + 0*c, which turns a -0.0
+    entry into +0.0.
+    """
+    steps = EdgeQuadratureRule(parity, n).steps
+    h = (curve.s1 - curve.s0) / steps
+    p, q, r, t = 1.0, 0.0, 0.0, 1.0
+    for lo in range(0, steps, _BLOCK):
+        s = curve.s0 + (np.arange(lo, min(lo + _BLOCK, steps)) + 0.5) * h
+        try:
+            xs, ys = curve.points(s)
+        except Exception:
+            # The step-by-step loop: the first failing step raises.
+            for v in s.tolist():
+                field(*curve.point(v))
             raise
-    return (next(_p_integrals(field, [job])) for job in jobs)
+        column_a, column_b, column_c = _samples(field, xs, ys)
+        for a, b, c in zip(column_a.tolist(), column_b.tolist(), column_c.tolist()):
+            p, q = p * a + q * c, p * b - q * a
+            r, t = r * a + t * c, r * b - t * a
+    return p, q, r, t
 
 
 def p_integral(
@@ -436,11 +405,11 @@ def p_integral(
     The factors multiply left to right in the direction the curve runs,
     so reversing the curve yields the inverse product exactly. Each block
     of midpoints is sampled, tested against the domain, evaluated and
-    checked as arrays; the fold stays one 2x2 product per step, which keeps
-    every product bit for bit the same as a step-by-step loop. The first
-    failing step raises, as in that loop.
+    checked as arrays; the product is then folded one step at a time with
+    fixed scalar formulas (see ``_fold``), so it has the same bits on every
+    machine. The first failing step raises, as in a step-by-step loop.
     """
-    return next(_p_integrals(field, [(curve, n, parity)]))
+    return np.reshape(_fold(field, curve, n, parity), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -462,8 +431,9 @@ def convergence_report(
 ) -> ConvergenceReport:
     rule = EdgeQuadratureRule(parity, n)
     fine = rule.refined()
-    coarse, refined = _p_integrals(
-        field, [(curve, rule.steps, parity), (curve, fine.steps, parity)]
+    coarse, refined = (
+        np.reshape(_fold(field, curve, steps, parity), (2, 2))
+        for steps in (rule.steps, fine.steps)
     )
     return ConvergenceReport(
         value=coarse,
@@ -505,15 +475,18 @@ def _residuals(field: InvolutionField, xs: np.ndarray, ys: np.ndarray, h: float)
             f"point ({xs[i].item()!r}, {ys[i].item()!r}) does not keep margin {h!r} "
             "inside the domain"
         )
-    m = _samples(
+    a, b, c = _samples(
         field,
         np.stack([xs + h, xs - h, xs, xs, xs + h, xs + h, xs - h, xs - h, xs], 1).ravel(),
         np.stack([ys, ys, ys + h, ys - h, ys + h, ys - h, ys + h, ys - h, ys], 1).ravel(),
-    ).reshape(-1, 9, 2, 2)
-    a_x = (m[:, 0] - m[:, 1]) / (2.0 * h)
-    a_y = (m[:, 2] - m[:, 3]) / (2.0 * h)
-    a_xy = (m[:, 4] - m[:, 5] - m[:, 6] + m[:, 7]) / (4.0 * h * h)
-    return m[:, 8] @ a_xy + a_y @ a_x
+    )
+    # m[e, k, s]: entry e of [[a, b], [c, -a]] at stencil point s of point k.
+    m = np.stack([a, b, c, -a]).reshape(4, -1, 9)
+    a_x = (m[..., 0] - m[..., 1]) / (2.0 * h)
+    a_y = (m[..., 2] - m[..., 3]) / (2.0 * h)
+    a_xy = (m[..., 4] - m[..., 5] - m[..., 6] + m[..., 7]) / (4.0 * h * h)
+    res = np.add(_mul(m[..., 8], a_xy), _mul(a_y, a_x))
+    return res.T.reshape(-1, 2, 2)
 
 
 def infinitesimal_residual(
@@ -941,6 +914,8 @@ class MatrixMarking:
 
 
 def _matrix_consistency(graph: RelationGraph, marks, tol: float):
+    """Whether the marks, given by their entries, are potential within tol,
+    and the largest entry by which a potential misses one of them."""
     edges = [
         (i, j, marks[(i, j)], marks[(j, i)]) for i, j in graph.directed_edges
     ]
@@ -948,16 +923,18 @@ def _matrix_consistency(graph: RelationGraph, marks, tol: float):
         range(len(graph)),
         edges,
         0,
-        np.eye(2),
-        lambda a, b: a @ b,
-        lambda a, b: bool(np.abs(a - b).max() <= tol),
+        (1.0, 0.0, 0.0, 1.0),
+        _mul,
+        lambda x, y: all(abs(e - f) <= tol for e, f in zip(x, y)),
     )
     if witness is not None:
         return False, float("nan")
-    defect = 0.0
-    for i, j in graph.directed_edges:
-        defect = max(defect, float(np.abs(u[i] @ marks[(i, j)] - u[j]).max()))
-    return True, defect
+    gaps = (
+        abs(e - f)
+        for i, j in graph.directed_edges
+        for e, f in zip(_mul(u[i], marks[(i, j)]), u[j])
+    )
+    return True, max(gaps, default=0.0)
 
 
 def discretize(
@@ -1004,31 +981,27 @@ def discretize(
             "would not close up"
         )
 
-    jobs = []
-    for i, j in graph.undirected_edges:
-        rule, curve = rule_of[(i, j)], embedding.curve(i, j)
-        jobs += [(c, rule.steps, rule.parity) for c in (curve, curve.reversed())]
-    products = _p_integrals(field, jobs)
-    marks: dict[tuple[int, int], np.ndarray] = {}
+    entries: dict[tuple[int, int], tuple] = {}
     signs: dict[tuple[int, int], int] = {}
     for i, j in graph.undirected_edges:
-        rule = rule_of[(i, j)]
-        forward, backward = next(products), next(products)
-        marks[(i, j)] = forward
-        marks[(j, i)] = backward
-        for key, mat in (((i, j), forward), ((j, i), backward)):
-            det = float(np.linalg.det(mat))
-            expected = 1.0 if rule.parity == "even" else -1.0
+        rule, curve = rule_of[(i, j)], embedding.curve(i, j)
+        for key, path in (((i, j), curve), ((j, i), curve.reversed())):
+            entries[key] = _fold(field, path, rule.steps, rule.parity)
+        expected = 1.0 if rule.parity == "even" else -1.0
+        for key in ((i, j), (j, i)):
+            p, q, r, t = entries[key]
+            # A complex product's determinant is read by its real part.
+            det = (p * t - q * r).real
             if abs(det - expected) > tol:
                 raise ValidationError(
                     f"edge {key} determinant {det:.9f} violates the parity law"
                 )
             signs[key] = 1 if det > 0 else -1
 
-    ok, defect = _matrix_consistency(graph, marks, tol)
+    ok, defect = _matrix_consistency(graph, entries, tol)
     return MatrixMarking(
         graph=graph,
-        marks=marks,
+        marks={key: np.reshape(mark, (2, 2)) for key, mark in entries.items()},
         signs=signs,
         potential_ok=ok,
         max_defect=defect,

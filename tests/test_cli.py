@@ -748,8 +748,9 @@ def test_analyze_on_c8_meets_the_closed_forms(capsys, tmp_path):
     assert "skipped" not in payload
 
 
-def _probe(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this package."""
+def _probe(code: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package, with
+    ``env`` added to its environment."""
     src = str(Path(balancenets.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -757,7 +758,7 @@ def _probe(code: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -1584,6 +1585,68 @@ def test_default_stdout_is_unchanged_on_every_fixture(
     assert main(command.split() + ["--net", str(fixtures_dir / net)]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The smooth commands; discretize runs on the K4 fixtures. Each product is
+# folded with fixed scalar formulas and no BLAS call, so these hold on
+# every CPU.
+_TWO_LEG = '{"type":"polyline","points":[[0.1,0.1],[0.4,0.2],[0.3,0.5]]}'
+_SMOOTH_DIGESTS = [
+    (f"p-integral --field elliptic --n 16384 --curve {_TWO_LEG}", "0e3200c2e35c3a1591f214bf800a10aa23f4d6d5aff062b9b58b0c248ab33087"),
+    (f"p-integral --field elliptic --n 16385 --parity odd --curve {_TWO_LEG}", "a7cce8a35b1dd98b5e04cfa518ec50ae50f54c4dbe19f7e37d520d74f32f35f1"),
+    (f"p-integral --field elliptic-wave --n 16384 --curve {_TWO_LEG}", "c5cbed040feb66009e6fc5269255221b4abbe0a124c0e2f979346a1d36174776"),
+    (f"p-integral --field elliptic-wave --n 16385 --parity odd --curve {_TWO_LEG}", "6be86824d27c453fde1947a0cd11ddf9d2fdd86af1d475e7343f26f825120eb6"),
+    (f"p-integral --field hyperbolic --n 16384 --curve {_TWO_LEG}", "b1ed1333026411d180751c0d6d67730db106694ea0df2088c645ecd77498352e"),
+    (f"p-integral --field hyperbolic --n 16385 --parity odd --curve {_TWO_LEG}", "4dfc7129e55a334ad80e0892dc3c3eb889203a7a71282df751a181c7bb2aebbe"),
+    ("check-residual --field elliptic --grid 40 --h 1e-3", "d03e8403be8bb41adde213fae88c3618a2477c49b76ba8fdc4c637fe606c9604"),
+    ("check-residual --field elliptic-wave --grid 40 --h 1e-3", "ce4cde7226332d36abef7164cd5c5b56e89738ba025f415eb846eaf0f72de3db"),
+    ("check-residual --field hyperbolic --grid 40 --h 1e-3", "396abd746aca562ee13a443a166f0634b901ba949a38d0f270b367a06e0f3b20"),
+    ("discretize --field elliptic", "18ffde60710e6346b52917f781fc712b4188fea03050e036d9cc87e5d5992dd7"),
+    ("discretize --field elliptic-wave", "fd76fceccdb0c8251749e2646d7231d4c195b47859cbf14374607b92658c60d9"),
+    ("discretize --field hyperbolic", "de25d3a9e786f7374d53c55643cdd463406dc4841d15bd2be6c2ad03a2d7f914"),
+]
+
+
+def _smooth_argv(fixtures_dir, command: str) -> list[str]:
+    argv = ["smooth", *command.split()]
+    if argv[1] == "discretize":
+        argv += ["--net", str(fixtures_dir / "k4_complete.json")]
+        argv += ["--embedding", str(fixtures_dir / "k4_embedding.json")]
+    return argv
+
+
+@pytest.mark.parametrize("command,digest", _SMOOTH_DIGESTS)
+def test_smooth_stdout_is_unchanged_on_the_fixtures(capsys, fixtures_dir, command, digest):
+    assert main(_smooth_argv(fixtures_dir, command)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fma_cpu() -> bool:
+    """Whether the CPU can run OpenBLAS's Haswell kernel (AVX2 and FMA)."""
+    try:
+        return {"avx2", "fma"} <= set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _fma_cpu(), reason="the Haswell kernel needs AVX2 and FMA")
+def test_smooth_stdout_is_the_same_under_every_blas_kernel(fixtures_dir):
+    # OpenBLAS picks its kernel for the CPU when it loads, or takes the one
+    # OPENBLAS_CORETYPE names. Haswell's fuses each multiply into its add;
+    # Prescott's does not.
+    argvs = [_smooth_argv(fixtures_dir, command) for command, _ in _SMOOTH_DIGESTS]
+    code = (
+        "import contextlib, hashlib, io\n"
+        "from balancenets.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        assert main(argv) == 0\n"
+        "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    want = [digest for _, digest in _SMOOTH_DIGESTS]
+    for kernel in ("Haswell", "Prescott"):
+        assert _probe(code, OPENBLAS_CORETYPE=kernel).stdout.split() == want
 
 
 def test_discretize_of_the_nonpotential_field_keeps_its_message(capsys, fixtures_dir):

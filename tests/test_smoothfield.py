@@ -302,14 +302,21 @@ def test_ordered_product_parity_law_and_reversal():
     assert np.abs(p_integral(const, curve, 63, "odd") - inv.matrix).max() < 1e-12
 
 
+def _product(x, y):
+    """x @ y for 2x2 arrays: each entry x[i, 0]*y[0, j] + x[i, 1]*y[1, j] in
+    that order, one rounding per multiply and per add."""
+    return np.array([[x[i, 0] * y[0, j] + x[i, 1] * y[1, j] for j in (0, 1)] for i in (0, 1)])
+
+
 def _p_integral_oracle(field, curve, n, parity):
-    """The step-by-step fold: one checked InvolutionMatrix per step."""
+    """The step-by-step fold from the identity: one checked InvolutionMatrix
+    per step."""
     rule = EdgeQuadratureRule(parity, n)
     h = (curve.s1 - curve.s0) / rule.steps
     acc = np.eye(2)
     for i in range(rule.steps):
         x, y = curve.point(curve.s0 + (i + 0.5) * h)
-        acc = acc @ field.matrix_at(x, y)
+        acc = _product(acc, field.matrix_at(x, y))
     return acc
 
 
@@ -354,6 +361,17 @@ def test_p_integral_matches_step_by_step_oracle_bit_for_bit(field):
     assert p_integral(field, _LINE, 64, "even").dtype == (
         complex if field is HALF_COMPLEX else float
     )
+
+
+def test_the_fold_starts_from_the_identity():
+    # Both samples lie on the quadric. Folded from the first sample, p would
+    # be -0.0*1 + 1*-0.0 = -0.0; from the identity, the first step makes p
+    # 1*-0.0 + 0*1 = +0.0, and then +0.0*1 + 1*-0.0 = +0.0.
+    field = InvolutionField(lambda x, y: (-0.0, 1.0, 1.0) if x < 0.5 else (1.0, 5.0, -0.0))
+    line = ParameterizedCurve.line((0.25, 0.5), (0.75, 0.5))
+    got = p_integral(field, line, 2, "even")
+    assert got.tobytes() == _p_integral_oracle(field, line, 2, "even").tobytes()
+    assert math.copysign(1.0, got[0, 0]) == 1.0
 
 
 def _failure(fn, *args):
@@ -511,8 +529,9 @@ def _k7_embedding():
 
 
 def test_p_integral_memory_does_not_grow_with_steps():
-    # Sampling all 2**17 steps before folding peaks at about 23 MiB; the
-    # lockstep runs share one block buffer, 1.3 MiB for K7's 42 products.
+    # Sampling all 2**17 steps before folding peaks at about 23 MiB; each
+    # product samples one block at a time, which peaks near 0.15 MiB, for
+    # K7's 42 products too.
     wave = _FIELD_BUILDERS["elliptic-wave"]()
     k7 = _k7_embedding()
     runs = [
@@ -530,30 +549,13 @@ def test_p_integral_memory_does_not_grow_with_steps():
         assert peak < bound
 
 
-@pytest.fixture
-def folds(monkeypatch):
-    """The job count of each _fold call; a fallback shows as one-job folds."""
-    counts = []
-    fold = smoothfield._fold
-
-    def counted(field, jobs):
-        counts.append(len(jobs))
-        return fold(field, jobs)
-
-    monkeypatch.setattr(smoothfield, "_fold", counted)
-    return counts
-
-
-def test_convergence_report_equals_two_p_integrals(folds):
+def test_convergence_report_equals_two_p_integrals():
     fields = [_FIELD_BUILDERS[name]() for name in BUILT_IN] + [HALF_COMPLEX]
     for field in fields:
         for curve in ORACLE_CURVES:
             for n in (2, 3, _BLOCK - 1, _BLOCK + 1):
                 parity = "even" if n % 2 == 0 else "odd"
-                folds.clear()
                 report = convergence_report(field, curve, n, parity)
-                # Both grids in one fold; the complex field falls back.
-                assert folds == ([2, 1, 1] if field is HALF_COMPLEX else [2])
                 coarse = p_integral(field, curve, report.steps, parity)
                 refined = p_integral(field, curve, report.refined_steps, parity)
                 for got, want in ((report.value, coarse), (report.refined, refined)):
@@ -566,17 +568,98 @@ def test_convergence_report_equals_two_p_integrals(folds):
         )
 
 
-def test_lockstep_products_keep_their_own_dtype():
-    # One product stays below y = 0.5, where HALF_COMPLEX is real; the other
-    # crosses it. Folded together, neither takes the other's dtype.
-    low = ParameterizedCurve.line((0.1, 0.1), (0.9, 0.4))
-    jobs = [(low, _BLOCK + 1, "odd"), (_LINE, 2 * _BLOCK, "even"), (low, 64, "even")]
-    got = list(smoothfield._p_integrals(HALF_COMPLEX, jobs))
-    for product, job in zip(got, jobs):
-        want = p_integral(HALF_COMPLEX, *job)
-        assert product.dtype == want.dtype
-        assert product.tobytes() == want.tobytes()
-    assert [product.dtype for product in got] == [float, complex, float]
+def test_the_products_of_a_convergence_report_keep_their_own_dtype():
+    # HALF_COMPLEX is complex above y = 0.5, which this line crosses at
+    # s = 0.8: the 2 midpoints of the coarse grid stay below it, and the
+    # last of the 4 refined ones does not.
+    line = ParameterizedCurve.line((0.3, 0.1), (0.6, 0.6))
+    report = convergence_report(HALF_COMPLEX, line, 2, "even")
+    assert (report.value.dtype, report.refined.dtype) == (float, complex)
+    for got, n in ((report.value, 2), (report.refined, 4)):
+        assert got.tobytes() == _p_integral_oracle(HALF_COMPLEX, line, n, "even").tobytes()
+
+
+# Products that numpy may hand to BLAS, whose kernel is picked for the CPU.
+_BLAS_FUNCTIONS = {np.dot, np.vdot, np.inner, np.tensordot, np.einsum, np.linalg.det}
+
+
+def _no_blas(value):
+    if type(value) is np.ndarray:
+        return value.view(_NoBlas)
+    if isinstance(value, tuple):
+        return tuple(map(_no_blas, value))
+    return value
+
+
+class _NoBlas(np.ndarray):
+    """An array that refuses np.matmul (which ``@`` calls) and the products
+    in _BLAS_FUNCTIONS; what it computes otherwise is an _NoBlas too."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("a BLAS product: np.matmul or @")
+        plain = [x.view(np.ndarray) if isinstance(x, _NoBlas) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(
+                x.view(np.ndarray) if isinstance(x, _NoBlas) else x for x in kwargs["out"]
+            )
+        return _no_blas(getattr(ufunc, method)(*plain, **kwargs))
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func in _BLAS_FUNCTIONS:
+            raise AssertionError(f"a BLAS product: {func.__name__}")
+        return super().__array_function__(func, types, args, kwargs)
+
+
+class _NumpyWithoutBlas:
+    """numpy for smoothfield: np.dot, np.matmul and np.linalg are refused,
+    and every array a numpy function returns is an _NoBlas."""
+
+    def __getattr__(self, name):
+        if name in ("dot", "matmul", "vdot", "inner", "tensordot", "einsum", "linalg"):
+            raise AssertionError(f"a BLAS product: np.{name}")
+        value = getattr(np, name)
+        if isinstance(value, (type, np.ufunc)) or not callable(value):
+            return value
+        return lambda *args, **kwargs: _no_blas(value(*args, **kwargs))
+
+
+def test_the_smooth_paths_make_no_blas_product(monkeypatch, capsys, fixtures_dir):
+    wave = _FIELD_BUILDERS["elliptic-wave"]()
+    loop = ORACLE_CURVES[2]
+    k4 = ["--net", str(fixtures_dir / "k4_complete.json")]
+    k4 += ["--embedding", str(fixtures_dir / "k4_embedding.json")]
+    curve = '{"type": "polyline", "points": [[0.1, 0.1], [0.4, 0.2], [0.3, 0.5]]}'
+    commands = [
+        ["smooth", "p-integral", "--field", "elliptic-wave", "--curve", curve, "--n", "2049",
+         "--parity", "odd"],
+        ["smooth", "check-residual", "--field", "elliptic-wave", "--grid", "33"],
+        ["smooth", "discretize", "--field", "elliptic-wave", *k4],
+    ]
+    embedding, rules = _k5_embedding()
+
+    def run():
+        report = convergence_report(wave, loop, 2 * _BLOCK, "even")
+        products = [
+            p_integral(wave, loop, 2 * _BLOCK + 1, "odd"),
+            p_integral(HALF_COMPLEX, _LINE, 64, "even"),
+            infinitesimal_residual(wave, (0.4, 0.35), 1e-3).matrix,
+            report.value,
+            report.refined,
+            report.difference,
+            *discretize(wave, embedding, rules).marks.values(),
+        ]
+        documents = []
+        for argv in commands:
+            assert cli.main(argv) == 0
+            documents.append(capsys.readouterr().out)
+        return [np.asarray(v).tobytes() for v in products], documents
+
+    want = run()
+    monkeypatch.setattr(smoothfield, "np", _NumpyWithoutBlas())
+    with pytest.raises(AssertionError, match="a BLAS product"):
+        smoothfield.np.ones((2, 2)) @ np.eye(2)
+    assert run() == want
 
 
 def _k5_embedding():
@@ -604,20 +687,15 @@ def _k5_embedding():
 
 
 @pytest.mark.parametrize("name", BUILT_IN)
-def test_discretize_marks_equal_per_edge_p_integrals_bit_for_bit(
-    name, fixtures_dir, folds
-):
+def test_discretize_marks_equal_per_edge_p_integrals_bit_for_bit(name, fixtures_dir):
     field = _FIELD_BUILDERS[name]()
     k4 = load_network(fixtures_dir / "k4_complete.json").graph
     for embedding, rules in (
         load_embedding(fixtures_dir / "k4_embedding.json", k4),
         _k5_embedding(),
     ):
-        folds.clear()
         marking = discretize(field, embedding, rules)
         edges = embedding.graph.undirected_edges
-        # One lockstep fold of every product, and no fallback.
-        assert folds == [2 * len(edges)]
         for i, j in edges:
             rule, curve = rules[(i, j)], embedding.curve(i, j)
             forward = p_integral(field, curve, rule.steps, rule.parity)
@@ -636,7 +714,7 @@ def _discretize_oracle(field, embedding, rules, tol=TAU_NUM):
         forward = p_integral(field, curve, rule.steps, rule.parity)
         backward = p_integral(field, curve.reversed(), rule.steps, rule.parity)
         for key, mat in (((i, j), forward), ((j, i), backward)):
-            det = float(np.linalg.det(mat))
+            det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
             expected = 1.0 if rule.parity == "even" else -1.0
             if abs(det - expected) > tol:
                 raise ValidationError(
@@ -717,7 +795,7 @@ def _residual_oracle(evaluate, point, h):
     a_xy = (
         m(x + h, y + h) - m(x + h, y - h) - m(x - h, y + h) + m(x - h, y - h)
     ) / (4.0 * h * h)
-    res = m(x, y) @ a_xy + a_y @ a_x
+    res = _product(m(x, y), a_xy) + _product(a_y, a_x)
     return ResidualReport(point=(x, y), h=h, matrix=res, norm=float(np.abs(res).max()))
 
 

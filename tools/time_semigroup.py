@@ -1,5 +1,5 @@
-"""Time the semigroup and chain rungs of the reference ladder, and a cold
-CLI call.
+"""Time the semigroup, chain and smooth rungs of the reference ladder, and
+a cold CLI call.
 
 Each in-process rung is one call of ``balancenets.cli.main`` on an inline
 network with a random gauge marking (g(i, j) = s_i^-1 * s_j, so
@@ -10,7 +10,11 @@ potential):
 - ``ideals`` on K5, K6 and K7 over S3;
 - ``markov`` and ``analyze`` on K11 over the sign group (2048 states),
   gauge and with one edge frustrated (its mark times g, so not
-  potential), and on C6 over S3 (729 states).
+  potential), and on C6 over S3 (729 states);
+- ``smooth p-integral`` of the elliptic-wave field over a four-leg loop
+  at 2**10, 2**12, 2**14 and 2**16 steps (and twice that, for the
+  refinement), ``smooth discretize`` of it on K7 with its nodes on a
+  circle and 4096 steps per edge, and ``smooth check-residual --grid 40``.
 
 The cold rungs run fresh interpreters: ``python -m balancenets.cli
 check-potential`` on an inline K4 over the sign group, and ``python -c
@@ -29,7 +33,14 @@ writes bytecode: a ``__pycache__`` left by an earlier run takes the
 compile out of a cold call.  A rung that exits nonzero stops the script
 with its output.
 
+The object also holds a calibration, timed in the same run as the rungs
+(min of ``--repeat``): a fixed pure-Python float loop and a fixed numpy
+product.  Numbers from runs at different hours or on different machines
+can be read against it.  ``--bench LABEL`` also writes the line to
+``BENCH_LABEL.json`` at the root of the checkout.
+
     python tools/time_semigroup.py --repeat 7
+    python tools/time_semigroup.py --repeat 7 --bench scalar-fold
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import statistics
@@ -47,7 +59,8 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from balancenets import cli  # noqa: E402
@@ -97,7 +110,38 @@ def rungs() -> dict[str, list[str]]:
     for command in ("markov", "analyze"):
         for name, net in chains.items():
             out[f"{command} {name}"] = [command, "--net", net]
+    loop = json.dumps({
+        "type": "polyline",
+        "points": [[0.2, 0.2], [0.8, 0.2], [0.8, 0.8], [0.2, 0.8], [0.2, 0.2]],
+    })
+    wave = ["--field", "elliptic-wave"]
+    for k in (10, 12, 14, 16):
+        out[f"p-integral loop 2^{k}"] = ["smooth", "p-integral", "--curve", loop, "--n", str(2 ** k)] + wave
+    angles = [2 * math.pi * k / 7 for k in range(7)]
+    k7 = json.dumps({
+        "nodes": {str(k + 1): [0.5 + 0.4 * math.cos(a), 0.5 + 0.4 * math.sin(a)] for k, a in enumerate(angles)},
+        "edges": [{"from": str(i + 1), "to": str(j + 1), "steps": 4096} for i, j in _complete(7)],
+    })
+    out["discretize K7 4096"] = [
+        "smooth", "discretize", "--net", _gauge_network(g2, 7, _complete(7), rng), "--embedding", k7,
+    ] + wave
+    out["check-residual grid 40"] = ["smooth", "check-residual", "--grid", "40"] + wave
     return out
+
+
+def calibration() -> dict:
+    """Two fixed jobs, yardsticks of the interpreter and of the machine's
+    BLAS: a pure-Python float loop and a numpy product."""
+    import numpy as np
+
+    def float_loop():
+        x = 0.5
+        for _ in range(1_000_000):
+            x = x * 0.999999 + 0.000001
+        return x
+
+    a = np.random.default_rng(0).random((256, 256))
+    return {"python float loop 10^6": float_loop, "numpy 256x256 matmul": lambda: a @ a}
 
 
 def cold_rungs() -> dict[str, list[str]]:
@@ -140,6 +184,12 @@ def _cold(argv: list[str]) -> tuple[float, float]:
     return elapsed, usage.ru_maxrss / 1024
 
 
+def _seconds(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def _run(argv: list[str]) -> float:
     buf = io.StringIO()
     t0 = time.perf_counter()
@@ -154,6 +204,7 @@ def _run(argv: list[str]) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="timed runs per rung")
+    parser.add_argument("--bench", metavar="LABEL", help="also write the line to BENCH_LABEL.json")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -161,6 +212,7 @@ def main(argv=None) -> int:
     for cmd in ladder.values():
         _run(cmd)
     best = {name: min(_run(cmd) for _ in range(args.repeat)) for name, cmd in ladder.items()}
+    calibrated = {name: min(_seconds(fn) for _ in range(args.repeat)) for name, fn in calibration().items()}
     # The cold rungs take turns, so a change in machine load reaches both.
     colds = cold_rungs()
     cold = {name: [] for name in colds}
@@ -170,8 +222,9 @@ def main(argv=None) -> int:
     exacts = exact_rungs()
     exact = {name: [_cold(cmd) for _ in range(args.repeat)] for name, cmd in exacts.items()}
     src_lines = sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py"))
-    print(json.dumps({
+    line = json.dumps({
         "repeat": args.repeat,
+        "calibration_min_s": {name: round(t, 6) for name, t in calibrated.items()},
         "min_s": {name: round(t, 6) for name, t in best.items()},
         "cold_median_s": {name: round(statistics.median(t), 6) for name, t in cold.items()},
         "exact_median": {
@@ -183,7 +236,10 @@ def main(argv=None) -> int:
         },
         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "src_lines": src_lines,
-    }))
+    })
+    print(line)
+    if args.bench:
+        (ROOT / f"BENCH_{args.bench}.json").write_text(line + "\n")
     return 0
 
 
