@@ -27,12 +27,11 @@ _EXPORTS = {
         solve_characteristic_pair symmetric_group""",
     "involution": """E2 Z_SWAP InvolutionMatrix involution_from_seed involution_log
         seed_from_involution spectral_projectors""",
-    "network": """Marking Path RelationGraph StarMarking StarPath TwoStepGraph bipartition
-        load_network network_to_json star_marking two_coloring two_step""",
-    "potential": """BalancePartition CharacteristicReactions PotentialFunction PotentialVerdict
-        StarPotentialReport balance_partition balance_signs balance_witness check_A1
-        check_A2 complete_extension gamma3_solution_family generate_potential_fields
-        is_potential partition_from_signs product_integral product_integral_star
+    "network": """Marking Path RelationGraph StarMarking StarPath TwoStepGraph load_network
+        network_to_json star_marking two_coloring""",
+    "potential": """CharacteristicReactions PotentialFunction PotentialVerdict
+        StarPotentialReport balance_signs check_A1 check_A2 complete_extension
+        gamma3_solution_family generate_potential_fields is_potential product_integral
         sign_by_identity""",
     "report": "analyze_marking run_full_analysis",
     "semigroup": """ControlMatrix IdealEnumeration LeftIdeal OperatorMatrix ProductTrajectory

@@ -154,7 +154,7 @@ def _cmd_markov(args, config: RunConfig) -> dict:
 
 
 def _exact_rows(model) -> RawJson:
-    """The chain's rows as json_text writes them at depth 1, a block of rows
+    """The chain's rows as json_pieces writes them at depth 1, a block of rows
     at a time: row r is {c: "p"} over its nonzeros (r, c) in column order,
     with the target's position in the lexicographic state order as key and
     the probability p as a JSON string.
@@ -297,32 +297,13 @@ def _cmd_smooth_check_residual(args, config: RunConfig) -> dict:
     if not (0.0 < h < math.inf):
         raise ValidationError(f"--h must be a positive finite number, got {h!r}")
     field = _FIELD_BUILDERS[args.field]()
-    (x0, x1), (y0, y1) = field.domain
-    pad = 2 * h + 1e-9
-    if x0 + pad >= x1 - pad or y0 + pad >= y1 - pad:
-        raise ValidationError(f"step {h} leaves no interior sample points")
-    step_x = (x1 - x0 - 2 * pad) / max(args.grid - 1, 1)
-    step_y = (y1 - y0 - 2 * pad) / max(args.grid - 1, 1)
-    # y varies fastest; the first maximal point in this order is reported,
-    # and a NaN norm is never maximal.  Blocks of points keep memory flat.
-    worst, at = -1.0, None
-    size, block = args.grid * args.grid, smoothfield._BLOCK
-    for lo in range(0, size, block):
-        ix, iy = np.divmod(np.arange(lo, min(lo + block, size)), args.grid)
-        xs, ys = x0 + pad + ix * step_x, y0 + pad + iy * step_y
-        norms = np.abs(smoothfield._residuals(field, xs, ys, h)).max(axis=(1, 2))
-        norms[np.isnan(norms)] = -1.0
-        i = int(norms.argmax())
-        if norms[i] > worst:
-            worst, at = norms[i].item(), [round(xs[i].item(), 12), round(ys[i].item(), 12)]
-    if worst < 0:
-        raise ValidationError(f"step {h} gives a NaN residual at every sample point")
+    worst, at = smoothfield.grid_residual(field, args.grid, h)
     return {
         "field": args.field,
         "grid": args.grid,
         "h": h,
         "max_residual": worst,
-        "argmax": at,
+        "argmax": [round(v, 12) for v in at],
         "passes": worst <= config.tau_num * 100,
     }
 

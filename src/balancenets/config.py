@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
 
@@ -180,11 +180,6 @@ def json_pieces(value, depth: int = 0):
     yield "".join(parts)
 
 
-def json_text(value, depth: int = 0) -> str:
-    """value as ``json.dumps(value, indent=2)`` writes it, nested depth deep."""
-    return "".join(json_pieces(value, depth))
-
-
 def label_texts(labels, what: str) -> dict[str, int]:
     """Index of each label by its text; two labels with one text raise."""
     by_text: dict[str, int] = {}
@@ -245,9 +240,6 @@ class RunConfig:
             raise ValidationError("seed must fit in 64 bits")
         if self.out_path is not None and not isinstance(self.out_path, str):
             raise ValidationError("out_path must be a string or null")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

@@ -24,6 +24,7 @@ from .errors import BoundExceededError, ValidationError
 from .groups import (
     GroupElement,
     ReactionGroup,
+    orbit_count,
     pair_orbit_count,
     solve_characteristic,
     solve_characteristic_pair,
@@ -511,7 +512,7 @@ def theoremB_verify(marking: Marking) -> TheoremBReport:
         candidate, predicted = realized, pair_orbit_count(*realized)
     else:
         solutions = tuple(solve_characteristic(group, *a))
-        candidate, predicted = realized[0], group.orbit_count(realized[0])
+        candidate, predicted = realized[0], orbit_count(realized[0])
     is_solution = candidate in solutions
     return TheoremBReport(
         ok=is_solution and second,

@@ -71,7 +71,8 @@ class GroupElement:
         return self.group._elements[self.group.table[self.index][other.index]]
 
     def inverse(self) -> "GroupElement":
-        return self.group.inverse(self)
+        group = self.group
+        return group._elements[group.inverse_index[self.index]]
 
     @property
     def is_identity(self) -> bool:
@@ -178,20 +179,6 @@ class ReactionGroup:
         if g.group is not self:
             raise GroupMismatchError("elements belong to different groups")
 
-    def compose(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        """Product g*h, the permutation applying h first and then g."""
-        self._check(g)
-        return g * h
-
-    def inverse(self, g: GroupElement) -> GroupElement:
-        self._check(g)
-        return self._elements[self.inverse_index[g.index]]
-
-    def orbit_count(self, g: GroupElement) -> int:
-        """Number of cycles of g on the state set, fixed points included."""
-        self._check(g)
-        return _cycle_count(g.perm)
-
 
 def _check_order(order: int, text: str | None = None) -> None:
     """BoundExceededError when a group of this order is past BOUND_GRP."""
@@ -215,7 +202,8 @@ def _cycle_count(perm: Sequence[int]) -> int:
 
 
 def orbit_count(g: GroupElement) -> int:
-    return g.group.orbit_count(g)
+    """Number of cycles of g on the state set, fixed points included."""
+    return _cycle_count(g.perm)
 
 
 def pair_orbit_count(v: GroupElement, w: GroupElement) -> int:
@@ -237,7 +225,7 @@ def solve_characteristic(group: ReactionGroup, a: GroupElement) -> list[GroupEle
     """
     group._check(a)
     hits = [v for v in group if (v * v) == a]
-    hits.sort(key=lambda v: (-group.orbit_count(v), v.index))
+    hits.sort(key=lambda v: (-orbit_count(v), v.index))
     return hits
 
 

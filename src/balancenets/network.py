@@ -78,9 +78,6 @@ class RelationGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self._edge_set
 
@@ -229,7 +226,7 @@ class TwoStepGraph:
 
         # Two-step walks join exactly the nodes an even walk joins: the two
         # sides of a bipartite graph, or every node otherwise.
-        parts = bipartition(base)
+        parts = base.parts
         self.components: tuple[frozenset[int], ...] = parts or (
             frozenset(range(len(base))),
         )
@@ -283,10 +280,6 @@ class StarMarking:
     def items(self):
         for e in self.star.star_edges:
             yield e, self._marks[e]
-
-
-def two_step(graph: RelationGraph) -> TwoStepGraph:
-    return TwoStepGraph(graph)
 
 
 def _tree_consistency(
@@ -370,17 +363,8 @@ def two_coloring(
     ), None
 
 
-def bipartition(graph: RelationGraph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Two-coloring of the nodes, or None when an odd cycle exists.
-
-    The first part is the one containing node index 0.  The graph found it
-    when it was built.
-    """
-    return graph.parts
-
-
 def star_marking(marking: Marking) -> StarMarking:
-    star = two_step(marking.graph)
+    star = TwoStepGraph(marking.graph)
     values = {}
     for i, j, k in star.star_edges:
         values[(i, j, k)] = marking.mark(k, i).inverse() * marking.mark(k, j)

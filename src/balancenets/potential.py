@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import NonPotentialError, ValidationError
 from .groups import GroupElement, ReactionGroup, sign_group
@@ -24,22 +24,17 @@ from .network import (
     StarPath,
     _tree_consistency,
     star_marking,
-    two_coloring,
 )
 
 
-def product_integral(marking: Marking, path: Path) -> GroupElement:
-    """Ordered product of marks along the path; empty path gives identity."""
+def product_integral(
+    marking: Marking | StarMarking, path: Path | StarPath
+) -> GroupElement:
+    """Ordered product of marks along the path, of a marking or of its
+    two-step marking; the empty path gives the identity."""
     acc = marking.group.identity
-    for i, j in path.edges:
-        acc = acc * marking.mark(i, j)
-    return acc
-
-
-def product_integral_star(marks: StarMarking, path: StarPath) -> GroupElement:
-    acc = marks.group.identity
-    for e in path.edges:
-        acc = acc * marks.mark(*e)
+    for edge in path.edges:
+        acc = acc * marking.mark(*edge)
     return acc
 
 
@@ -234,55 +229,21 @@ def gamma3_solution_family(
 # -- two-block balance --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BalancePartition:
-    part_a: frozenset[int]
-    part_b: frozenset[int]
-    signs: dict[tuple[int, int], int]
-
-
 def sign_by_identity(g: GroupElement) -> int:
     """Identity marks are friendly (+1), everything else hostile (-1)."""
     return 1 if g.is_identity else -1
 
 
-def partition_from_signs(
-    graph: RelationGraph, signs: Mapping[tuple[int, int], int]
-) -> BalancePartition | None:
-    """Two-block split with negative edges across and positive edges within.
-
-    Returns None when no such split exists.  An all-positive network comes
-    back as (all nodes, empty set).
-    """
-    parts, _ = two_coloring(graph, signs)
-    if parts is None:
-        return None
-    return BalancePartition(parts[0], parts[1], dict(signs))
-
-
 def balance_signs(
     marking: Marking, sign_rule: Callable[[GroupElement], int] = sign_by_identity
 ) -> dict[tuple[int, int], int]:
-    """Sign of every directed edge under the rule, checked to be +1 or -1."""
+    """Sign of every directed edge under the rule, checked to be +1 or -1.
+
+    ``two_coloring(marking.graph, signs)`` then splits the nodes into two
+    factions, or gives a closed walk crossing an odd number of hostile edges.
+    """
     signs = {edge: sign_rule(g) for edge, g in marking.items()}
     bad = [e for e, s in signs.items() if s not in (-1, 1)]
     if bad:
         raise ValidationError(f"sign rule must return +1 or -1, got {signs[bad[0]]!r}")
     return signs
-
-
-def balance_partition(
-    marking: Marking, sign_rule: Callable[[GroupElement], int] = sign_by_identity
-) -> BalancePartition | None:
-    return partition_from_signs(marking.graph, balance_signs(marking, sign_rule))
-
-
-def balance_witness(
-    marking: Marking, sign_rule: Callable[[GroupElement], int] = sign_by_identity
-) -> tuple[int, ...] | None:
-    """Closed walk crossing an odd number of hostile edges, or None.
-
-    The walk explains why no two-faction split exists; a balanced marking
-    returns None.
-    """
-    return two_coloring(marking.graph, balance_signs(marking, sign_rule))[1]

@@ -119,9 +119,6 @@ class InvolutionField:
         a, b, c = self.evaluator(x, y)
         return InvolutionMatrix(a, b, c, tol=self.tol)
 
-    def matrix_at(self, x: float, y: float) -> np.ndarray:
-        return self(x, y).matrix
-
     @classmethod
     def from_components(
         cls,
@@ -499,6 +496,34 @@ def infinitesimal_residual(
     return ResidualReport(point=(x, y), h=h, matrix=res, norm=float(np.abs(res).max()))
 
 
+def grid_residual(field: InvolutionField, grid: int, h: float) -> tuple[float, Point]:
+    """The largest residual norm over grid x grid points spread evenly 2h
+    inside the domain, and the first point, y varying fastest, that has it.
+
+    A NaN norm is never the largest; NaN at every point raises. Blocks of
+    _BLOCK points keep memory flat.
+    """
+    (x0, x1), (y0, y1) = field.domain
+    pad = 2 * h + _DOMAIN_SLACK
+    if x0 + pad >= x1 - pad or y0 + pad >= y1 - pad:
+        raise ValidationError(f"step {h} leaves no interior sample points")
+    step_x = (x1 - x0 - 2 * pad) / max(grid - 1, 1)
+    step_y = (y1 - y0 - 2 * pad) / max(grid - 1, 1)
+    worst, at = -1.0, None
+    size = grid * grid
+    for lo in range(0, size, _BLOCK):
+        ix, iy = np.divmod(np.arange(lo, min(lo + _BLOCK, size)), grid)
+        xs, ys = x0 + pad + ix * step_x, y0 + pad + iy * step_y
+        norms = np.abs(_residuals(field, xs, ys, h)).max(axis=(1, 2))
+        norms[np.isnan(norms)] = -1.0
+        i = int(norms.argmax())
+        if norms[i] > worst:
+            worst, at = norms[i].item(), (xs[i].item(), ys[i].item())
+    if worst < 0:
+        raise ValidationError(f"step {h} gives a NaN residual at every sample point")
+    return worst, at
+
+
 def residual_orders(
     field: InvolutionField, point: Point, hs: Sequence[float]
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -754,10 +779,10 @@ def solve_ode_field(
     h = 1e-5
     for x in np.linspace(x0 + 0.1 * (x1 - x0), x1 - 0.1 * (x1 - x0), 3):
         for y in np.linspace(y0 + 0.1 * (y1 - y0), y1 - 0.1 * (y1 - y0), 3):
-            a = field.matrix_at(float(x), float(y))
+            a = field(float(x), float(y)).matrix
             a_y = (
-                field.matrix_at(float(x), float(y) + h)
-                - field.matrix_at(float(x), float(y) - h)
+                field(float(x), float(y) + h).matrix
+                - field(float(x), float(y) - h).matrix
             ) / (2.0 * h)
             lhs = a @ a_y
             rhs = plane_rhs(plane, float(y))

@@ -23,7 +23,7 @@ from balancenets.dynamics import (
 )
 from balancenets.errors import NonPotentialError
 from balancenets.groups import sign_group
-from balancenets.network import Marking, RelationGraph, bipartition, load_network
+from balancenets.network import Marking, RelationGraph, load_network
 from balancenets.potential import generate_potential_fields, is_potential
 from balancenets.semigroup import (
     ControlMatrix,
@@ -137,7 +137,7 @@ def test_criterion_04_minimal_ideal_counts_on_small_graphs():
             )
             enumeration = enumerate_ideals(rm)
             assert enumeration.min_rank == theorem1_min_rank(graph)
-            parts = bipartition(graph)
+            parts = graph.parts
             if parts is None:
                 assert not nx.is_bipartite(g)
                 assert len(enumeration.ideals) == len(graph)

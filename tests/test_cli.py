@@ -1,8 +1,10 @@
 """Command line interface: subcommands, JSON contracts and exit codes."""
 
+import ast
 import hashlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import balancenets
 from balancenets import cli, potential, semigroup
 from balancenets.cli import _build_parser, main
-from balancenets.config import BOUND_PRODUCT_STEPS, json_text, lazy_module, power_over
+from balancenets.config import BOUND_PRODUCT_STEPS, json_pieces, lazy_module, power_over
 from balancenets.groups import cyclic_group, sign_group, symmetric_group
 from balancenets.network import Marking, RelationGraph, network_to_json
 from balancenets.report import run_full_analysis
@@ -178,7 +180,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON_VALUES)
 def test_json_text_writes_the_bytes_of_json_dumps(value):
-    assert json_text(value) == json.dumps(value, indent=2)
+    assert "".join(json_pieces(value)) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +192,7 @@ def test_json_text_refuses_what_json_dumps_refuses(value):
     with pytest.raises(TypeError) as want:
         json.dumps(value, indent=2)
     with pytest.raises(TypeError) as got:
-        json_text(value)
+        "".join(json_pieces(value))
     assert str(got.value) == str(want.value)
 
 
@@ -637,7 +639,7 @@ def _stdout(capsys, *argv) -> str:
 def test_analyze_prints_what_run_full_analysis_returns(capsys, fixtures_dir, net):
     path = fixtures_dir / net
     out = _stdout(capsys, "analyze", "--net", str(path))
-    assert out == json_text(run_full_analysis(path)) + "\n"
+    assert out == "".join(json_pieces(run_full_analysis(path))) + "\n"
 
 
 def test_analyze_timing_replaces_only_the_timing_line(capsys, fixtures_dir):
@@ -655,7 +657,7 @@ def test_analyze_many_networks_prints_the_single_documents(capsys, fixtures_dir)
     nets = [str(fixtures_dir / n) for n in ("k4_complete.json", "gamma3_allg.json")]
     singles = [json.loads(_stdout(capsys, "analyze", "--net", n)) for n in nets]
     both = _stdout(capsys, "analyze", "--net", nets[0], "--net", nets[1])
-    assert both == json_text({"reports": singles}) + "\n"
+    assert both == "".join(json_pieces({"reports": singles})) + "\n"
 
 
 def test_missing_file_reports_io_error(capsys):
@@ -941,7 +943,7 @@ def test_lazy_module_raises_like_import_for_a_missing_module():
 
 def test_public_names_are_unchanged():
     assert balancenets.__all__ == """
-    BOUND_GRP BOUND_STATES BalanceNetsError BalancePartition
+    BOUND_GRP BOUND_STATES BalanceNetsError
     BoundExceededError CharacteristicReactions ChoiceDistribution ConicSectionFamily
     ControlMatrix ConvergenceReport CoreSet DegeneratePlaneError E2
     EdgeQuadratureRule FieldDomainError GraphEmbedding GroupElement
@@ -951,24 +953,44 @@ def test_public_names_are_unchanged():
     PotentialVerdict ProductTrajectory REFERENCE_STEPS ReactionGroup ReactionMatrix
     RelationGraph ResidualReport RunConfig ScanResult SingularSeedError StarMarking
     StarPath StarPotentialReport StateSet TAU_ALG TAU_FLD TAU_NUM TheoremBReport
-    TwoStepGraph ValidationError Z_SWAP analyze_marking balance_partition
-    balance_signs balance_witness bipartition build_markov check_A1 check_A2
+    TwoStepGraph ValidationError Z_SWAP analyze_marking
+    balance_signs build_markov check_A1 check_A2
     complete_extension config control_matrices convergence_report core_set
     cyclic_group discretize dynamics enumerate_ideals errors essential_check
     final_states gamma3_solution_family generate_potential_fields group_to_json
     groups infinitesimal_residual involution involution_from_seed involution_log
     is_potential limit_exists load_embedding load_group load_network
     max_nonergodicity_scan network network_to_json orbit_count p_integral
-    pair_orbit_count partition_from_signs plane_rhs plane_section_solution potential
-    product_integral product_integral_star project_point_to_section project_to_plane
+    pair_orbit_count plane_rhs plane_section_solution potential
+    product_integral project_point_to_section project_to_plane
     random_product_process read_json report residual_orders rho run_full_analysis
     seed_from_involution semigroup sign_by_identity sign_group smoothfield
     solve_characteristic solve_characteristic_pair solve_ode_field
     spectral_projectors star_marking star_product stationary_count symmetric_group
     theorem1_expected theorem1_min_rank theoremB_verify trajectory_seed two_coloring
-    two_step valid_parity_assignment word_index_map
+    valid_parity_assignment word_index_map
     """.split()
     assert all(hasattr(balancenets, name) for name in balancenets.__all__)
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    """cli uses the other modules through their public names: no attribute
+    read or import of a name starting with one underscore."""
+    modules = {m.name for m in pkgutil.iter_modules(balancenets.__path__)}
+    found = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "balancenets"):
+            names = [alias.name for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules - {"cli"}
+        ):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        found += [n for n in names if n.rsplit(".", 1)[-1][:1] == "_" and not n.endswith("__")]
+    assert found == []
 
 
 def test_package_constants_are_the_identity_and_the_swap():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from balancenets import dynamics
 from balancenets.cli import _exact_rows
-from balancenets.config import BOUND_STATES, json_text
+from balancenets.config import BOUND_STATES, json_pieces
 from balancenets.dynamics import (
     ChoiceDistribution,
     CoreSet,
@@ -40,13 +40,14 @@ from balancenets.errors import BoundExceededError, ValidationError
 from balancenets.groups import (
     GroupElement,
     cyclic_group,
+    orbit_count,
     pair_orbit_count,
     sign_group,
     solve_characteristic,
     solve_characteristic_pair,
     symmetric_group,
 )
-from balancenets.network import Marking, RelationGraph, bipartition
+from balancenets.network import Marking, RelationGraph
 from balancenets.potential import check_A1, check_A2
 from balancenets.semigroup import _contracting_word
 
@@ -143,7 +144,7 @@ def _chain_core_set(model: MarkovModel) -> dict:
 
     a1 = check_A1(marking)
     a2 = check_A2(marking)
-    parts = bipartition(marking.graph) or (frozenset(range(len(marking.graph))),)
+    parts = marking.graph.parts or (frozenset(range(len(marking.graph))),)
     transport = None
     matches = None
     if a1.ok:
@@ -741,11 +742,11 @@ def test_denominators_past_int64_fall_back_to_python_ints():
 def test_streamed_exact_rows_are_the_text_of_the_chain_oracle(case):
     marking, choice = case
     model = build_markov(marking, choice)
-    want = json_text(_chain_rows(model, [str(p) for p in _chain_fractions(model)]), 1)
+    want = "".join(json_pieces(_chain_rows(model, [str(p) for p in _chain_fractions(model)]), 1))
     # One row a block, blocks that divide no k**n, and the default.
     for rows_per_block in (1, 5, dynamics._BLOCK_ROWS):
         with mock.patch.object(dynamics, "_BLOCK_ROWS", rows_per_block):
-            assert json_text(_exact_rows(model), 1) == want
+            assert "".join(json_pieces(_exact_rows(model), 1)) == want
             split = build_markov(marking, choice)._chain
         assert all(np.array_equal(a, b) for a, b in zip(split, model._chain))
 
@@ -860,7 +861,7 @@ def _theoremB_oracle(model: MarkovModel) -> TheoremBReport:
     """
     core = _chain_core_set(model)
     group = model.marking.group
-    bip = bipartition(model.marking.graph) is not None
+    bip = model.marking.graph.parts is not None
     if not core["a1_ok"] or not core["a2_ok"]:
         return _fail_report(bip, core["a1_ok"], core["a2_ok"])
     if not core["matches_closed_form"]:
@@ -908,7 +909,7 @@ def _theoremB_oracle(model: MarkovModel) -> TheoremBReport:
             realized_is_solution=realized in solutions,
             second_step_matches=second,
             best_solution=solutions[0] if solutions else None,
-            predicted_stationary=group.orbit_count(realized),
+            predicted_stationary=orbit_count(realized),
         )
 
     # Bipartite: recover the pair (v, w) from the replayed two-step shift.

@@ -19,12 +19,10 @@ from balancenets.network import (
     RelationGraph,
     StarPath,
     TwoStepGraph,
-    bipartition,
     load_network,
     network_to_json,
     star_marking,
     two_coloring,
-    two_step,
 )
 from balancenets.potential import check_A1, complete_extension, is_potential
 from balancenets.semigroup import ReactionMatrix, theorem1_expected, theorem1_min_rank
@@ -76,7 +74,7 @@ def test_stock_shapes():
     c5 = RelationGraph.cycle(range(5))
     assert len(c5.undirected_edges) == 5
     assert not c5.is_complete()
-    assert c5.degree(0) == 2
+    assert len(c5.neighbors(0)) == 2
     assert c5.neighbors(0) == (1, 4)
     assert c5.has_edge(0, 1) and not c5.has_edge(0, 2)
 
@@ -120,7 +118,7 @@ def test_marking_queries():
 
 
 def test_two_step_graph_of_triangle():
-    star = two_step(RelationGraph.complete([1, 2, 3]))
+    star = TwoStepGraph(RelationGraph.complete([1, 2, 3]))
     # Every node has two neighbors, so each mediator contributes 4 edges.
     assert len(star.star_edges) == 12
     assert star.has_edge(0, 1, 2)
@@ -133,7 +131,7 @@ def test_two_step_graph_of_triangle():
 
 def test_two_step_graph_of_square():
     c4 = RelationGraph.cycle([1, 2, 3, 4])
-    star = two_step(c4)
+    star = TwoStepGraph(c4)
     # Bipartite: opposite corners talk, adjacent ones never do.
     assert star.components == (frozenset({0, 2}), frozenset({1, 3}))
     assert star.edges_between(0, 2) == ((0, 2, 1), (0, 2, 3))
@@ -166,11 +164,11 @@ def test_two_step_components_match_union_find_on_the_atlas():
     graphs = list(_atlas_graphs(2, 7))
     assert len(graphs) == 995
     for graph in graphs:
-        assert two_step(graph).components == _two_step_components_union_find(graph)
+        assert TwoStepGraph(graph).components == _two_step_components_union_find(graph)
 
 
 def test_star_path_contiguity():
-    star = two_step(RelationGraph.complete([1, 2, 3]))
+    star = TwoStepGraph(RelationGraph.complete([1, 2, 3]))
     StarPath(star, ((0, 1, 2), (1, 0, 2)))
     with pytest.raises(ValidationError):
         StarPath(star, ((0, 1, 2), (0, 1, 2)))
@@ -179,11 +177,11 @@ def test_star_path_contiguity():
 
 
 def test_bipartition():
-    assert bipartition(RelationGraph.complete([1, 2, 3])) is None
-    parts = bipartition(RelationGraph.cycle([1, 2, 3, 4]))
+    assert RelationGraph.complete([1, 2, 3]).parts is None
+    parts = RelationGraph.cycle([1, 2, 3, 4]).parts
     assert parts == (frozenset({0, 2}), frozenset({1, 3}))
     chain = RelationGraph.from_undirected([1, 2, 3], [(1, 2), (2, 3)])
-    assert bipartition(chain) == (frozenset({0, 2}), frozenset({1}))
+    assert chain.parts == (frozenset({0, 2}), frozenset({1}))
 
 
 def _two_coloring_oracle(graph, signs):
@@ -440,9 +438,9 @@ def test_a_built_graph_runs_no_walk_for_its_bipartition(monkeypatch):
         raise AssertionError("the spanning-tree walk ran again")
 
     monkeypatch.setattr(network, "_tree_consistency", refuse)
-    assert bipartition(square) == (frozenset({0, 2}), frozenset({1, 3}))
-    assert bipartition(triangle) is None
-    assert TwoStepGraph(square).components == bipartition(square)
+    assert square.parts == (frozenset({0, 2}), frozenset({1, 3}))
+    assert triangle.parts is None
+    assert TwoStepGraph(square).components == square.parts
     assert TwoStepGraph(triangle).components == (frozenset({0, 1, 2}),)
     assert (theorem1_expected(square), theorem1_min_rank(square)) == (4, 2)
     assert (theorem1_expected(triangle), theorem1_min_rank(triangle)) == (3, 1)

@@ -14,19 +14,16 @@ from balancenets.network import (
     Path,
     RelationGraph,
     star_marking,
-    two_step,
+    two_coloring,
 )
 from balancenets.potential import (
-    balance_partition,
-    balance_witness,
+    balance_signs,
     check_A1,
     check_A2,
     gamma3_solution_family,
     generate_potential_fields,
     is_potential,
-    partition_from_signs,
     product_integral,
-    product_integral_star,
     sign_by_identity,
 )
 
@@ -140,7 +137,7 @@ def test_product_integral_star_round_trip():
     from balancenets.network import StarPath
 
     loop = StarPath(marks.star, ((0, 2, 1), (2, 0, 1)))
-    assert product_integral_star(marks, loop).is_identity
+    assert product_integral(marks, loop).is_identity
 
 
 def test_check_A2():
@@ -213,22 +210,22 @@ def test_gamma3_family_places_the_free_parameters():
 
 
 def test_balance_partition():
-    split = balance_partition(_triangle(BALANCED))
-    assert split is not None
-    assert (split.part_a, split.part_b) == (frozenset({0}), frozenset({1, 2}))
-    assert balance_partition(_triangle(ALL_G)) is None
-
-    friendly = Marking.constant(RelationGraph.complete([1, 2, 3]), G2.identity)
-    split = balance_partition(friendly)
-    assert split.part_a == frozenset({0, 1, 2})
-    assert split.part_b == frozenset()
+    for names, want in [
+        (BALANCED, (frozenset({0}), frozenset({1, 2}))),
+        (ALL_G, None),
+        ({(0, 1): "e", (0, 2): "e", (1, 2): "e"}, (frozenset({0, 1, 2}), frozenset())),
+    ]:
+        marking = _triangle(names)
+        parts, _ = two_coloring(marking.graph, balance_signs(marking))
+        assert parts == want
 
 
 def test_balance_witness():
-    assert balance_witness(_triangle(BALANCED)) is None
+    balanced = _triangle(BALANCED)
+    assert two_coloring(balanced.graph, balance_signs(balanced))[1] is None
 
     marking = _triangle(ALL_G)
-    walk = balance_witness(marking)
+    walk = two_coloring(marking.graph, balance_signs(marking))[1]
     assert walk is not None
     assert walk[0] == walk[-1]
     hostile = sum(
@@ -247,8 +244,8 @@ def test_sign_by_identity():
 def test_partition_from_signs_validates_signs():
     marking = _triangle(BALANCED)
     with pytest.raises(ValidationError):
-        balance_partition(marking, sign_rule=lambda g: 0)
+        balance_signs(marking, sign_rule=lambda g: 0)
     # Direct use with explicit signs.
     signs = {e: 1 for e in marking.graph.directed_edges}
-    split = partition_from_signs(marking.graph, signs)
-    assert split.part_b == frozenset()
+    parts, _ = two_coloring(marking.graph, signs)
+    assert parts[1] == frozenset()

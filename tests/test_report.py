@@ -1,5 +1,6 @@
 """Analysis documents and run configuration round trips."""
 
+import dataclasses
 import json
 import math
 
@@ -113,7 +114,7 @@ def test_run_full_analysis_hashes_the_file(fixtures_dir):
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(seed=42, tau_num=1e-5)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert RunConfig.from_json(path) == cfg
 
 

@@ -17,12 +17,11 @@ from balancenets.config import BOUND_PRODUCT_STEPS, trajectory_seed
 from balancenets.errors import BoundExceededError, NonPotentialError, ValidationError
 from balancenets.groups import (
     GroupElement,
-    ReactionGroup,
     cyclic_group,
     sign_group,
     symmetric_group,
 )
-from balancenets.network import Marking, RelationGraph, bipartition, load_network
+from balancenets.network import Marking, RelationGraph, load_network
 from balancenets.semigroup import (
     ControlMatrix,
     OperatorMatrix,
@@ -386,7 +385,7 @@ def test_potentiality_matches_the_cubic_scan(group, n, data):
 
 def test_is_potential_multiplies_no_group_elements(monkeypatch):
     broken = _broken_triangle()
-    monkeypatch.setattr(ReactionGroup, "compose", _refuse)
+    monkeypatch.setattr(GroupElement, "__mul__", _refuse)
     assert BALANCED_RM.is_potential()
     assert not broken.is_potential()
 
@@ -594,7 +593,7 @@ def test_ideals_on_twelve_nodes_meet_theorem1(graph):
     # bipartite graph, n ideals and 2 final states otherwise.
     rm = _gauge_matrix(graph, G2, random.Random(12).randrange)
     enumeration = enumerate_ideals(rm)
-    parts = bipartition(graph)
+    parts = graph.parts
     if parts is None:
         ideals, finals = 12, 2
     else:
@@ -708,7 +707,6 @@ def test_random_product_process_multiplies_nothing(monkeypatch):
         read.append(x)
         return apply(op, x)
 
-    monkeypatch.setattr(ReactionGroup, "compose", _refuse)
     monkeypatch.setattr(GroupElement, "__mul__", _refuse)
     monkeypatch.setattr(OperatorMatrix, "__mul__", _refuse)
     monkeypatch.setattr(OperatorMatrix, "apply", counted_apply)

@@ -316,7 +316,7 @@ def _p_integral_oracle(field, curve, n, parity):
     acc = np.eye(2)
     for i in range(rule.steps):
         x, y = curve.point(curve.s0 + (i + 0.5) * h)
-        acc = _product(acc, field.matrix_at(x, y))
+        acc = _product(acc, field(x, y).matrix)
     return acc
 
 
@@ -529,15 +529,18 @@ def _k7_embedding():
 
 
 def test_p_integral_memory_does_not_grow_with_steps():
-    # Sampling all 2**17 steps before folding peaks at about 23 MiB; each
-    # product samples one block at a time, which peaks near 0.15 MiB, for
-    # K7's 42 products too.
+    # Each product samples one block at a time, which peaks near 0.14 MiB.
+    # A fold that samples all its steps first takes about 136 bytes a step:
+    # 4.3 MiB for p_integral's 2**15 steps, 8.5 MiB for convergence_report's
+    # 2**15 and 2**16, and 5.6 MiB for K7's 42 products of 1024 steps
+    # sampled together, each past its bound. tracemalloc hooks every Python
+    # float of the fold, so these sizes keep the test short.
     wave = _FIELD_BUILDERS["elliptic-wave"]()
     k7 = _k7_embedding()
     runs = [
-        (lambda: p_integral(WAVE, _TWO_LEG, 2 ** 17, "even"), 2 ** 20),
-        (lambda: convergence_report(wave, _TWO_LEG, 2 ** 17, "even"), 2 * 2 ** 20),
-        (lambda: discretize(wave, k7, EdgeQuadratureRule("even", 4096)), 2 * 2 ** 20),
+        (lambda: p_integral(WAVE, _TWO_LEG, 2 ** 15, "even"), 2 ** 20),
+        (lambda: convergence_report(wave, _TWO_LEG, 2 ** 15, "even"), 2 * 2 ** 20),
+        (lambda: discretize(wave, k7, EdgeQuadratureRule("even", 1024)), 2 * 2 ** 20),
     ]
     for run, bound in runs:
         tracemalloc.start()
@@ -1015,8 +1018,8 @@ def test_ode_field_reproduces_plane_matrix():
 
     h = 1e-6
     for x, y in ((0.2, 0.3), (0.7, 0.6)):
-        a = field.matrix_at(x, y)
-        a_y = (field.matrix_at(x, y + h) - field.matrix_at(x, y - h)) / (2 * h)
+        a = field(x, y).matrix
+        a_y = (field(x, y + h).matrix - field(x, y - h).matrix) / (2 * h)
         assert np.abs(a @ a_y - field.rhs(y)).max() < 1e-6
 
 
